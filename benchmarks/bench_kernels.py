@@ -1,9 +1,6 @@
-"""Timing comparison of the compiled kernels against the pure-numpy
-fallbacks, with equality checks so a speedup never hides a divergence.
+"""Best-of-three wall time of the three public kernels on random inputs.
 
 Run:  python3 benchmarks/bench_kernels.py --devices 2000 --bits 1024
-The compiled path is skipped automatically when the JIT backend is
-unavailable or disabled via PUFSIM_NO_NUMBA.
 """
 
 import argparse
@@ -14,53 +11,13 @@ import numpy as np
 from pufsim import kernels
 
 
-def _time(fn, *args, repeat=3):
+def _time(label: str, fn, *args, repeat: int = 3) -> None:
     best = float("inf")
-    out = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        out = fn(*args)
+        fn(*args)
         best = min(best, time.perf_counter() - t0)
-    return out, best
-
-
-def bench_pairwise(devices: int, nbits: int, rng) -> None:
-    bits = rng.integers(0, 2, size=(devices, nbits), dtype=np.uint8)
-    packed = kernels.pack_bits(bits)
-    (total_np, hist_np), t_np = _time(
-        kernels._pairwise_hd_stats_numpy, packed, nbits
-    )
-    print(f"pairwise-hd  {devices}x{nbits}  numpy   {t_np*1e3:9.2f} ms")
-    if kernels.BACKEND == "numba":
-        (total_nb, hist_nb), t_nb = _time(
-            kernels._pairwise_hd_stats_numba, packed, nbits
-        )
-        assert total_nb == total_np
-        assert np.array_equal(hist_nb, hist_np)
-        print(f"pairwise-hd  {devices}x{nbits}  numba   {t_nb*1e3:9.2f} ms"
-              f"  ({t_np/t_nb:.1f}x)")
-
-
-def bench_rank(matrices: int, rng) -> None:
-    rows = rng.integers(0, 1 << 32, size=(matrices, 32), dtype=np.uint64)
-    ranks_np, t_np = _time(kernels._gf2_rank32_numpy, rows)
-    print(f"gf2-rank32   {matrices} mats   numpy   {t_np*1e3:9.2f} ms")
-    if kernels.BACKEND == "numba":
-        ranks_nb, t_nb = _time(kernels._gf2_rank32_numba, rows)
-        assert np.array_equal(ranks_nb, ranks_np)
-        print(f"gf2-rank32   {matrices} mats   numba   {t_nb*1e3:9.2f} ms"
-              f"  ({t_np/t_nb:.1f}x)")
-
-
-def bench_longest_run(blocks: int, block_size: int, rng) -> None:
-    data = rng.integers(0, 2, size=(blocks, block_size), dtype=np.uint8)
-    runs_np, t_np = _time(kernels._longest_one_run_numpy, data)
-    print(f"longest-run  {blocks}x{block_size}  numpy   {t_np*1e3:9.2f} ms")
-    if kernels.BACKEND == "numba":
-        runs_nb, t_nb = _time(kernels._longest_one_run_numba, data)
-        assert np.array_equal(runs_nb, runs_np)
-        print(f"longest-run  {blocks}x{block_size}  numba   {t_nb*1e3:9.2f} ms"
-              f"  ({t_np/t_nb:.1f}x)")
+    print(f"{label:28s} {best*1e3:9.2f} ms")
 
 
 def main() -> None:
@@ -73,17 +30,15 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    print(f"active backend: {kernels.BACKEND}")
     rng = np.random.default_rng(args.seed)
-    if kernels.BACKEND == "numba":
-        # trigger compilation outside the timed region
-        warm = np.zeros((2, 1), dtype=np.uint64)
-        kernels._pairwise_hd_stats_numba(warm, 64)
-        kernels._gf2_rank32_numba(np.zeros((1, 32), dtype=np.uint64))
-        kernels._longest_one_run_numba(np.zeros((1, 8), dtype=np.uint8))
-    bench_pairwise(args.devices, args.bits, rng)
-    bench_rank(args.matrices, rng)
-    bench_longest_run(args.blocks, args.block_size, rng)
+    bits = rng.integers(0, 2, size=(args.devices, args.bits), dtype=np.uint8)
+    _time(f"pairwise-hd {args.devices}x{args.bits}",
+          kernels.pairwise_hd_stats, kernels.pack_bits(bits), args.bits)
+    rows = rng.integers(0, 1 << 32, size=(args.matrices, 32), dtype=np.uint64)
+    _time(f"gf2-rank32 {args.matrices} mats", kernels.gf2_rank32, rows)
+    blocks = rng.integers(0, 2, size=(args.blocks, args.block_size), dtype=np.uint8)
+    _time(f"longest-run {args.blocks}x{args.block_size}",
+          kernels.longest_one_run, blocks)
 
 
 if __name__ == "__main__":

@@ -25,16 +25,18 @@ from .errors import StageError
 from .harness import (
     _human_report,
     _write_json,
+    _write_mask,
+    _write_nist_csv,
     compare_runs,
     default_output_dir,
     load_population,
+    metrics_entry,
     run_experiment,
     save_golden,
     save_population,
     load_golden,
     sweep_payload,
 )
-from .metrics import inter_hd, mean_intra_hd
 from .population import generate_population
 from .randomness import (
     aggregate_suite,
@@ -45,10 +47,8 @@ from .randomness import (
 )
 from .signature import (
     SignatureSet,
-    apply_mask,
     eliminate_biased_positions,
     enroll_golden,
-    read_signatures,
 )
 
 
@@ -99,7 +99,10 @@ def _out_dir(args) -> str:
 def _load_mask(path, n: int) -> np.ndarray:
     with open(path) as fh:
         payload = json.load(fh)
-    mask = np.frombuffer(payload["mask"].encode(), dtype=np.uint8) - ord("0")
+    text = payload["mask"]
+    if set(text) - {"0", "1"}:
+        raise StageError("mask", f"{path}: mask may contain only '0' and '1'")
+    mask = np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
     if mask.size != n:
         raise StageError("mask", f"mask length {mask.size} != signature length {n}")
     return mask
@@ -160,14 +163,7 @@ def cmd_mask(args) -> int:
         stability_threshold=args.stability_threshold,
     )
     path = os.path.join(root, "mask.json")
-    _write_json(
-        path,
-        {
-            "kept": int(mask.sum()),
-            "eliminated": int((1 - mask).sum()),
-            "mask": "".join("1" if b else "0" for b in mask),
-        },
-    )
+    _write_mask(path, mask)
     print(f"wrote {path} (kept {int(mask.sum())} of {mask.size} positions)")
     return 0
 
@@ -178,22 +174,8 @@ def cmd_metrics(args) -> int:
     golden = load_golden(args.golden) if args.golden else enroll_golden(sigs)
     mask = _load_mask(args.mask, sigs.n) if args.mask else None
     payload = {
-        "sessions": {
-            "input": {
-                "inter_hd_percent": inter_hd(sigs.bits[:, 0, :]),
-                "intra_hd_percent": mean_intra_hd(sigs, golden),
-                "ones_fraction": float(sigs.bits[:, 0, :].mean()),
-                "hd_histogram": {},
-            }
-        }
+        "sessions": {"input": metrics_entry(sigs, golden, sigs.bits[:, 0, :], mask)}
     }
-    if mask is not None:
-        masked = apply_mask(sigs, mask)
-        payload["sessions"]["input"]["masked"] = {
-            "inter_hd_percent": inter_hd(sigs.bits[:, 0, :], mask),
-            "intra_hd_percent": mean_intra_hd(masked, golden),
-            "effective_length": int(mask.sum()),
-        }
     _write_json(os.path.join(root, "metrics.json"), payload)
     sys.stdout.write(_human_report(payload))
     return 0
@@ -225,10 +207,7 @@ def cmd_nist(args) -> int:
             print(f"  {name:24s}  passing {row['passing']}/{agg.num_sequences}"
                   f"  uniformity p={row['uniformity_p']:.6g}")
     path = os.path.join(root, "nist.csv")
-    with open(path, "w") as fh:
-        fh.write("sequence,test,p_value,passed\n")
-        for idx, name, p, passed in results_csv_rows(per_seq):
-            fh.write(f"{idx},{name},{p!r},{int(passed)}\n")
+    _write_nist_csv(path, per_seq)
     print(f"wrote {path}")
     return 0
 

@@ -27,9 +27,11 @@ from .config import ExperimentConfig, SessionConfig, config_digest, to_dict
 from .entropy import EnvironmentCondition
 from .errors import InvalidArgumentError, StageError
 from .metrics import (
-    compute_report,
+    hd_histogram_from_counts,
     inter_hd,
+    inter_hd_details,
     mean_intra_hd,
+    ones_fraction_and_colormap,
     robustness_sweep,
 )
 from .population import (
@@ -111,18 +113,59 @@ def save_population(path, population: DevicePopulation) -> None:
         np.save(fh, population.bias_offsets)
 
 
+def _read_exact(fh, count: int, path) -> bytes:
+    data = fh.read(count)
+    if len(data) != count:
+        raise InvalidArgumentError(
+            f"{path}: truncated, expected at least "
+            f"{fh.tell() - len(data) + count} bytes, found {fh.tell()}"
+        )
+    return data
+
+
+def _load_arrays(fh, path, count: int) -> list:
+    """Read `count` consecutive .npy arrays, checking each payload length
+    against its array header and that nothing follows the last one."""
+    size = os.fstat(fh.fileno()).st_size
+    arrays = []
+    for _ in range(count):
+        start = fh.tell()
+        try:
+            version = np.lib.format.read_magic(fh)
+            read_header = (
+                np.lib.format.read_array_header_1_0
+                if version == (1, 0)
+                else np.lib.format.read_array_header_2_0
+            )
+            shape, _, dtype = read_header(fh)
+        except ValueError as exc:
+            raise InvalidArgumentError(
+                f"{path}: unreadable array header at byte {start} ({exc}), "
+                f"found {size} bytes"
+            ) from exc
+        end = fh.tell() + math.prod(shape) * dtype.itemsize
+        if end > size:
+            raise InvalidArgumentError(
+                f"{path}: truncated, expected at least {end} bytes, found {size}"
+            )
+        fh.seek(start)
+        arrays.append(np.load(fh))
+    if fh.tell() != size:
+        raise InvalidArgumentError(
+            f"{path}: headers declare {fh.tell()} bytes, found {size}"
+        )
+    return arrays
+
+
 def load_population(path) -> DevicePopulation:
     with open(path, "rb") as fh:
         if fh.read(4) != _POP_MAGIC:
             raise InvalidArgumentError(f"not a population snapshot: {path}")
-        version, size = struct.unpack("<HI", fh.read(6))
+        version, size = struct.unpack("<HI", _read_exact(fh, 6, path))
         if version != 1:
             raise InvalidArgumentError(f"unsupported population version {version}")
-        meta = json.loads(fh.read(size))
-        global_draw = np.load(fh)
-        regional = np.load(fh)
-        local = np.load(fh)
-        bias_offsets = np.load(fh)
+        meta = json.loads(_read_exact(fh, size, path))
+        global_draw, regional, local, bias_offsets = _load_arrays(fh, path, 4)
     placement = PlacementConfig(
         kind=meta["placement"]["kind"],
         grid_width=meta["placement"]["grid_width"],
@@ -155,11 +198,10 @@ def load_golden(path) -> GoldenSignature:
     with open(path, "rb") as fh:
         if fh.read(4) != _GOLD_MAGIC:
             raise InvalidArgumentError(f"not a golden snapshot: {path}")
-        (version,) = struct.unpack("<H", fh.read(2))
+        (version,) = struct.unpack("<H", _read_exact(fh, 2, path))
         if version != 1:
             raise InvalidArgumentError(f"unsupported golden version {version}")
-        bits = np.load(fh)
-        stability = np.load(fh)
+        bits, stability = _load_arrays(fh, path, 2)
     return GoldenSignature(bits=bits, stability=stability)
 
 
@@ -167,6 +209,24 @@ def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_mask(path, mask: np.ndarray) -> None:
+    _write_json(
+        path,
+        {
+            "kept": int(mask.sum()),
+            "eliminated": int((1 - mask).sum()),
+            "mask": "".join("1" if b else "0" for b in mask),
+        },
+    )
+
+
+def _write_nist_csv(path, per_seq) -> None:
+    with open(path, "w") as fh:
+        fh.write("sequence,test,p_value,passed\n")
+        for idx, name, p, passed in results_csv_rows(per_seq):
+            fh.write(f"{idx},{name},{p!r},{int(passed)}\n")
 
 
 def _sha256(path) -> str:
@@ -237,28 +297,50 @@ def _session_readout(
     return read_signatures(population, session, threads=threads)
 
 
+def metrics_entry(
+    sigs: SignatureSet,
+    golden: GoldenSignature,
+    rows: np.ndarray,
+    mask: Optional[np.ndarray] = None,
+    bucket_width: float = 1.0,
+) -> dict:
+    """One session's metrics.json entry.
+
+    Inter-HD and its distance histogram both describe `rows` (the golden
+    bits for the enrollment session, trial 0 otherwise) and come from one
+    pairwise pass; the masked inter-HD uses the closed-form total. Intra-HD
+    is against `golden`; the ones fraction is over trial 0.
+    """
+    percent, raw_hist = inter_hd_details(rows)
+    histogram = hd_histogram_from_counts(raw_hist, rows.shape[1], bucket_width)
+    entry = {
+        "inter_hd_percent": percent,
+        "intra_hd_percent": mean_intra_hd(sigs, golden),
+        "ones_fraction": ones_fraction_and_colormap(sigs)[0],
+        "hd_histogram": {f"{k:g}": v for k, v in histogram.items()},
+    }
+    if mask is not None:
+        entry["masked"] = {
+            "inter_hd_percent": inter_hd(rows, mask),
+            "intra_hd_percent": mean_intra_hd(apply_mask(sigs, mask), golden),
+            "effective_length": int(mask.sum()),
+        }
+    return entry
+
+
 def _metrics_payload(config, sessions_sigs, golden, mask):
-    enroll_name = config.enroll_session
-    payload: dict = {"sessions": {}}
-    for name, sigs in sessions_sigs.items():
-        entry: dict = {}
-        rows = golden.bits if name == enroll_name else sigs.bits[:, 0, :]
-        report = compute_report(
-            sigs, golden, bucket_width=config.histogram_bucket_percent
-        )
-        entry["inter_hd_percent"] = inter_hd(rows)
-        entry["intra_hd_percent"] = report.intra_hd_percent
-        entry["ones_fraction"] = report.ones_fraction
-        entry["hd_histogram"] = {f"{k:g}": v for k, v in report.hd_histogram.items()}
-        if mask is not None:
-            masked_sigs = apply_mask(sigs, mask)
-            entry["masked"] = {
-                "inter_hd_percent": inter_hd(rows, mask),
-                "intra_hd_percent": mean_intra_hd(masked_sigs, golden),
-                "effective_length": int(mask.sum()),
-            }
-        payload["sessions"][name] = entry
-    return payload
+    return {
+        "sessions": {
+            name: metrics_entry(
+                sigs,
+                golden,
+                golden.bits if name == config.enroll_session else sigs.bits[:, 0, :],
+                mask,
+                config.histogram_bucket_percent,
+            )
+            for name, sigs in sessions_sigs.items()
+        }
+    }
 
 
 def _human_report(payload: dict) -> str:
@@ -434,14 +516,7 @@ def run_experiment(
                 golden=golden,
             )
             path = os.path.join(root, "mask.json")
-            _write_json(
-                path,
-                {
-                    "kept": int(mask.sum()),
-                    "eliminated": int((1 - mask).sum()),
-                    "mask": "".join("1" if b else "0" for b in mask),
-                },
-            )
+            _write_mask(path, mask)
             manifest.add("mask", path, root)
             manifest.timings[stage] = time.perf_counter() - t0
 
@@ -473,10 +548,7 @@ def run_experiment(
         _write_json(path, payload)
         manifest.add("nist", path, root)
         path = os.path.join(root, "nist.csv")
-        with open(path, "w") as fh:
-            fh.write("sequence,test,p_value,passed\n")
-            for idx, name, p, passed in results_csv_rows(per_seq):
-                fh.write(f"{idx},{name},{p!r},{int(passed)}\n")
+        _write_nist_csv(path, per_seq)
         manifest.add("nist_csv", path, root)
         manifest.timings[stage] = time.perf_counter() - t0
     except Exception as exc:  # noqa: BLE001 - every stage error becomes diagnostic

@@ -1,33 +1,16 @@
 """Hot numeric kernels: packed-bit Hamming distances, GF(2) matrix rank,
-and longest-run extraction.
-
-Every kernel exists twice: a numba @njit version and a pure-numpy version.
-The active backend is chosen at import time. Setting the environment variable
-PUFSIM_NO_NUMBA to a non-empty value (other than "0") forces the numpy path;
-otherwise numba is used when importable. Both paths return bit-identical
-results (integer arithmetic only); benchmarks/bench_kernels.py compares them.
+and longest-run extraction, in integer-only numpy.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("PUFSIM_NO_NUMBA", "").strip() not in ("", "0")
-
-try:
-    if _FORCE_NUMPY:
-        raise ImportError("numpy backend forced via PUFSIM_NO_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
-# bit packing helpers (shared by both backends)
+# bit packing helpers
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack 0/1 values along the last axis into little-endian uint64 words.
@@ -55,10 +38,19 @@ def unpack_bits(packed: np.ndarray, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# numpy implementations
+# kernels
 
-def _pairwise_hd_stats_numpy(packed: np.ndarray, nbits: int, chunk: int = 256):
+def pairwise_hd_stats(packed: np.ndarray, nbits: int) -> tuple[int, np.ndarray]:
+    """Sum and integer histogram of Hamming distances over all unordered
+    row pairs of a packed (devices, words) uint64 array.
+
+    Returns (total, hist) with hist[h] = number of pairs at distance h.
+    """
+    packed = np.ascontiguousarray(packed, dtype=np.uint64)
+    if packed.ndim != 2:
+        raise ValueError("packed array must be 2-D (devices, words)")
     d = packed.shape[0]
+    chunk = 256  # rows per block; bounds the (chunk, d, words) XOR buffer
     hist = np.zeros(nbits + 1, dtype=np.int64)
     total = 0
     for i0 in range(0, d, chunk):
@@ -74,7 +66,15 @@ def _pairwise_hd_stats_numpy(packed: np.ndarray, nbits: int, chunk: int = 256):
     return total, hist
 
 
-def _gf2_rank32_numpy(rows: np.ndarray) -> np.ndarray:
+def gf2_rank32(rows: np.ndarray) -> np.ndarray:
+    """Rank over GF(2) of a batch of 32x32 binary matrices.
+
+    rows has shape (batch, 32); each uint64 holds one 32-bit matrix row
+    (bit k = column k).
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.uint64)
+    if rows.ndim != 2 or rows.shape[1] != 32:
+        raise ValueError("rows must have shape (batch, 32)")
     rows = rows.copy()
     b = rows.shape[0]
     r = np.zeros(b, dtype=np.int64)
@@ -101,8 +101,11 @@ def _gf2_rank32_numpy(rows: np.ndarray) -> np.ndarray:
     return r
 
 
-def _longest_one_run_numpy(blocks: np.ndarray) -> np.ndarray:
-    blocks = np.asarray(blocks, dtype=np.uint8)
+def longest_one_run(blocks: np.ndarray) -> np.ndarray:
+    """Longest run of ones in each row of a (blocks, block_len) 0/1 array."""
+    blocks = np.ascontiguousarray(blocks, dtype=np.uint8)
+    if blocks.ndim != 2:
+        raise ValueError("blocks must be 2-D")
     n, m = blocks.shape
     run = np.zeros(n, dtype=np.int64)
     best = np.zeros(n, dtype=np.int64)
@@ -110,123 +113,3 @@ def _longest_one_run_numpy(blocks: np.ndarray) -> np.ndarray:
         run = (run + 1) * blocks[:, j]
         np.maximum(best, run, out=best)
     return best
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if HAS_NUMBA:
-
-    @njit(cache=True, inline="always")
-    def _popcount64(x):
-        # SWAR popcount on a uint64
-        x = x - ((x >> 1) & np.uint64(0x5555555555555555))
-        x = (x & np.uint64(0x3333333333333333)) + (
-            (x >> 2) & np.uint64(0x3333333333333333)
-        )
-        x = (x + (x >> 4)) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-    @njit(cache=True)
-    def _pairwise_hd_stats_numba(packed, nbits):
-        d, w = packed.shape
-        hist = np.zeros(nbits + 1, dtype=np.int64)
-        total = np.int64(0)
-        for i in range(d):
-            for j in range(i + 1, d):
-                h = np.uint64(0)
-                for k in range(w):
-                    h += _popcount64(packed[i, k] ^ packed[j, k])
-                hist[h] += 1
-                total += np.int64(h)
-        return total, hist
-
-    @njit(cache=True)
-    def _gf2_rank32_numba(rows):
-        b = rows.shape[0]
-        out = np.zeros(b, dtype=np.int64)
-        work = np.empty(32, dtype=np.uint64)
-        for m in range(b):
-            for i in range(32):
-                work[i] = rows[m, i]
-            r = 0
-            for col in range(32):
-                bit = np.uint64(1) << np.uint64(col)
-                piv = -1
-                for i in range(r, 32):
-                    if work[i] & bit:
-                        piv = i
-                        break
-                if piv < 0:
-                    continue
-                tmp = work[r]
-                work[r] = work[piv]
-                work[piv] = tmp
-                for i in range(32):
-                    if i != r and (work[i] & bit):
-                        work[i] ^= work[r]
-                r += 1
-            out[m] = r
-        return out
-
-    @njit(cache=True)
-    def _longest_one_run_numba(blocks):
-        n, m = blocks.shape
-        out = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            best = 0
-            run = 0
-            for j in range(m):
-                if blocks[i, j]:
-                    run += 1
-                    if run > best:
-                        best = run
-                else:
-                    run = 0
-            out[i] = best
-        return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
-
-
-def pairwise_hd_stats(packed: np.ndarray, nbits: int) -> tuple[int, np.ndarray]:
-    """Sum and integer histogram of Hamming distances over all unordered
-    row pairs of a packed (devices, words) uint64 array.
-
-    Returns (total, hist) with hist[h] = number of pairs at distance h.
-    """
-    packed = np.ascontiguousarray(packed, dtype=np.uint64)
-    if packed.ndim != 2:
-        raise ValueError("packed array must be 2-D (devices, words)")
-    if HAS_NUMBA:
-        total, hist = _pairwise_hd_stats_numba(packed, nbits)
-        return int(total), hist
-    return _pairwise_hd_stats_numpy(packed, nbits)
-
-
-def gf2_rank32(rows: np.ndarray) -> np.ndarray:
-    """Rank over GF(2) of a batch of 32x32 binary matrices.
-
-    rows has shape (batch, 32); each uint64 holds one 32-bit matrix row
-    (bit k = column k).
-    """
-    rows = np.ascontiguousarray(rows, dtype=np.uint64)
-    if rows.ndim != 2 or rows.shape[1] != 32:
-        raise ValueError("rows must have shape (batch, 32)")
-    if HAS_NUMBA:
-        return _gf2_rank32_numba(rows)
-    return _gf2_rank32_numpy(rows)
-
-
-def longest_one_run(blocks: np.ndarray) -> np.ndarray:
-    """Longest run of ones in each row of a (blocks, block_len) 0/1 array."""
-    blocks = np.ascontiguousarray(blocks, dtype=np.uint8)
-    if blocks.ndim != 2:
-        raise ValueError("blocks must be 2-D")
-    if HAS_NUMBA:
-        return _longest_one_run_numba(blocks)
-    return _longest_one_run_numpy(blocks)

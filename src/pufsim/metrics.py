@@ -10,10 +10,12 @@ Intra-HD of one device from x re-reads against its reference S_v:
 
     (1 / x) * sum_u HD(S_u, S_v) / n * 100
 
-Distances are computed on 64-bit packed words with population count and
-kept as exact integers until the final division, so results are independent
-of pair ordering or partitioning. Masked positions are excluded from both
-the numerator and n.
+Distance totals are exact integers until the final division, so results
+are independent of pair ordering or partitioning: the inter-HD total comes
+in closed form from per-position one-counts, and the pairwise pass over
+64-bit packed words with population count runs only where a distance
+histogram is wanted. Masked positions are excluded from both the numerator
+and n.
 """
 
 from __future__ import annotations
@@ -47,33 +49,57 @@ def _as_bit_matrix(signatures) -> np.ndarray:
     return mat
 
 
+def _check_mask(mask: Optional[np.ndarray], n: int):
+    """Validated 0/1 keep-mask (or None) and the effective length."""
+    if mask is None:
+        return None, n
+    mask = np.asarray(mask, dtype=np.uint8)
+    if mask.shape != (n,):
+        raise InvalidArgumentError("mask length must equal signature length")
+    if not np.isin(mask, (0, 1)).all():
+        raise InvalidArgumentError("mask must contain only 0/1 values")
+    n_eff = int(mask.sum())
+    if n_eff == 0:
+        raise InvalidArgumentError("mask keeps zero positions")
+    return mask, n_eff
+
+
 def _masked_pack(mat: np.ndarray, mask: Optional[np.ndarray]):
+    mask, n_eff = _check_mask(mask, mat.shape[1])
     if mask is not None:
-        mask = np.asarray(mask, dtype=np.uint8)
-        if mask.shape != (mat.shape[1],):
-            raise InvalidArgumentError("mask length must equal signature length")
-        n_eff = int(mask.sum())
-        if n_eff == 0:
-            raise InvalidArgumentError("mask keeps zero positions")
         mat = mat * mask  # zeroed positions drop out of every XOR
-    else:
-        n_eff = mat.shape[1]
     return kernels.pack_bits(mat), n_eff
+
+
+def _device_count(mat: np.ndarray) -> int:
+    r = mat.shape[0]
+    if r < 2:
+        raise InvalidArgumentError("inter-HD needs at least 2 devices")
+    return r
 
 
 def inter_hd(signatures, mask: Optional[np.ndarray] = None) -> float:
     """Average pairwise Hamming distance between device signatures, in
-    percent of the (effective) signature length."""
-    percent, _ = inter_hd_details(signatures, mask)
-    return percent
+    percent of the (effective) signature length.
+
+    The pair total is exact and needs no pairwise pass: a kept position
+    with c ones among r devices differs in c * (r - c) pairs, so
+    sum_{u<v} HD(S_u, S_v) = sum_j c_j (r - c_j).
+    """
+    mat = _as_bit_matrix(signatures)
+    r = _device_count(mat)
+    mask, n_eff = _check_mask(mask, mat.shape[1])
+    ones = mat.sum(axis=0, dtype=np.int64)
+    if mask is not None:
+        ones = ones[mask == 1]
+    total = int(np.dot(ones, r - ones))
+    return 200.0 * total / (r * (r - 1) * n_eff)
 
 
 def inter_hd_details(signatures, mask: Optional[np.ndarray] = None):
     """inter_hd plus the integer histogram of raw pairwise distances."""
     mat = _as_bit_matrix(signatures)
-    r = mat.shape[0]
-    if r < 2:
-        raise InvalidArgumentError("inter-HD needs at least 2 devices")
+    r = _device_count(mat)
     packed, n_eff = _masked_pack(mat, mask)
     total, hist = kernels.pairwise_hd_stats(packed, n_eff)
     percent = 200.0 * total / (r * (r - 1) * n_eff)

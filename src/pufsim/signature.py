@@ -18,6 +18,7 @@ them worthwhile.
 
 from __future__ import annotations
 
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -136,13 +137,25 @@ class SignatureSet:
     @classmethod
     def from_binary(cls, path) -> "SignatureSet":
         with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
             magic = fh.read(4)
             if magic != _MAGIC:
                 raise InvalidArgumentError(f"not a signature file: {path}")
-            version, flags, d, t, n = struct.unpack("<HHIII", fh.read(16))
+            header = fh.read(16)
+            if len(header) != 16:
+                raise InvalidArgumentError(
+                    f"{path}: truncated header, expected at least 20 bytes, "
+                    f"found {size}"
+                )
+            version, flags, d, t, n = struct.unpack("<HHIII", header)
             if version != _VERSION:
                 raise InvalidArgumentError(f"unsupported signature version {version}")
             nbytes = (n + 7) // 8
+            expected = 20 + (nbytes if flags & 1 else 0) + d * t * nbytes
+            if size != expected:
+                raise InvalidArgumentError(
+                    f"{path}: header declares {expected} bytes, found {size}"
+                )
             mask = None
             if flags & 1:
                 raw = np.frombuffer(fh.read(nbytes), dtype=np.uint8)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pufsim.cli import main
-from pufsim.config import ExperimentConfig, SessionConfig
+from pufsim.config import ExperimentConfig, SessionConfig, preset
 from pufsim.errors import InvalidArgumentError, StageError
 from pufsim.harness import (
     compare_runs,
@@ -19,8 +19,9 @@ from pufsim.harness import (
     save_population,
     unbiased_sequences,
 )
+from pufsim.metrics import hd_histogram_from_counts, inter_hd_details
 from pufsim.population import generate_population
-from pufsim.signature import GoldenSignature, read_signatures
+from pufsim.signature import GoldenSignature, SignatureSet, read_signatures
 
 
 def _config(**kw):
@@ -118,6 +119,48 @@ def test_metrics_payload_shape(tmp_path):
     assert "session enroll" in report
 
 
+def test_non_enroll_histogram_describes_trial_zero_rows(tmp_path):
+    # paper-fpga's "repeat" session scores its trial-0 rows; its histogram
+    # must describe those rows, not the enrollment golden bits
+    config = preset("paper-fpga")
+    run_experiment(config, out_dir=str(tmp_path))
+    entry = json.loads((tmp_path / "metrics.json").read_text())["sessions"]["repeat"]
+    rows = SignatureSet.from_binary(tmp_path / "signatures_repeat.bin").bits[:, 0, :]
+    percent, raw = inter_hd_details(rows)
+    want = hd_histogram_from_counts(raw, rows.shape[1],
+                                    config.histogram_bucket_percent)
+    assert entry["hd_histogram"] == {f"{k:g}": v for k, v in want.items()}
+    assert entry["inter_hd_percent"] == percent
+
+
+def test_cli_metrics_matches_run_entry(tmp_path, capsys):
+    # with one enrollment trial the golden bits are the trial-0 rows, so
+    # `pufsim metrics` on the run's own artifacts must rebuild its entry
+    config = _config(
+        sessions=(SessionConfig("enroll", 25.0, 1.0, trials=1, target_ber=0.02),)
+    )
+    run = tmp_path / "run"
+    run_experiment(config, out_dir=str(run))
+    out = tmp_path / "metrics"
+    assert main(["metrics", str(run / "signatures_enroll.bin"), "--out", str(out),
+                 "--golden", str(run / "golden.bin"),
+                 "--mask", str(run / "mask.json")]) == 0
+    want = json.loads((run / "metrics.json").read_text())["sessions"]["enroll"]
+    got = json.loads((out / "metrics.json").read_text())["sessions"]["input"]
+    assert got == want
+    assert got["hd_histogram"] and "masked" in got
+
+
+def test_cli_mask_rejects_non_binary(tmp_path, capsys):
+    run_experiment(_config(), out_dir=str(tmp_path))
+    path = tmp_path / "mask.json"
+    path.write_text(json.dumps({"mask": "2" + "1" * 127}))
+    capsys.readouterr()
+    assert main(["metrics", str(tmp_path / "signatures_enroll.bin"),
+                 "--out", str(tmp_path), "--mask", str(path)]) == 1
+    assert "[mask]" in capsys.readouterr().err
+
+
 def test_randomness_modes(tmp_path):
     per_sig = _config(
         num_devices=80,
@@ -193,6 +236,34 @@ def test_snapshot_magic_rejected(tmp_path):
         load_population(path)
     with pytest.raises(InvalidArgumentError):
         load_golden(path)
+
+
+def _assert_bad_lengths_rejected(load, path):
+    data = path.read_bytes()
+    for bad, why in ((data[:-1], "truncated"),
+                     (data[: len(data) // 2], ""),
+                     (data[:5], "truncated"),
+                     (data + b"\x00", f"declare {len(data)} bytes")):
+        path.write_bytes(bad)
+        with pytest.raises(InvalidArgumentError) as err:
+            load(path)
+        assert str(path) in str(err.value)
+        assert why in str(err.value) and f"found {len(bad)}" in str(err.value)
+
+
+def test_population_snapshot_rejects_bad_length(tmp_path):
+    population = generate_population(_config().build_population_spec())
+    path = tmp_path / "pop.bin"
+    save_population(path, population)
+    _assert_bad_lengths_rejected(load_population, path)
+
+
+def test_golden_snapshot_rejects_bad_length(tmp_path):
+    golden = GoldenSignature(bits=np.ones((4, 32), dtype=np.uint8),
+                             stability=np.full((4, 32), 0.75))
+    path = tmp_path / "golden.bin"
+    save_golden(path, golden)
+    _assert_bad_lengths_rejected(load_golden, path)
 
 
 def test_unbiased_sequences_properties():

@@ -1,4 +1,4 @@
-"""Kernel correctness: both backends against brute-force oracles."""
+"""Kernel correctness against brute-force oracles."""
 
 import numpy as np
 import pytest
@@ -123,26 +123,6 @@ def test_longest_one_run_edges():
         [[0, 0, 0, 0], [1, 1, 1, 1], [1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.uint8
     )
     assert kernels.longest_one_run(blocks).tolist() == [0, 4, 2, 2]
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="compiled backend unavailable")
-def test_backends_agree():
-    rng = np.random.default_rng(7)
-    bits = rng.integers(0, 2, size=(30, 200), dtype=np.uint8)
-    packed = kernels.pack_bits(bits)
-    t_a, h_a = kernels._pairwise_hd_stats_numba(packed, 200)
-    t_b, h_b = kernels._pairwise_hd_stats_numpy(packed, 200)
-    assert int(t_a) == t_b
-    assert np.array_equal(h_a, h_b)
-
-    mats = rng.integers(0, 2, size=(64, 32, 32), dtype=np.uint8)
-    rows = np.stack([_pack_rows(m) for m in mats])
-    assert np.array_equal(kernels._gf2_rank32_numba(rows),
-                          kernels._gf2_rank32_numpy(rows))
-
-    blocks = rng.integers(0, 2, size=(100, 128), dtype=np.uint8)
-    assert np.array_equal(kernels._longest_one_run_numba(blocks),
-                          kernels._longest_one_run_numpy(blocks))
 
 
 def test_dispatch_rejects_bad_shapes():

@@ -88,6 +88,15 @@ def test_inter_hd_respects_mask():
     assert inter_hd(rows) == pytest.approx(200.0 / 3)
     assert inter_hd(rows, np.array([0, 1, 0])) == 0.0
     assert inter_hd(rows, np.array([1, 0, 1])) == 100.0
+    # the closed-form total must equal the pairwise pass exactly, masked
+    # or not, on sets large enough to span several packed words
+    rng = np.random.default_rng(12)
+    for d, n in ((50, 70), (64, 200), (3, 129)):
+        rows = rng.integers(0, 2, size=(d, n), dtype=np.uint8)
+        mask = rng.integers(0, 2, size=n, dtype=np.uint8)
+        mask[0] = 1
+        assert inter_hd(rows) == inter_hd_details(rows)[0]
+        assert inter_hd(rows, mask) == inter_hd_details(rows, mask)[0]
 
 
 def test_inter_hd_argument_checks():
@@ -97,6 +106,8 @@ def test_inter_hd_argument_checks():
         inter_hd(np.array([[0, 2]], dtype=np.uint8))  # non-binary
     with pytest.raises(InvalidArgumentError):
         inter_hd(np.zeros((3, 4), dtype=np.uint8), np.zeros(4, dtype=np.uint8))
+    with pytest.raises(InvalidArgumentError):
+        inter_hd(np.zeros((3, 4), dtype=np.uint8), np.array([1, 2, 0, 1]))
 
 
 def test_inter_hd_details_histogram():

@@ -307,6 +307,21 @@ def test_binary_rejects_foreign_file(tmp_path):
         SignatureSet.from_binary(path)
 
 
+def test_binary_rejects_bad_length(tmp_path):
+    bits = np.random.default_rng(8).integers(0, 2, size=(4, 2, 30), dtype=np.uint8)
+    path = tmp_path / "sigs.bin"
+    SignatureSet(bits).to_binary(path)
+    data = path.read_bytes()  # 20-byte header + 8 rows x 4 bytes
+    for bad, why in ((data[:-1], "declares 52 bytes"),
+                     (data + b"\x00", "declares 52 bytes"),
+                     (data[:10], "truncated header")):
+        path.write_bytes(bad)
+        with pytest.raises(InvalidArgumentError) as err:
+            SignatureSet.from_binary(path)
+        assert str(path) in str(err.value)
+        assert why in str(err.value) and f"found {len(bad)}" in str(err.value)
+
+
 def test_csv_layout(tmp_path):
     bits = np.array([[[1, 0, 1], [0, 0, 1]]], dtype=np.uint8)
     path = tmp_path / "sigs.csv"
