@@ -172,7 +172,7 @@ def cmd_metrics(args) -> int:
     root = _out_dir(args)
     sigs = SignatureSet.from_binary(args.signatures)
     golden = load_golden(args.golden) if args.golden else enroll_golden(sigs)
-    mask = _load_mask(args.mask, sigs.n) if args.mask else None
+    mask = _load_mask(args.mask, sigs.n) if args.mask else sigs.mask
     payload = {
         "sessions": {"input": metrics_entry(sigs, golden, sigs.bits[:, 0, :], mask)}
     }
@@ -285,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, need_config=False)
     p.add_argument("signatures", help="signature set (.bin)")
     p.add_argument("--golden", metavar="PATH", help="golden snapshot")
-    p.add_argument("--mask", metavar="PATH", help="mask.json to apply")
+    p.add_argument("--mask", metavar="PATH",
+                   help="mask.json to apply (default: the file's own mask, if any)")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("nist", help="run the randomness battery")

@@ -309,13 +309,15 @@ def metrics_entry(
     Inter-HD and its distance histogram both describe `rows` (the golden
     bits for the enrollment session, trial 0 otherwise) and come from one
     pairwise pass; the masked inter-HD uses the closed-form total. Intra-HD
-    is against `golden`; the ones fraction is over trial 0.
+    is against `golden`; the ones fraction is over trial 0. The unmasked
+    figures cover every position, whatever mask `sigs` carries; only the
+    "masked" entry applies `mask`.
     """
     percent, raw_hist = inter_hd_details(rows)
     histogram = hd_histogram_from_counts(raw_hist, rows.shape[1], bucket_width)
     entry = {
         "inter_hd_percent": percent,
-        "intra_hd_percent": mean_intra_hd(sigs, golden),
+        "intra_hd_percent": mean_intra_hd(SignatureSet(sigs.bits), golden),
         "ones_fraction": ones_fraction_and_colormap(sigs)[0],
         "hd_histogram": {f"{k:g}": v for k, v in histogram.items()},
     }

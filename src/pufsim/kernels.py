@@ -55,11 +55,12 @@ def pairwise_hd_stats(packed: np.ndarray, nbits: int) -> tuple[int, np.ndarray]:
     total = 0
     for i0 in range(0, d, chunk):
         i1 = min(i0 + chunk, d)
-        xor = packed[i0:i1, None, :] ^ packed[None, :, :]
+        # pairs (i, j) with j > i >= i0 only involve columns from i0 on
+        xor = packed[i0:i1, None, :] ^ packed[None, i0:, :]
         hd = np.bitwise_count(xor).sum(axis=-1, dtype=np.int64)
         # keep strictly upper-triangular pairs (j > i)
         rows = np.arange(i0, i1)[:, None]
-        cols = np.arange(d)[None, :]
+        cols = np.arange(i0, d)[None, :]
         vals = hd[cols > rows]
         hist += np.bincount(vals, minlength=nbits + 1)
         total += int(vals.sum())

@@ -15,11 +15,16 @@ the adjacency component. The built-in placements use disjoint region pairs,
 so "adjacent" and "same component" coincide and two adjacent regions
 correlate at exactly w_r^2 / 2 while unrelated regions stay uncorrelated.
 
-Randomness derivation. Every stream is derived from the master seed via
-numpy SeedSequence spawn keys (component tag, device index) feeding a
-counter-based Philox generator, and each device's vectors are drawn from
-the start of its own streams. Results are therefore reproducible
-bit-for-bit regardless of generation order or thread count.
+Randomness derivation. Each mismatch component has one keyed Philox
+counter generator, key = (master_seed, component tag), in the manner of
+Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3" (SC'11).
+Device d reads its component from counter (0, 0, d, 0): the device index
+sits in a high word of the 256-bit counter, so a device's draws start at
+a fixed place whatever the ziggurat normal sampler consumed for other
+devices, and never reach the next device's counter. Components with
+zero weight are not drawn. Results are therefore reproducible
+bit-for-bit regardless of generation order, device count or thread
+count.
 """
 
 from __future__ import annotations
@@ -39,9 +44,37 @@ _TAG_LOCAL = 4
 BUILTIN_PLACEMENTS = ("d1", "d2", "d3", "d4")
 
 
-def _stream(master_seed: int, tag: int, device: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(master_seed, spawn_key=(tag, device))
-    return np.random.Generator(np.random.Philox(ss))
+class _DeviceStreams:
+    """One keyed Philox per component tag, re-pointed per device.
+
+    `normals(tag, device, size)` draws what a fresh
+    `Philox(key=[master_seed, tag], counter=[0, 0, device, 0])` would;
+    setting the state of one generator costs a few microseconds, where
+    constructing a new one costs about five times as much.
+    """
+
+    def __init__(self, master_seed: int):
+        self._seed = int(master_seed)
+        self._gens = {}
+
+    def normals(self, tag: int, device: int, size=None):
+        gen = self._gens.get(tag)
+        if gen is None:
+            gen = self._gens[tag] = np.random.Generator(
+                np.random.Philox(key=[self._seed, tag])
+            )
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.array([0, 0, device, 0], dtype=np.uint64),
+                "key": np.array([self._seed, tag], dtype=np.uint64),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen.standard_normal(size)
 
 
 @dataclass(frozen=True)
@@ -212,7 +245,8 @@ class DevicePopulation:
     """Immutable set of simulated devices.
 
     Component draws are stored per device so regional-correlation
-    properties stay checkable; `mismatch` is the weighted combination and
+    properties stay checkable (a component of zero weight is never drawn
+    and is stored as zeros); `mismatch` is the weighted combination and
     `bias_offsets` holds the per-position systematic offsets applied at
     readout.
     """
@@ -230,10 +264,8 @@ class DevicePopulation:
         self.regional = regional
         self.local = local
         self.bias_offsets = bias_offsets
-        w_g, w_r, w_l = spec.weights
-        self.mismatch = spec.sigma_mismatch * (
-            w_g * global_draw[:, None] + w_r * regional + w_l * local
-        )
+        self.mismatch = _combine(spec, (global_draw[:, None], regional, local),
+                                 regional.shape)
         for arr in (self.global_draw, self.regional, self.local,
                     self.bias_offsets, self.mismatch):
             arr.setflags(write=False)
@@ -284,22 +316,39 @@ class _RegionTables:
         return eff[self.slot_of_cell]
 
 
-def _device_components(spec: PopulationSpec, device: int, tables: _RegionTables):
-    """Draw one device's (global, regional-per-cell, local) vectors."""
+def _combine(spec: PopulationSpec, parts, shape) -> np.ndarray:
+    """sigma * (w_g * global + w_r * regional + w_l * local) over the
+    components of nonzero weight, broadcast to shape.
+
+    Dropping a zero-weight term leaves every sum unchanged, and each
+    element goes through the same operations whether it is computed for
+    one device or for the whole population."""
+    total = None
+    for w, part in zip(spec.weights, parts):
+        if w:
+            term = w * part
+            total = term if total is None else total + term
+    return spec.sigma_mismatch * np.broadcast_to(total, shape)
+
+
+def _device_draws(
+    spec: PopulationSpec, tables: _RegionTables, streams: _DeviceStreams, device: int
+):
+    """One device's (global, regional-per-cell, local) components; a
+    component of zero weight is not drawn and reads as zeros."""
     n = spec.cells_per_device
-    g = float(_stream(spec.master_seed, _TAG_GLOBAL, device).standard_normal())
-    own = _stream(spec.master_seed, _TAG_REGIONAL, device).standard_normal(
-        tables.num_regions
-    )
-    cluster = (
-        _stream(spec.master_seed, _TAG_CLUSTER, device).standard_normal(
-            tables.num_components
+    w_g, w_r, w_l = spec.weights
+    g = float(streams.normals(_TAG_GLOBAL, device)) if w_g else 0.0
+    regional = np.zeros(n)
+    if w_r:
+        own = streams.normals(_TAG_REGIONAL, device, tables.num_regions)
+        cluster = (
+            streams.normals(_TAG_CLUSTER, device, tables.num_components)
+            if tables.num_components
+            else np.empty(0)
         )
-        if tables.num_components
-        else np.empty(0)
-    )
-    regional = tables.regional_per_cell(own, cluster)
-    local = _stream(spec.master_seed, _TAG_LOCAL, device).standard_normal(n)
+        regional = tables.regional_per_cell(own, cluster)
+    local = streams.normals(_TAG_LOCAL, device, n) if w_l else np.zeros(n)
     return g, regional, local
 
 
@@ -310,49 +359,27 @@ def generate_population(spec: PopulationSpec) -> DevicePopulation:
     distinct master seeds produce statistically independent ones.
     """
     tables = _RegionTables(spec.placement)
+    streams = _DeviceStreams(spec.master_seed)
     d, n = spec.num_devices, spec.cells_per_device
     global_draw = np.empty(d)
     regional = np.empty((d, n))
     local = np.empty((d, n))
     for dev in range(d):
-        g, reg, loc = _device_components(spec, dev, tables)
-        global_draw[dev] = g
-        regional[dev] = reg
-        local[dev] = loc
+        global_draw[dev], regional[dev], local[dev] = _device_draws(
+            spec, tables, streams, dev
+        )
     return DevicePopulation(spec, global_draw, regional, local, _bias_offsets(spec))
 
 
 def iter_device_mismatch(spec: PopulationSpec) -> Iterator[np.ndarray]:
     """Yield each device's combined mismatch vector without materializing
     the population; identical values to generate_population(spec).mismatch.
-
-    Zero-weight components are skipped (each component has its own derived
-    stream, so skipping one never shifts the draws of another).
     """
     tables = _RegionTables(spec.placement)
-    w_g, w_r, w_l = spec.weights
+    streams = _DeviceStreams(spec.master_seed)
     n = spec.cells_per_device
     for dev in range(spec.num_devices):
-        total = np.zeros(n)
-        if w_g:
-            total += w_g * float(
-                _stream(spec.master_seed, _TAG_GLOBAL, dev).standard_normal()
-            )
-        if w_r:
-            own = _stream(spec.master_seed, _TAG_REGIONAL, dev).standard_normal(
-                tables.num_regions
-            )
-            cluster = (
-                _stream(spec.master_seed, _TAG_CLUSTER, dev).standard_normal(
-                    tables.num_components
-                )
-                if tables.num_components
-                else np.empty(0)
-            )
-            total += w_r * tables.regional_per_cell(own, cluster)
-        if w_l:
-            total += w_l * _stream(spec.master_seed, _TAG_LOCAL, dev).standard_normal(n)
-        yield spec.sigma_mismatch * total
+        yield _combine(spec, _device_draws(spec, tables, streams, dev), (n,))
 
 
 def inject_position_bias(

@@ -4,16 +4,33 @@ masking.
 A readout session powers up every cell of every device `trials` times under
 one environment. The bit of (device, trial, position) is the sign of
 
-    mismatch(device, position) + bias_offset(position) + noise
+    margin(device, position) + noise,  margin = mismatch + bias_offset
 
-with noise drawn from a stream derived from (session_seed, device, trial);
-position indexes into that stream. The base noise magnitude comes from the
-session's calibration at the session environment. Positions carrying a
-systematic bias offset are additionally noisier: their effective magnitude
-is base * (1 + coupling * |offset| / sigma_mismatch), with the coupling
+with zero-mean normal noise of magnitude sigma_eff(position). The base
+noise magnitude comes from the session's calibration at the session
+environment. Positions carrying a systematic bias offset are additionally
+noisier: their effective magnitude is
+base * (1 + coupling * |offset| / sigma_mismatch), with the coupling
 factor taken from the calibration (0 disables the effect). Skewed cells
 thus hurt both uniqueness and reliability, which is what makes eliminating
 them worthwhile.
+
+Threshold readout. A bit is 1 with probability p = Phi(margin / sigma_eff),
+so it is resolved as `u < p` with u uniform on [0, 1): the same law as
+`margin + sigma_eff * z > 0` with z standard normal. p is computed once per
+device per session, not once per trial. A noiseless session (sigma = 0) has
+p = (margin > 0) and draws nothing, so it reproduces the sign of the margin
+exactly and an exact zero margin resolves to 0.
+
+Randomness derivation. A session has one keyed Philox counter generator,
+key = (session_seed, readout tag), in the manner of Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3" (SC'11). Each uniform uses
+one 64-bit output, and each row is padded to whole 4-output counter
+blocks, so row (device, trial) of a session with t trials and n positions
+starts at counter block (device * t + trial) * ceil(n / 4). Any device
+range is then one contiguous draw that starts at a computed counter,
+which makes the bits independent of how the devices are split into ranges
+and of the thread count.
 """
 
 from __future__ import annotations
@@ -25,6 +42,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import ndtr
 
 from .entropy import (
     EnvironmentCondition,
@@ -37,14 +55,31 @@ from .population import DevicePopulation
 
 _TAG_READOUT = 5
 
+# uniforms drawn per device range (256 KiB of float64); bounds the
+# readout's working memory, whatever the population size
+_RANGE_VALUES = 1 << 15
+
 _MAGIC = b"PUFS"
 _VERSION = 1
 
 
-def noise_stream(session_seed: int, device: int, trial: int) -> np.random.Generator:
-    """Counter-based generator for one (device, trial) readout row."""
-    ss = np.random.SeedSequence(session_seed, spawn_key=(_TAG_READOUT, device, trial))
-    return np.random.Generator(np.random.Philox(ss))
+def _row_blocks(n: int) -> int:
+    """4-output Philox counter blocks per readout row of n positions."""
+    return (n + 3) // 4
+
+
+def _readout_generator(session_seed: int, first_block: int) -> np.random.Generator:
+    bitgen = np.random.Philox(key=[session_seed, _TAG_READOUT])
+    bitgen.advance(first_block)
+    return np.random.Generator(bitgen)
+
+
+def noise_stream(
+    session_seed: int, device: int, trial: int, trials: int, n: int
+) -> np.random.Generator:
+    """Generator whose first n uniforms are the readout draws of row
+    (device, trial) in a session of `trials` trials over n positions."""
+    return _readout_generator(session_seed, (device * trials + trial) * _row_blocks(n))
 
 
 @dataclass(frozen=True)
@@ -65,6 +100,8 @@ class ReadoutSession:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidArgumentError("trials must be >= 1")
+        if not (0 <= int(self.session_seed) < 2**64):
+            raise InvalidArgumentError("session_seed must fit in 64 unsigned bits")
 
     def noise_sigma(self) -> float:
         if self.target_ber is not None:
@@ -167,12 +204,13 @@ class SignatureSet:
     def to_csv(self, path) -> None:
         """One row per (device, trial); bits as a 0/1 character string."""
         d, t, n = self.bits.shape
-        with open(path, "w") as fh:
-            fh.write("device,trial,bits\n")
-            for dev in range(d):
-                for trial in range(t):
-                    row = self.bits[dev, trial]
-                    fh.write(f"{dev},{trial},{''.join('1' if b else '0' for b in row)}\n")
+        text = np.empty((d * t, n + 1), dtype=np.uint8)
+        text[:, :n] = self.bits.reshape(d * t, n) + ord("0")
+        text[:, n] = ord("\n")
+        with open(path, "wb") as fh:
+            fh.write(b"device,trial,bits\n")
+            for row, (dev, trial) in enumerate(np.ndindex(d, t)):
+                fh.write(b"%d,%d,%s" % (dev, trial, text[row].tobytes()))
 
 
 @dataclass(frozen=True)
@@ -192,8 +230,9 @@ def read_signatures(
 ) -> SignatureSet:
     """Run the session over the population and assemble all signatures.
 
-    Deterministic for identical (population, session) regardless of the
-    thread count: every (device, trial) row has its own derived stream.
+    Devices are read in ranges of about _RANGE_VALUES uniforms, each from
+    its own counter offset, so the bits are identical for every range size
+    and thread count.
     """
     sigma_n = session.noise_sigma()
     sigma_m = session.calibration.sigma_mismatch
@@ -201,25 +240,32 @@ def read_signatures(
     offsets = population.bias_offsets
     sigma_eff = sigma_n * (1.0 + coupling * np.abs(offsets) / sigma_m)
     d, t, n = population.num_devices, session.trials, population.cells_per_device
+    blocks = _row_blocks(n)
     bits = np.empty((d, t, n), dtype=np.uint8)
+    step = max(1, _RANGE_VALUES // (t * 4 * blocks))
 
-    def fill(dev_lo: int, dev_hi: int):
-        for dev in range(dev_lo, dev_hi):
-            static = population.mismatch[dev] + offsets
-            for trial in range(t):
-                draws = noise_stream(session.session_seed, dev, trial).standard_normal(n)
-                # strict inequality: an exact zero margin resolves to 0
-                bits[dev, trial] = (static + draws * sigma_eff) > 0
-        return dev_hi - dev_lo
+    def fill(lo: int):
+        hi = min(lo + step, d)
+        margin = population.mismatch[lo:hi] + offsets
+        if sigma_n == 0:
+            # strict inequality: an exact zero margin resolves to 0
+            bits[lo:hi] = (margin > 0)[:, None, :]
+            return
+        p = ndtr(margin / sigma_eff)
+        u = _readout_generator(session.session_seed, lo * t * blocks).random(
+            (hi - lo) * t * 4 * blocks
+        )
+        np.less(u.reshape(hi - lo, t, 4 * blocks)[:, :, :n], p[:, None, :],
+                out=bits[lo:hi])
 
+    starts = range(0, d, step)
     threads = max(1, int(threads))
     if threads == 1:
-        fill(0, d)
+        for lo in starts:
+            fill(lo)
     else:
-        step = (d + threads - 1) // threads
-        bounds = [(lo, min(lo + step, d)) for lo in range(0, d, step)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
+            list(pool.map(fill, starts))
     return SignatureSet(bits)
 
 

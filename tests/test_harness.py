@@ -151,6 +151,31 @@ def test_cli_metrics_matches_run_entry(tmp_path, capsys):
     assert got["hd_histogram"] and "masked" in got
 
 
+def test_cli_metrics_unmasked_entry_ignores_file_mask(tmp_path, capsys):
+    # trial 2 disagrees with the majority at positions 4..15 of every
+    # device: 72 of 288 bits, 16 of them among the 144 kept by the mask
+    golden = np.random.default_rng(3).integers(0, 2, size=(6, 16), dtype=np.uint8)
+    bits = np.repeat(golden[:, None, :], 3, axis=1)
+    bits[:, 2, 4:] ^= 1
+    mask = np.zeros(16, dtype=np.uint8)
+    mask[:8] = 1
+    entries = {}
+    for name, sigs in (("plain", SignatureSet(bits)),
+                       ("carried", SignatureSet(bits, mask))):
+        sigs.to_binary(tmp_path / f"{name}.bin")
+        out = tmp_path / name
+        assert main(["metrics", str(tmp_path / f"{name}.bin"), "--out", str(out)]) == 0
+        entries[name] = json.loads((out / "metrics.json").read_text())["sessions"]["input"]
+    capsys.readouterr()
+    plain, carried = entries["plain"], entries["carried"]
+    assert plain["intra_hd_percent"] == carried["intra_hd_percent"] == 25.0
+    assert plain["inter_hd_percent"] == carried["inter_hd_percent"]
+    assert "masked" not in plain
+    # the file's own mask stands in for --mask
+    assert carried["masked"]["effective_length"] == 8
+    assert carried["masked"]["intra_hd_percent"] == 100.0 * 24 / 144
+
+
 def test_cli_mask_rejects_non_binary(tmp_path, capsys):
     run_experiment(_config(), out_dir=str(tmp_path))
     path = tmp_path / "mask.json"

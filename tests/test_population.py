@@ -65,6 +65,18 @@ def test_devices_are_prefix_stable():
     assert np.array_equal(small.mismatch, large.mismatch[:10])
 
 
+def test_device_streams_are_counter_addressed():
+    # component tag 4 (local) of device k reads Philox key (seed, 4) from
+    # counter (0, 0, k, 0), so a device's draws never depend on the others
+    pop = generate_population(_spec(devices=5, cells=1024, seed=99))
+    for dev in (0, 3, 4):
+        gen = np.random.Generator(
+            np.random.Philox(key=[99, 4], counter=[0, 0, dev, 0]))
+        assert np.array_equal(pop.local[dev], gen.standard_normal(1024))
+    # zero-weight components are not drawn
+    assert not pop.global_draw.any() and not pop.regional.any()
+
+
 def test_iter_matches_generate():
     for weights in (PURE_LOCAL, (0.6, 0.0, 0.8), (0.0, 0.3, math.sqrt(0.91)),
                     (0.2, 0.4, math.sqrt(1 - 0.04 - 0.16))):
@@ -84,17 +96,35 @@ def test_global_weight_one_gives_constant_device():
     assert np.ptp(pop.mismatch[:, 0]) > 0
 
 
+def _cell_correlation(placement, weights):
+    """Mismatch correlation between every pair of one device's cells:
+    w_g^2, plus w_r^2 within a region and w_r^2 / 2 between regions of
+    one adjacency component; 1 on the diagonal."""
+    region = np.asarray(placement.region_of)
+    comp_of = placement.adjacency_components()
+    comp = np.array([comp_of.get(r, -1 - r) for r in placement.region_of])
+    shared = np.where(region[:, None] == region[None, :], 1.0,
+                      np.where(comp[:, None] == comp[None, :], 0.5, 0.0))
+    rho = weights[0] ** 2 + weights[1] ** 2 * shared
+    np.fill_diagonal(rho, 1.0)
+    return rho
+
+
 def test_total_variance_matches_budget():
     # squared weights sum to 1, so Var(mismatch) = sigma^2 regardless of split
-    sigma = 0.25
+    sigma, d, n = 0.25, 600, 1024
     for weights in (PURE_LOCAL, (0.0, 0.3, math.sqrt(0.91)),
                     (0.5, 0.5, math.sqrt(0.5))):
-        spec = _spec(devices=600, cells=1024, weights=weights, placement="d3",
+        spec = _spec(devices=d, cells=n, weights=weights, placement="d3",
                      sigma=sigma, seed=11)
         pop = generate_population(spec)
         var = float(pop.mismatch.var())
-        # mixed weights leave fewer independent draws; 2% covers the worst case
-        assert abs(var - sigma**2) < 0.02 * sigma**2
+        # mixed weights leave fewer independent draws: the mean of x^2 over
+        # one device's cells has variance 2 sigma^4 sum(rho_ij^2) / n^2, and
+        # the d devices are independent
+        rho = _cell_correlation(spec.placement, weights)
+        sd = sigma**2 * math.sqrt(2 * d * float((rho**2).sum())) / (d * n)
+        assert abs(var - sigma**2) < 6 * sd
 
 
 def test_mismatch_is_zero_mean():

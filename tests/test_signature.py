@@ -6,9 +6,11 @@ round-trips) are exact.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from pufsim.entropy import EnvironmentCondition, NoiseCalibration
 from pufsim.errors import EmptySignatureError, InvalidArgumentError
@@ -18,12 +20,14 @@ from pufsim.population import (
     generate_population,
     inject_position_bias,
 )
+from pufsim import signature
 from pufsim.signature import (
     ReadoutSession,
     SignatureSet,
     apply_mask,
     eliminate_biased_positions,
     enroll_golden,
+    noise_stream,
     read_signatures,
 )
 
@@ -83,6 +87,61 @@ def test_readout_deterministic_and_thread_invariant():
     assert np.array_equal(a.bits, c.bits)
     d = read_signatures(pop, _session(trials=2, target_ber=0.05, seed=4))
     assert not np.array_equal(a.bits, d.bits)
+
+
+def test_readout_invariant_to_range_size_and_threads(monkeypatch):
+    # n = 13 pads each row to 16 uniforms; coupling makes sigma_eff vary
+    pop = generate_population(PopulationSpec(
+        num_devices=37, cells_per_device=13, sigma_mismatch=0.25,
+        weights=(0.0, 0.0, 1.0), placement=PlacementConfig("row", 13, 1, (0,) * 13, ()),
+        master_seed=5, bias_map={(0, 3): 0.1}))
+    session = _session(trials=3, target_ber=0.1, seed=61, coupling=2.0)
+    want = read_signatures(pop, session).bits.tobytes()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the pool's threads finely
+    try:
+        for values in (1, 3 * 16 * 5, 10**9):  # one device, five, all devices
+            monkeypatch.setattr(signature, "_RANGE_VALUES", values)
+            for threads in (1, 2, 3):
+                got = read_signatures(pop, session, threads=threads).bits.tobytes()
+                assert got == want, (values, threads)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_noise_stream_is_the_row_slice():
+    pop = _population(devices=9, cells=64)
+    session = _session(trials=4, target_ber=0.2, seed=73)
+    sigs = read_signatures(pop, session)
+    sigma = session.noise_sigma()
+    for dev, trial in ((0, 0), (0, 3), (5, 1), (8, 3)):
+        u = noise_stream(73, dev, trial, 4, 64).random(64)
+        p = ndtr((pop.mismatch[dev] + pop.bias_offsets) / sigma)
+        assert np.array_equal(sigs.bits[dev, trial], (u < p).astype(np.uint8))
+    # the whole session is one contiguous draw of 16-block rows
+    block = np.random.Generator(np.random.Philox(key=[73, signature._TAG_READOUT]))
+    u = block.random(9 * 4 * 64).reshape(9, 4, 64)
+    assert np.array_equal(noise_stream(73, 5, 1, 4, 64).random(64), u[5, 1])
+
+
+def test_noiseless_readout_is_the_margin_sign():
+    pop = _population(devices=30)
+    # device 0's margin at position 0 is exactly zero and must read 0
+    pop = inject_position_bias(pop, {(0, 0): -float(pop.mismatch[0, 0]),
+                                     (1, 2): 0.05})
+    margin = pop.mismatch + pop.bias_offsets
+    assert margin[0, 0] == 0.0
+    sigs = read_signatures(pop, _session(trials=2, coupling=2.0))
+    want = (margin > 0).astype(np.uint8)
+    assert np.array_equal(sigs.bits, np.repeat(want[:, None, :], 2, axis=1))
+    assert sigs.bits[0, 0, 0] == 0
+
+
+def test_session_seed_must_fit_the_key():
+    with pytest.raises(InvalidArgumentError):
+        _session(seed=2**64)
+    with pytest.raises(InvalidArgumentError):
+        _session(seed=-1)
 
 
 def test_ones_fraction_near_half():
@@ -330,3 +389,10 @@ def test_csv_layout(tmp_path):
     assert lines[0] == "device,trial,bits"
     assert lines[1] == "0,0,101"
     assert lines[2] == "0,1,001"
+    bits = np.random.default_rng(4).integers(0, 2, size=(11, 3, 70), dtype=np.uint8)
+    SignatureSet(bits).to_csv(path)
+    want = "device,trial,bits\n" + "".join(
+        f"{dev},{trial},{''.join('1' if b else '0' for b in bits[dev, trial])}\n"
+        for dev in range(11) for trial in range(3)
+    )
+    assert path.read_bytes() == want.encode()
