@@ -98,13 +98,20 @@ def _out_dir(args) -> str:
 
 def _load_mask(path, n: int) -> np.ndarray:
     with open(path) as fh:
-        payload = json.load(fh)
-    text = payload["mask"]
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise StageError("mask", f"{path}: not JSON ({exc})") from exc
+    text = payload.get("mask") if isinstance(payload, dict) else None
+    if not isinstance(text, str):
+        raise StageError("mask", f"{path}: not a mask file (no \"mask\" string)")
     if set(text) - {"0", "1"}:
         raise StageError("mask", f"{path}: mask may contain only '0' and '1'")
     mask = np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
     if mask.size != n:
-        raise StageError("mask", f"mask length {mask.size} != signature length {n}")
+        raise StageError(
+            "mask", f"{path}: mask length {mask.size} != signature length {n}"
+        )
     return mask
 
 

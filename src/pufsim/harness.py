@@ -17,7 +17,7 @@ import math
 import os
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -80,37 +80,22 @@ def _sig6(value):
 # ---------------------------------------------------------------------------
 # artifact persistence
 
+def _mismatch_digest(population: DevicePopulation) -> str:
+    return hashlib.sha256(population.mismatch.tobytes()).hexdigest()
+
+
 def save_population(path, population: DevicePopulation) -> None:
+    """Write the population's spec plus a sha256 of its mismatch; the
+    arrays themselves are regenerated from the spec on load."""
     spec = population.spec
-    placement = spec.placement
-    meta = {
-        "num_devices": spec.num_devices,
-        "cells_per_device": spec.cells_per_device,
-        "sigma_mismatch": spec.sigma_mismatch,
-        "weights": list(spec.weights),
-        "master_seed": spec.master_seed,
-        "bias_map": (
-            [[r, c, v] for (r, c), v in spec.bias_map.items()]
-            if spec.bias_map
-            else None
-        ),
-        "placement": {
-            "kind": placement.kind,
-            "grid_width": placement.grid_width,
-            "grid_height": placement.grid_height,
-            "region_of": list(placement.region_of),
-            "adjacency": [list(e) for e in placement.adjacency],
-        },
-    }
+    meta = asdict(spec)
+    meta["bias_map"] = [[r, c, v] for (r, c), v in (spec.bias_map or {}).items()] or None
+    meta["mismatch_sha256"] = _mismatch_digest(population)
     blob = json.dumps(meta, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(_POP_MAGIC)
-        fh.write(struct.pack("<HI", 1, len(blob)))
+        fh.write(struct.pack("<HI", 2, len(blob)))
         fh.write(blob)
-        np.save(fh, population.global_draw)
-        np.save(fh, population.regional)
-        np.save(fh, population.local)
-        np.save(fh, population.bias_offsets)
 
 
 def _read_exact(fh, count: int, path) -> bytes:
@@ -121,6 +106,14 @@ def _read_exact(fh, count: int, path) -> bytes:
             f"{fh.tell() - len(data) + count} bytes, found {fh.tell()}"
         )
     return data
+
+
+def _check_end(fh, path) -> None:
+    size = os.fstat(fh.fileno()).st_size
+    if fh.tell() != size:
+        raise InvalidArgumentError(
+            f"{path}: headers declare {fh.tell()} bytes, found {size}"
+        )
 
 
 def _load_arrays(fh, path, count: int) -> list:
@@ -150,40 +143,41 @@ def _load_arrays(fh, path, count: int) -> list:
             )
         fh.seek(start)
         arrays.append(np.load(fh))
-    if fh.tell() != size:
-        raise InvalidArgumentError(
-            f"{path}: headers declare {fh.tell()} bytes, found {size}"
-        )
+    _check_end(fh, path)
     return arrays
 
 
 def load_population(path) -> DevicePopulation:
+    """Regenerate the population a snapshot describes, and check that the
+    generator still reproduces the mismatch it was saved with."""
     with open(path, "rb") as fh:
         if fh.read(4) != _POP_MAGIC:
             raise InvalidArgumentError(f"not a population snapshot: {path}")
         version, size = struct.unpack("<HI", _read_exact(fh, 6, path))
-        if version != 1:
-            raise InvalidArgumentError(f"unsupported population version {version}")
-        meta = json.loads(_read_exact(fh, size, path))
-        global_draw, regional, local, bias_offsets = _load_arrays(fh, path, 4)
-    placement = PlacementConfig(
-        kind=meta["placement"]["kind"],
-        grid_width=meta["placement"]["grid_width"],
-        grid_height=meta["placement"]["grid_height"],
-        region_of=tuple(meta["placement"]["region_of"]),
-        adjacency=tuple(tuple(e) for e in meta["placement"]["adjacency"]),
-    )
-    bias_map = meta.get("bias_map")
-    spec = PopulationSpec(
-        num_devices=meta["num_devices"],
-        cells_per_device=meta["cells_per_device"],
-        sigma_mismatch=meta["sigma_mismatch"],
-        weights=tuple(meta["weights"]),
-        placement=placement,
-        master_seed=meta["master_seed"],
-        bias_map={(r, c): v for r, c, v in bias_map} if bias_map else None,
-    )
-    return DevicePopulation(spec, global_draw, regional, local, bias_offsets)
+        if version != 2:
+            raise InvalidArgumentError(
+                f"{path}: unsupported population version {version} (expected 2)"
+            )
+        blob = _read_exact(fh, size, path)
+        _check_end(fh, path)
+    try:
+        meta = json.loads(blob)
+        digest = meta.pop("mismatch_sha256")
+        placement = PlacementConfig(**meta.pop("placement"))
+        bias_map = {(r, c): v for r, c, v in meta.pop("bias_map") or ()} or None
+        spec = PopulationSpec(**meta, placement=placement, bias_map=bias_map)
+        population = generate_population(spec)
+    except KeyError as exc:
+        raise InvalidArgumentError(f"{path}: population meta lacks key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"{path}: unreadable population meta ({exc})") from exc
+    found = _mismatch_digest(population)
+    if found != digest:
+        raise InvalidArgumentError(
+            f"{path}: regenerated mismatch has sha256 {found}, snapshot "
+            f"recorded {digest}; the generator no longer reproduces it"
+        )
+    return population
 
 
 def save_golden(path, golden: GoldenSignature) -> None:
@@ -377,11 +371,6 @@ def _randomness_payload(config: ExperimentConfig, golden: GoldenSignature, mask)
         "alpha": config.alpha,
         "mode": config.randomness_mode,
         "num_sequences": len(sequences),
-        "per_sequence": [
-            {name: {"p_values": list(r.p_values), "passed": r.passed}
-             for name, r in results.items()}
-            for results in per_seq
-        ],
     }
     if len(per_seq) >= 2:
         agg = aggregate_suite(per_seq, alpha=config.alpha)

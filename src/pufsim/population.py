@@ -25,11 +25,17 @@ devices, and never reach the next device's counter. Components with
 zero weight are not drawn. Results are therefore reproducible
 bit-for-bit regardless of generation order, device count or thread
 count.
+
+A population is thus a pure function of its `PopulationSpec`. It keeps
+only the combined mismatch and the bias offsets derived from
+`spec.bias_map`; `DevicePopulation.cell` re-draws one device to report
+its components, and a population snapshot stores the spec plus a digest
+of the mismatch instead of the arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -223,51 +229,34 @@ class PopulationSpec:
             raise InvalidSpecError("master_seed must fit in 64 unsigned bits")
         object.__setattr__(self, "weights", w)
         if self.bias_map is not None:
-            object.__setattr__(self, "bias_map", dict(self.bias_map))
+            object.__setattr__(self, "bias_map", dict(self.bias_map) or None)
 
 
 def _bias_offsets(spec: PopulationSpec) -> np.ndarray:
+    placement = spec.placement
     offsets = np.zeros(spec.cells_per_device)
-    if spec.bias_map:
-        _apply_bias_map(offsets, spec.bias_map, spec.placement)
-    return offsets
-
-
-def _apply_bias_map(offsets: np.ndarray, bias_map: dict, placement: PlacementConfig):
-    for pos, value in bias_map.items():
+    for pos, value in (spec.bias_map or {}).items():
         row, col = pos
         if not (0 <= row < placement.grid_height and 0 <= col < placement.grid_width):
             raise InvalidArgumentError(f"bias position {pos} outside grid")
         offsets[row * placement.grid_width + col] = float(value)
+    return offsets
 
 
 class DevicePopulation:
-    """Immutable set of simulated devices.
+    """Immutable set of simulated devices: the spec, the combined
+    mismatch, and the per-position systematic offsets applied at readout
+    (derived from `spec.bias_map`).
 
-    Component draws are stored per device so regional-correlation
-    properties stay checkable (a component of zero weight is never drawn
-    and is stored as zeros); `mismatch` is the weighted combination and
-    `bias_offsets` holds the per-position systematic offsets applied at
-    readout.
+    The population is a pure function of its spec, so the component draws
+    are not kept; `cell` re-draws one device to report them.
     """
 
-    def __init__(
-        self,
-        spec: PopulationSpec,
-        global_draw: np.ndarray,
-        regional: np.ndarray,
-        local: np.ndarray,
-        bias_offsets: np.ndarray,
-    ):
+    def __init__(self, spec: PopulationSpec, mismatch: np.ndarray):
         self.spec = spec
-        self.global_draw = global_draw
-        self.regional = regional
-        self.local = local
-        self.bias_offsets = bias_offsets
-        self.mismatch = _combine(spec, (global_draw[:, None], regional, local),
-                                 regional.shape)
-        for arr in (self.global_draw, self.regional, self.local,
-                    self.bias_offsets, self.mismatch):
+        self.mismatch = mismatch
+        self.bias_offsets = _bias_offsets(spec)
+        for arr in (self.bias_offsets, self.mismatch):
             arr.setflags(write=False)
 
     @property
@@ -279,11 +268,15 @@ class DevicePopulation:
         return self.spec.cells_per_device
 
     def cell(self, device: int, index: int) -> CellParams:
-        placement = self.spec.placement
+        spec = self.spec
+        placement = spec.placement
+        g, regional, local = _device_draws(
+            spec, _RegionTables(placement), _DeviceStreams(spec.master_seed), device
+        )
         return CellParams(
-            global_component=float(self.global_draw[device]),
-            regional_component=float(self.regional[device, index]),
-            local_component=float(self.local[device, index]),
+            global_component=g,
+            regional_component=float(regional[index]),
+            local_component=float(local[index]),
             position=(index // placement.grid_width, index % placement.grid_width),
             region=placement.region_of[index],
         )
@@ -368,7 +361,9 @@ def generate_population(spec: PopulationSpec) -> DevicePopulation:
         global_draw[dev], regional[dev], local[dev] = _device_draws(
             spec, tables, streams, dev
         )
-    return DevicePopulation(spec, global_draw, regional, local, _bias_offsets(spec))
+    return DevicePopulation(
+        spec, _combine(spec, (global_draw[:, None], regional, local), (d, n))
+    )
 
 
 def iter_device_mismatch(spec: PopulationSpec) -> Iterator[np.ndarray]:
@@ -387,16 +382,9 @@ def inject_position_bias(
 ) -> DevicePopulation:
     """Return a population whose listed positions carry the given
     systematic offsets (applied at readout); unlisted positions keep
-    their current offsets. The input population is not modified."""
-    offsets = population.bias_offsets.copy()
-    offsets.setflags(write=True)
-    _apply_bias_map(offsets, bias_map, population.spec.placement)
-    clone = object.__new__(DevicePopulation)
-    clone.spec = replace(population.spec)
-    clone.global_draw = population.global_draw
-    clone.regional = population.regional
-    clone.local = population.local
-    clone.mismatch = population.mismatch
-    clone.bias_offsets = offsets
-    offsets.setflags(write=False)
-    return clone
+    their current offsets. The merged map becomes the new spec's
+    `bias_map`, the mismatch array is shared, and the input population
+    is not modified."""
+    spec = population.spec
+    merged = {**(spec.bias_map or {}), **bias_map}
+    return DevicePopulation(replace(spec, bias_map=merged), population.mismatch)

@@ -3,6 +3,7 @@ failure isolation, run comparison, and the command-line surface."""
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -20,7 +21,12 @@ from pufsim.harness import (
     unbiased_sequences,
 )
 from pufsim.metrics import hd_histogram_from_counts, inter_hd_details
-from pufsim.population import generate_population
+from pufsim.population import (
+    PopulationSpec,
+    builtin_placement,
+    generate_population,
+    inject_position_bias,
+)
 from pufsim.signature import GoldenSignature, SignatureSet, read_signatures
 
 
@@ -179,11 +185,14 @@ def test_cli_metrics_unmasked_entry_ignores_file_mask(tmp_path, capsys):
 def test_cli_mask_rejects_non_binary(tmp_path, capsys):
     run_experiment(_config(), out_dir=str(tmp_path))
     path = tmp_path / "mask.json"
-    path.write_text(json.dumps({"mask": "2" + "1" * 127}))
-    capsys.readouterr()
-    assert main(["metrics", str(tmp_path / "signatures_enroll.bin"),
-                 "--out", str(tmp_path), "--mask", str(path)]) == 1
-    assert "[mask]" in capsys.readouterr().err
+    for text in (json.dumps({"mask": "2" + "1" * 127}), json.dumps({"kept": 3}),
+                 json.dumps([1, 0]), "not json"):
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["metrics", str(tmp_path / "signatures_enroll.bin"),
+                     "--out", str(tmp_path), "--mask", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "[mask]" in err and str(path) in err
 
 
 def test_randomness_modes(tmp_path):
@@ -198,6 +207,9 @@ def test_randomness_modes(tmp_path):
     payload = json.loads((tmp_path / "per" / "nist.json").read_text())
     assert payload["num_sequences"] == 80
     assert "aggregate" in payload
+    # per-sequence p-values live in nist.csv only
+    assert "per_sequence" not in payload
+    assert (tmp_path / "per" / "nist.csv").read_text().count("\n") > 80
     # 512-bit signatures cannot host a rank test; the concatenated stream can
     assert "rank_concatenated" in payload
 
@@ -239,6 +251,69 @@ def test_population_snapshot_round_trip(tmp_path):
     assert back.spec == population.spec
     assert np.array_equal(back.mismatch, population.mismatch)
     assert np.array_equal(back.bias_offsets, population.bias_offsets)
+
+
+def test_population_snapshot_keeps_injected_bias(tmp_path):
+    # the injected offsets travel in the spec, so they survive a round trip
+    spec = PopulationSpec(
+        num_devices=4, cells_per_device=1024, sigma_mismatch=0.25,
+        weights=(0.0, 0.6, 0.8), placement=builtin_placement("d2"),
+        master_seed=3,
+    )
+    population = inject_position_bias(generate_population(spec), {(0, 0): 0.5})
+    path = tmp_path / "pop.bin"
+    save_population(path, population)
+    back = load_population(path)
+    assert back.spec.bias_map == {(0, 0): 0.5}
+    assert back.spec == population.spec
+    assert np.array_equal(back.bias_offsets, population.bias_offsets)
+    assert np.count_nonzero(back.bias_offsets) == 1
+    assert np.array_equal(back.mismatch, population.mismatch)
+
+
+def _rewrite_population_meta(path, edit, version=2):
+    data = path.read_bytes()
+    (size,) = struct.unpack("<I", data[6:10])
+    blob = edit(data[10:10 + size])
+    path.write_bytes(data[:4] + struct.pack("<HI", version, len(blob)) + blob)
+
+
+def test_population_snapshot_rejects_foreign_meta(tmp_path):
+    population = generate_population(_config().build_population_spec())
+    path = tmp_path / "pop.bin"
+
+    def tamper(blob):
+        meta = json.loads(blob)
+        digest = meta["mismatch_sha256"]
+        meta["mismatch_sha256"] = ("0" if digest[0] != "0" else "1") + digest[1:]
+        return json.dumps(meta).encode()
+
+    def drop_seed(blob):
+        meta = json.loads(blob)
+        del meta["master_seed"]
+        return json.dumps(meta).encode()
+
+    def drop_digest(blob):
+        meta = json.loads(blob)
+        del meta["mismatch_sha256"]
+        return json.dumps(meta).encode()
+
+    for edit, why in ((tamper, "sha256"),
+                      (drop_seed, "master_seed"),
+                      (drop_digest, "lacks key 'mismatch_sha256'"),
+                      (lambda blob: blob[:-1], "meta"),
+                      (lambda blob: b"[1, 2]", "meta")):
+        save_population(path, population)
+        _rewrite_population_meta(path, edit)
+        with pytest.raises(InvalidArgumentError) as err:
+            load_population(path)
+        assert str(path) in str(err.value) and why in str(err.value)
+    # a version-1 snapshot stored component arrays; it is refused by name
+    save_population(path, population)
+    _rewrite_population_meta(path, lambda blob: blob, version=1)
+    with pytest.raises(InvalidArgumentError) as err:
+        load_population(path)
+    assert str(path) in str(err.value) and "version 1" in str(err.value)
 
 
 def test_golden_snapshot_round_trip(tmp_path):

@@ -49,7 +49,9 @@ def test_same_spec_same_population():
     a = generate_population(_spec())
     b = generate_population(_spec())
     assert np.array_equal(a.mismatch, b.mismatch)
-    assert np.array_equal(a.regional, b.regional)
+    assert np.array_equal(a.bias_offsets, b.bias_offsets)
+    for dev, idx in ((0, 0), (17, 511), (49, 1023)):
+        assert a.cell(dev, idx) == b.cell(dev, idx)
 
 
 def test_different_seed_different_population():
@@ -67,14 +69,17 @@ def test_devices_are_prefix_stable():
 
 def test_device_streams_are_counter_addressed():
     # component tag 4 (local) of device k reads Philox key (seed, 4) from
-    # counter (0, 0, k, 0), so a device's draws never depend on the others
+    # counter (0, 0, k, 0), so a device's draws never depend on the others;
+    # with pure-local weights the mismatch is exactly sigma times that draw
     pop = generate_population(_spec(devices=5, cells=1024, seed=99))
     for dev in (0, 3, 4):
         gen = np.random.Generator(
             np.random.Philox(key=[99, 4], counter=[0, 0, dev, 0]))
-        assert np.array_equal(pop.local[dev], gen.standard_normal(1024))
-    # zero-weight components are not drawn
-    assert not pop.global_draw.any() and not pop.regional.any()
+        assert np.array_equal(pop.mismatch[dev], 0.25 * gen.standard_normal(1024))
+        # zero-weight components are not drawn
+        for idx in (0, 100, 1023):
+            cell = pop.cell(dev, idx)
+            assert cell.global_component == 0.0 and cell.regional_component == 0.0
 
 
 def test_iter_matches_generate():
@@ -138,11 +143,12 @@ def test_mismatch_is_zero_mean():
 def test_same_region_draw_identical():
     spec = _spec(devices=4, weights=(0.0, 0.3, math.sqrt(0.91)), placement="d3")
     pop = generate_population(spec)
-    # d3: cells 0..15 form region 0
-    first = pop.regional[:, 0][:, None]
-    assert np.array_equal(pop.regional[:, :16], np.repeat(first, 16, axis=1))
-    # region 2 (cells 32..47) carries a different draw
-    assert not np.array_equal(pop.regional[:, 0], pop.regional[:, 32])
+    for dev in range(4):
+        regional = [pop.cell(dev, idx).regional_component for idx in range(48)]
+        # d3: cells 0..15 form region 0
+        assert regional[:16] == [regional[0]] * 16
+        # region 2 (cells 32..47) carries a different draw
+        assert regional[32] != regional[0]
 
 
 def test_adjacent_and_unrelated_region_correlation():
@@ -266,7 +272,19 @@ def test_cell_accessor():
     cell = pop.cell(1, 17)
     assert cell.position == (1, 1)  # 16-wide grid
     assert cell.region == 1
-    assert cell.local_component == pop.local[1, 17]
+    gen = np.random.Generator(np.random.Philox(key=[99, 4], counter=[0, 0, 1, 0]))
+    assert cell.local_component == gen.standard_normal(1024)[17]
+    assert cell.global_component == cell.regional_component == 0.0
+    assert pop.mismatch[1, 17] == 0.25 * cell.local_component
+    # mixed weights: the components recombine to the stored mismatch
+    w_g, w_r, w_l = 0.2, 0.4, math.sqrt(1 - 0.04 - 0.16)
+    pop = generate_population(_spec(devices=3, weights=(w_g, w_r, w_l),
+                                    placement="d2", seed=5))
+    for dev, idx in ((0, 0), (2, 700)):
+        c = pop.cell(dev, idx)
+        assert pop.mismatch[dev, idx] == pytest.approx(
+            0.25 * (w_g * c.global_component + w_r * c.regional_component
+                    + w_l * c.local_component), rel=1e-12)
 
 
 # -- bias injection ------------------------------------------------------------------
@@ -280,6 +298,14 @@ def test_inject_bias_sets_only_listed_positions():
     # original untouched, mismatch shared
     assert np.count_nonzero(pop.bias_offsets) == 0
     assert biased.mismatch is pop.mismatch
+    # the offsets are the spec's: the merged map lands in spec.bias_map
+    assert pop.spec.bias_map is None
+    assert biased.spec.bias_map == {(0, 0): 0.5, (2, 3): -0.25}
+    again = inject_position_bias(biased, {(2, 3): 0.125, (1, 1): 0.75})
+    assert again.spec.bias_map == {(0, 0): 0.5, (2, 3): 0.125, (1, 1): 0.75}
+    assert np.count_nonzero(again.bias_offsets) == 3
+    # an empty map leaves the spec as it was (bias_map None, not {})
+    assert inject_position_bias(pop, {}).spec == pop.spec
 
 
 def test_inject_bias_rejects_outside_grid():
