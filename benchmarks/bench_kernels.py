@@ -1,4 +1,6 @@
-"""Best-of-three wall time of the three public kernels on random inputs.
+"""Best-of-three wall time of the three public kernels on random inputs,
+and of the packed intra-HD path (`metrics.mean_intra_hd`) at a session
+shape, with and without a position mask.
 
 Run:  python3 benchmarks/bench_kernels.py --devices 2000 --bits 1024
 """
@@ -9,6 +11,8 @@ import time
 import numpy as np
 
 from pufsim import kernels
+from pufsim.metrics import mean_intra_hd
+from pufsim.signature import SignatureSet, enroll_golden
 
 
 def _time(label: str, fn, *args, repeat: int = 3) -> None:
@@ -17,7 +21,7 @@ def _time(label: str, fn, *args, repeat: int = 3) -> None:
         t0 = time.perf_counter()
         fn(*args)
         best = min(best, time.perf_counter() - t0)
-    print(f"{label:28s} {best*1e3:9.2f} ms")
+    print(f"{label:34s} {best*1e3:9.2f} ms")
 
 
 def main() -> None:
@@ -27,6 +31,9 @@ def main() -> None:
     parser.add_argument("--matrices", type=int, default=20000)
     parser.add_argument("--blocks", type=int, default=50000)
     parser.add_argument("--block-size", type=int, default=128)
+    parser.add_argument("--session", type=int, nargs=3, default=(1000, 5, 1024),
+                        metavar=("D", "T", "N"),
+                        help="intra-HD session shape: devices, trials, bits")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
@@ -39,6 +46,15 @@ def main() -> None:
     blocks = rng.integers(0, 2, size=(args.blocks, args.block_size), dtype=np.uint8)
     _time(f"longest-run {args.blocks}x{args.block_size}",
           kernels.longest_one_run, blocks)
+    d, t, n = args.session
+    sigs = SignatureSet(rng.integers(0, 2, size=(d, t, n), dtype=np.uint8))
+    golden = enroll_golden(SignatureSet(sigs.bits[:, :1, :]))
+    shape = f"{d}x{t}x{n}"
+    _time(f"mean-intra-hd {shape}", mean_intra_hd, sigs, golden)
+    mask = np.ones(n, dtype=np.uint8)
+    mask[rng.choice(n, size=n // 128, replace=False)] = 0
+    _time(f"mean-intra-hd {shape} masked", mean_intra_hd,
+          SignatureSet(sigs.bits, mask), golden)
 
 
 if __name__ == "__main__":

@@ -18,12 +18,15 @@ import numpy as np
 
 from .entropy import EnvironmentCondition, NoiseCalibration
 from .errors import InvalidArgumentError, InvalidSpecError
+from .metrics import check_bucket_width
 from .population import (
     BUILTIN_PLACEMENTS,
     PlacementConfig,
     PopulationSpec,
     builtin_placement,
 )
+from .randomness import check_test_names
+from .signature import check_mask_thresholds, check_trials
 
 SCHEMA_VERSION = "1.0"
 
@@ -191,14 +194,29 @@ class ExperimentConfig:
         self.build_population_spec()
         calibration = self.build_calibration()
         for s in self.sessions:
-            if s.trials < 1:
-                raise InvalidSpecError(f"session {s.name!r} needs trials >= 1")
+            _stage_bound(f"session {s.name!r}", check_trials, s.trials)
             if s.target_ber is None and not calibration.covers(s.env()):
                 raise InvalidSpecError(
                     f"session {s.name!r} environment lies outside the "
                     "calibration anchor hull"
                 )
+        _stage_bound("histogram_bucket_percent", check_bucket_width,
+                     self.histogram_bucket_percent)
+        _stage_bound("sweep_trials", check_trials, self.sweep_trials)
+        _stage_bound("nist_tests", check_test_names, self.nist_tests or ())
+        if self.masking_enabled:
+            _stage_bound("masking", check_mask_thresholds,
+                         self.bias_threshold, self.stability_threshold)
         return self
+
+
+def _stage_bound(setting: str, check, *args) -> None:
+    """Run a stage's own argument check at load time, as a spec error
+    naming the setting."""
+    try:
+        check(*args)
+    except InvalidArgumentError as exc:
+        raise InvalidSpecError(f"{setting}: {exc}") from None
 
 
 def _near_square(n: int) -> tuple:

@@ -255,15 +255,7 @@ class RunManifest:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "config_digest": self.config_digest,
-            "tool_version": self.tool_version,
-            "master_seed": self.master_seed,
-            "status": self.status,
-            "error": self.error,
-            "artifacts": self.artifacts,
-            "timings": self.timings,
-        }
+        return asdict(self)
 
 
 def load_manifest(path) -> dict:
@@ -595,12 +587,8 @@ def compare_runs(manifest_path_a: str, manifest_path_b: str) -> dict:
             "ones_fraction_delta": delta("ones_fraction"),
         }
         if "masked" in a and "masked" in b:
-            entry["masked_inter_hd_percent_delta"] = (
-                b["masked"]["inter_hd_percent"] - a["masked"]["inter_hd_percent"]
-            )
-            entry["masked_intra_hd_percent_delta"] = (
-                b["masked"]["intra_hd_percent"] - a["masked"]["intra_hd_percent"]
-            )
+            for key in ("inter_hd_percent", "intra_hd_percent"):
+                entry[f"masked_{key}_delta"] = b["masked"][key] - a["masked"][key]
         deltas["sessions"][name] = entry
 
     nist_a, _ = _load_artifact(manifest_path_a, man_a, "nist")

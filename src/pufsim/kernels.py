@@ -44,27 +44,28 @@ def pairwise_hd_stats(packed: np.ndarray, nbits: int) -> tuple[int, np.ndarray]:
     """Sum and integer histogram of Hamming distances over all unordered
     row pairs of a packed (devices, words) uint64 array.
 
-    Returns (total, hist) with hist[h] = number of pairs at distance h.
+    Returns (total, hist) with hist[h] = number of pairs at distance h
+    and total = sum_h h * hist[h]. Each diagonal block of rows is counted
+    as a full square (its self-pairs at 0 removed, every other pair
+    halved, as it appears twice) plus the rectangle to its right.
     """
     packed = np.ascontiguousarray(packed, dtype=np.uint64)
     if packed.ndim != 2:
         raise ValueError("packed array must be 2-D (devices, words)")
-    d = packed.shape[0]
     chunk = 256  # rows per block; bounds the (chunk, d, words) XOR buffer
     hist = np.zeros(nbits + 1, dtype=np.int64)
-    total = 0
-    for i0 in range(0, d, chunk):
-        i1 = min(i0 + chunk, d)
-        # pairs (i, j) with j > i >= i0 only involve columns from i0 on
-        xor = packed[i0:i1, None, :] ^ packed[None, i0:, :]
-        hd = np.bitwise_count(xor).sum(axis=-1, dtype=np.int64)
-        # keep strictly upper-triangular pairs (j > i)
-        rows = np.arange(i0, i1)[:, None]
-        cols = np.arange(i0, d)[None, :]
-        vals = hd[cols > rows]
-        hist += np.bincount(vals, minlength=nbits + 1)
-        total += int(vals.sum())
-    return total, hist
+    for i0 in range(0, packed.shape[0], chunk):
+        block = packed[i0:i0 + chunk]
+        square = _distance_counts(block, block, nbits)
+        square[0] -= block.shape[0]
+        hist += square // 2 + _distance_counts(block, packed[i0 + chunk:], nbits)
+    return int(hist @ np.arange(nbits + 1)), hist
+
+
+def _distance_counts(a: np.ndarray, b: np.ndarray, nbits: int) -> np.ndarray:
+    """Histogram of distances between every row of a and every row of b."""
+    hd = np.bitwise_count(a[:, None, :] ^ b[None, :, :]).sum(axis=-1, dtype=np.intp)
+    return np.bincount(hd.ravel(), minlength=nbits + 1)
 
 
 def gf2_rank32(rows: np.ndarray) -> np.ndarray:

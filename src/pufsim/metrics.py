@@ -11,11 +11,10 @@ Intra-HD of one device from x re-reads against its reference S_v:
     (1 / x) * sum_u HD(S_u, S_v) / n * 100
 
 Distance totals are exact integers until the final division, so results
-are independent of pair ordering or partitioning: the inter-HD total comes
-in closed form from per-position one-counts, and the pairwise pass over
-64-bit packed words with population count runs only where a distance
-histogram is wanted. Masked positions are excluded from both the numerator
-and n.
+are independent of pair ordering or partitioning. The inter-HD total comes
+in closed form from per-position one-counts; intra-HD and the pairwise
+distance histogram XOR and popcount 64-bit words from `kernels.pack_bits`.
+Masked positions are zeroed before packing and excluded from n.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ def _as_bit_matrix(signatures) -> np.ndarray:
         mat = mat[None, :]
     if mat.ndim != 2:
         raise InvalidArgumentError("signatures must be a (devices, n) bit array")
-    if not np.isin(mat, (0, 1)).all():
+    if mat.size and mat.max() > 1:
         raise InvalidArgumentError("signatures must contain only 0/1 values")
     return mat
 
@@ -56,7 +55,7 @@ def _check_mask(mask: Optional[np.ndarray], n: int):
     mask = np.asarray(mask, dtype=np.uint8)
     if mask.shape != (n,):
         raise InvalidArgumentError("mask length must equal signature length")
-    if not np.isin(mask, (0, 1)).all():
+    if mask.size and mask.max() > 1:
         raise InvalidArgumentError("mask must contain only 0/1 values")
     n_eff = int(mask.sum())
     if n_eff == 0:
@@ -64,18 +63,20 @@ def _check_mask(mask: Optional[np.ndarray], n: int):
     return mask, n_eff
 
 
-def _masked_pack(mat: np.ndarray, mask: Optional[np.ndarray]):
-    mask, n_eff = _check_mask(mask, mat.shape[1])
+def _masked_pack(bits: np.ndarray, mask: Optional[np.ndarray]):
+    mask, n_eff = _check_mask(mask, bits.shape[-1])
     if mask is not None:
-        mat = mat * mask  # zeroed positions drop out of every XOR
-    return kernels.pack_bits(mat), n_eff
+        bits = bits * mask  # zeroed positions drop out of every XOR
+    return kernels.pack_bits(bits), n_eff
 
 
-def _device_count(mat: np.ndarray) -> int:
-    r = mat.shape[0]
-    if r < 2:
-        raise InvalidArgumentError("inter-HD needs at least 2 devices")
-    return r
+def _intra_total(reads: np.ndarray, ref: np.ndarray, mask: Optional[np.ndarray]):
+    """Summed XOR-popcount distance of reads to ref (broadcast over the
+    leading axes) and the kept length."""
+    packed_reads, n_eff = _masked_pack(reads, mask)
+    packed_ref, _ = _masked_pack(ref, mask)
+    total = int(np.bitwise_count(packed_reads ^ packed_ref).sum(dtype=np.int64))
+    return total, n_eff
 
 
 def inter_hd(signatures, mask: Optional[np.ndarray] = None) -> float:
@@ -87,7 +88,9 @@ def inter_hd(signatures, mask: Optional[np.ndarray] = None) -> float:
     sum_{u<v} HD(S_u, S_v) = sum_j c_j (r - c_j).
     """
     mat = _as_bit_matrix(signatures)
-    r = _device_count(mat)
+    r = mat.shape[0]
+    if r < 2:
+        raise InvalidArgumentError("inter-HD needs at least 2 devices")
     mask, n_eff = _check_mask(mask, mat.shape[1])
     ones = mat.sum(axis=0, dtype=np.int64)
     if mask is not None:
@@ -99,11 +102,9 @@ def inter_hd(signatures, mask: Optional[np.ndarray] = None) -> float:
 def inter_hd_details(signatures, mask: Optional[np.ndarray] = None):
     """inter_hd plus the integer histogram of raw pairwise distances."""
     mat = _as_bit_matrix(signatures)
-    r = _device_count(mat)
+    percent = inter_hd(mat, mask)
     packed, n_eff = _masked_pack(mat, mask)
-    total, hist = kernels.pairwise_hd_stats(packed, n_eff)
-    percent = 200.0 * total / (r * (r - 1) * n_eff)
-    return percent, hist
+    return percent, kernels.pairwise_hd_stats(packed, n_eff)[1]
 
 
 def intra_hd(reference, rereads, mask: Optional[np.ndarray] = None) -> float:
@@ -115,24 +116,15 @@ def intra_hd(reference, rereads, mask: Optional[np.ndarray] = None) -> float:
         raise InvalidArgumentError("intra-HD needs at least one re-read")
     if ref.shape != (reads.shape[1],):
         raise InvalidArgumentError("reference length must match re-read length")
-    packed_ref, n_eff = _masked_pack(ref[None, :], mask)
-    packed_reads, _ = _masked_pack(reads, mask)
-    total = int(np.bitwise_count(packed_reads ^ packed_ref).sum())
+    total, n_eff = _intra_total(reads, ref, mask)
     return 100.0 * total / (reads.shape[0] * n_eff)
 
 
 def mean_intra_hd(sigs: SignatureSet, golden: GoldenSignature) -> float:
     """Population mean of per-device intra-HD against the golden bits,
     honoring the signature set's mask."""
-    d, t, n = sigs.bits.shape
-    mask = sigs.mask
-    if mask is not None:
-        n_eff = int(mask.sum())
-        diff = (sigs.bits != golden.bits[:, None, :]) & (mask[None, None, :] == 1)
-    else:
-        n_eff = n
-        diff = sigs.bits != golden.bits[:, None, :]
-    total = int(diff.sum(dtype=np.int64))
+    d, t, _ = sigs.bits.shape
+    total, n_eff = _intra_total(sigs.bits, golden.bits[:, None, :], sigs.mask)
     return 100.0 * total / (d * t * n_eff)
 
 
@@ -145,16 +137,26 @@ def ones_fraction_and_colormap(sigs: SignatureSet, trial: int = 0):
     return float(grid.mean()), grid
 
 
+def check_bucket_width(bucket_width: float) -> None:
+    if not (bucket_width > 0):
+        raise InvalidArgumentError("bucket width must be positive")
+
+
+def _bucket(percents, counts, bucket_width: float) -> dict:
+    """Nonzero count sums per percent bucket [k*w, (k+1)*w), keyed by
+    sorted bucket lower edge."""
+    check_bucket_width(bucket_width)
+    edges = np.floor(np.asarray(percents, dtype=np.float64) / bucket_width)
+    keys, inverse = np.unique(edges * bucket_width, return_inverse=True)
+    sums = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(sums, inverse, counts)
+    return {float(k): int(c) for k, c in zip(keys, sums) if c}
+
+
 def hd_histogram(pairwise_percents: Sequence[float], bucket_width: float = 1.0) -> dict:
     """Counts per percent bucket [k*w, (k+1)*w); keys are bucket lower
     edges, values sum to the number of pairs."""
-    if not (bucket_width > 0):
-        raise InvalidArgumentError("bucket width must be positive")
-    out: dict = {}
-    for p in np.asarray(pairwise_percents, dtype=np.float64):
-        edge = float(np.floor(p / bucket_width) * bucket_width)
-        out[edge] = out.get(edge, 0) + 1
-    return dict(sorted(out.items()))
+    return _bucket(pairwise_percents, 1, bucket_width)
 
 
 def hd_histogram_from_counts(
@@ -162,16 +164,7 @@ def hd_histogram_from_counts(
 ) -> dict:
     """Same histogram built from the integer-distance counts that
     inter_hd_details returns (avoids materializing every pair)."""
-    if not (bucket_width > 0):
-        raise InvalidArgumentError("bucket width must be positive")
-    out: dict = {}
-    for h, count in enumerate(raw_hist):
-        if count == 0:
-            continue
-        percent = 100.0 * h / n_eff
-        edge = float(np.floor(percent / bucket_width) * bucket_width)
-        out[edge] = out.get(edge, 0) + int(count)
-    return dict(sorted(out.items()))
+    return _bucket(100.0 * np.arange(len(raw_hist)) / n_eff, raw_hist, bucket_width)
 
 
 def robustness_sweep(
@@ -189,30 +182,16 @@ def robustness_sweep(
     Reproducible: the enrollment seed and each sweep point's session seed
     derive from base_seed and the point's position in envs.
     """
+    def read(env, n_trials, key):
+        seed = np.random.SeedSequence(base_seed, spawn_key=(key,)).generate_state(1)[0]
+        session = ReadoutSession(env, trials=n_trials, session_seed=int(seed),
+                                 calibration=calibration)
+        return read_signatures(population, session, threads=threads)
+
     nominal = nominal_env if nominal_env is not None else calibration.reference
-    enroll_seed = int(
-        np.random.SeedSequence(base_seed, spawn_key=(0,)).generate_state(1)[0]
-    )
-    enroll_sigs = read_signatures(
-        population,
-        ReadoutSession(nominal, trials=1, session_seed=enroll_seed,
-                       calibration=calibration),
-        threads=threads,
-    )
-    golden = enroll_golden(enroll_sigs)
-    results = []
-    for idx, env in enumerate(envs):
-        seed = int(
-            np.random.SeedSequence(base_seed, spawn_key=(1 + idx,)).generate_state(1)[0]
-        )
-        sigs = read_signatures(
-            population,
-            ReadoutSession(env, trials=trials, session_seed=seed,
-                           calibration=calibration),
-            threads=threads,
-        )
-        results.append((env, mean_intra_hd(sigs, golden)))
-    return results
+    golden = enroll_golden(read(nominal, 1, 0))
+    return [(env, mean_intra_hd(read(env, trials, 1 + idx), golden))
+            for idx, env in enumerate(envs)]
 
 
 @dataclass

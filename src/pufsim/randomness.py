@@ -328,6 +328,12 @@ def dft_test(seq, alpha: float = ALPHA_DEFAULT, fixture_mode: bool = False):
 # ---------------------------------------------------------------------------
 # suite plumbing
 
+def check_test_names(tests: Sequence[str]) -> None:
+    unknown = set(tests) - set(TEST_NAMES)
+    if unknown:
+        raise InvalidArgumentError(f"unknown tests: {sorted(unknown)}")
+
+
 def run_suite(
     seq,
     alpha: float = ALPHA_DEFAULT,
@@ -345,9 +351,7 @@ def run_suite(
     if tests is None:
         selected = [t for t in TEST_NAMES if bits.size >= _MIN_LENGTH[t]]
     else:
-        unknown = set(tests) - set(TEST_NAMES)
-        if unknown:
-            raise InvalidArgumentError(f"unknown tests: {sorted(unknown)}")
+        check_test_names(tests)
         selected = list(tests)
     out = {}
     for name in selected:

@@ -82,6 +82,11 @@ def noise_stream(
     return _readout_generator(session_seed, (device * trials + trial) * _row_blocks(n))
 
 
+def check_trials(trials: int) -> None:
+    if trials < 1:
+        raise InvalidArgumentError("trials must be >= 1")
+
+
 @dataclass(frozen=True)
 class ReadoutSession:
     """One acquisition: environment, trial count, seed, calibration.
@@ -98,8 +103,7 @@ class ReadoutSession:
     target_ber: Optional[float] = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise InvalidArgumentError("trials must be >= 1")
+        check_trials(self.trials)
         if not (0 <= int(self.session_seed) < 2**64):
             raise InvalidArgumentError("session_seed must fit in 64 unsigned bits")
 
@@ -123,13 +127,19 @@ class SignatureSet:
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.ndim != 3:
             raise InvalidArgumentError("bits must be (devices, trials, positions)")
+        if bits.size and bits.max() > 1:
+            raise InvalidArgumentError("bits must contain only 0/1 values")
         self.bits = bits
         self.bits.setflags(write=False)
         self.mask = None
         if mask is not None:
             mask = np.asarray(mask, dtype=np.uint8)
             if mask.shape != (bits.shape[2],):
-                raise InvalidArgumentError("mask length must equal n")
+                raise InvalidArgumentError(
+                    f"mask length {mask.shape} does not match n={bits.shape[2]}"
+                )
+            if mask.size and mask.max() > 1:
+                raise InvalidArgumentError("mask must contain only 0/1 values")
             if int(mask.sum()) == 0:
                 raise EmptySignatureError("mask keeps zero positions")
             self.mask = mask
@@ -282,6 +292,13 @@ def enroll_golden(sigs: SignatureSet) -> GoldenSignature:
     return GoldenSignature(bits=golden, stability=agree)
 
 
+def check_mask_thresholds(bias_threshold: float, stability_threshold: float) -> None:
+    if not (0 < bias_threshold <= 0.5):
+        raise InvalidArgumentError("bias_threshold must be in (0, 0.5]")
+    if not (0.5 < stability_threshold <= 1.0):
+        raise InvalidArgumentError("stability_threshold must be in (0.5, 1.0]")
+
+
 def eliminate_biased_positions(
     sigs: SignatureSet,
     bias_threshold: float = 0.3,
@@ -294,10 +311,7 @@ def eliminate_biased_positions(
     stability_threshold."""
     if sigs.num_devices < 2:
         raise InvalidArgumentError("bias elimination needs at least 2 devices")
-    if not (0 < bias_threshold <= 0.5):
-        raise InvalidArgumentError("bias_threshold must be in (0, 0.5]")
-    if not (0.5 < stability_threshold <= 1.0):
-        raise InvalidArgumentError("stability_threshold must be in (0.5, 1.0]")
+    check_mask_thresholds(bias_threshold, stability_threshold)
     if golden is None:
         golden = enroll_golden(sigs)
     mean_bit = golden.bits.mean(axis=0)
@@ -314,9 +328,4 @@ def eliminate_biased_positions(
 def apply_mask(sigs: SignatureSet, mask: np.ndarray) -> SignatureSet:
     """New SignatureSet carrying the mask; original bits are retained so
     masked and unmasked metrics can come from the same readout."""
-    mask = np.asarray(mask, dtype=np.uint8)
-    if mask.shape != (sigs.n,):
-        raise InvalidArgumentError(
-            f"mask length {mask.shape} does not match n={sigs.n}"
-        )
     return SignatureSet(sigs.bits, mask)

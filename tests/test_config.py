@@ -120,6 +120,36 @@ def test_bad_scalar_fields():
         ExperimentConfig(placement="hexagon").validate()
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("histogram_bucket_percent", 0.0),
+        ("histogram_bucket_percent", -1.0),
+        ("sweep_trials", 0),
+        ("nist_tests", ("frequency", "poker")),
+        ("bias_threshold", 0.0),
+        ("bias_threshold", 0.6),
+        ("stability_threshold", 0.5),
+        ("stability_threshold", 1.1),
+    ],
+)
+def test_stage_settings_rejected_at_validate(field, value):
+    with pytest.raises(InvalidSpecError, match=field.split("_")[0]):
+        dataclasses.replace(preset("d1"), **{field: value}).validate()
+    data = to_dict(preset("d1"))
+    data[field] = list(value) if isinstance(value, tuple) else value
+    with pytest.raises(InvalidSpecError):
+        from_dict(data)
+
+
+def test_mask_thresholds_ignored_without_masking():
+    config = dataclasses.replace(
+        preset("d1"), masking_enabled=False, bias_threshold=0.9,
+        stability_threshold=0.1,
+    )
+    assert config.validate() is config
+
+
 def test_session_seed_derivation():
     config = _sample_config()
     seeds = {config.session_seed(i) for i in range(8)}

@@ -393,6 +393,20 @@ def test_cli_full_run_and_compare(tmp_path, capsys):
     assert "inter_hd_percent_delta" in out
 
 
+def test_cli_run_rejects_stage_setting_before_any_artifact(tmp_path, capsys):
+    from dataclasses import replace
+
+    from pufsim.config import save
+
+    config_path = tmp_path / "config.json"
+    # bypass validate() so the file holds the bad setting
+    save(replace(preset("d1"), histogram_bucket_percent=0.0), config_path)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    assert "histogram_bucket_percent" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cli_stage_chain(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     from pufsim.config import save

@@ -69,7 +69,11 @@ def test_pack_pads_with_zeros():
     assert int(packed[0, 1]) == (1 << 6) - 1
 
 
-@pytest.mark.parametrize("d,n", [(2, 64), (7, 10), (12, 100), (9, 130), (3, 1)])
+@pytest.mark.parametrize(
+    "d,n",
+    # 256 rows fill one 256-row block; 257 and 600 span several, the last partial
+    [(2, 64), (7, 10), (12, 100), (9, 130), (3, 1), (256, 5), (257, 9), (600, 3)],
+)
 def test_pairwise_hd_matches_brute_force(d, n):
     rng = np.random.default_rng(d * 1000 + n)
     bits = rng.integers(0, 2, size=(d, n), dtype=np.uint8)

@@ -129,6 +129,30 @@ def test_mean_intra_hd_uses_mask():
     assert mean_intra_hd(masked, golden) == 0.0
 
 
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("t", [1, 5])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 1016])
+def test_mean_intra_hd_matches_brute_force(n, t, masked):
+    # word-boundary lengths, with and without a mask, against a boolean count
+    rng = np.random.default_rng(n * 10 + t)
+    d = 7
+    bits = rng.integers(0, 2, size=(d, t, n), dtype=np.uint8)
+    golden = enroll_golden(SignatureSet(rng.integers(0, 2, size=(d, 1, n),
+                                                     dtype=np.uint8)))
+    mask = None
+    if masked:
+        mask = rng.integers(0, 2, size=n, dtype=np.uint8)
+        mask[rng.integers(n)] = 1  # keep at least one position
+    keep = np.ones(n, dtype=bool) if mask is None else mask == 1
+    diff = (bits != golden.bits[:, None, :])[:, :, keep]
+    want = 100.0 * int(diff.sum()) / (d * t * int(keep.sum()))
+    assert mean_intra_hd(SignatureSet(bits, mask), golden) == want
+    for dev in range(d):
+        assert intra_hd(golden.bits[dev], bits[dev], mask) == (
+            100.0 * int(diff[dev].sum()) / (t * int(keep.sum()))
+        )
+
+
 def test_hd_histogram_buckets():
     hist = hd_histogram([0.4, 1.2, 1.6, 49.9, 50.0], bucket_width=1.0)
     assert hist == {0.0: 1, 1.0: 2, 49.0: 1, 50.0: 1}

@@ -318,6 +318,20 @@ def test_eliminate_argument_domains():
         eliminate_biased_positions(one_device)
 
 
+def test_signature_set_rejects_non_binary():
+    bits = np.zeros((2, 1, 8), dtype=np.uint8)
+    bad = bits.copy()
+    bad[1, 0, 3] = 2
+    with pytest.raises(InvalidArgumentError):
+        SignatureSet(bad)
+    # a 2 in the mask would count twice in effective_length
+    with pytest.raises(InvalidArgumentError):
+        SignatureSet(bits, [2, 1, 1, 1, 0, 0, 0, 0])
+    with pytest.raises(InvalidArgumentError):
+        apply_mask(SignatureSet(bits), [1, 1, 1, 1, 0, 0, 0, 3])
+    assert SignatureSet(bits, [1, 1, 1, 0, 0, 0, 0, 0]).effective_length == 3
+
+
 def test_apply_mask():
     bits = np.arange(24, dtype=np.uint8).reshape(2, 2, 6) % 2
     sigs = SignatureSet(bits)
