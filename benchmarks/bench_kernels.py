@@ -1,6 +1,9 @@
 """Best-of-three wall time of the three public kernels on random inputs,
-and of the packed intra-HD path (`metrics.mean_intra_hd`) at a session
-shape, with and without a position mask.
+of the packed intra-HD path (`metrics.mean_intra_hd`) at a session
+shape, with and without a position mask, and of the randomness battery:
+each test's batched core on an S x N block (shared intermediates built
+inside the timed call), `run_suite_block` on that block, and one
+single-sequence `run_suite` call.
 
 Run:  python3 benchmarks/bench_kernels.py --devices 2000 --bits 1024
 """
@@ -10,7 +13,7 @@ import time
 
 import numpy as np
 
-from pufsim import kernels
+from pufsim import kernels, randomness
 from pufsim.metrics import mean_intra_hd
 from pufsim.signature import SignatureSet, enroll_golden
 
@@ -21,7 +24,7 @@ def _time(label: str, fn, *args, repeat: int = 3) -> None:
         t0 = time.perf_counter()
         fn(*args)
         best = min(best, time.perf_counter() - t0)
-    print(f"{label:34s} {best*1e3:9.2f} ms")
+    print(f"{label:40s} {best*1e3:9.2f} ms")
 
 
 def main() -> None:
@@ -34,6 +37,9 @@ def main() -> None:
     parser.add_argument("--session", type=int, nargs=3, default=(1000, 5, 1024),
                         metavar=("D", "T", "N"),
                         help="intra-HD session shape: devices, trials, bits")
+    parser.add_argument("--battery", type=int, nargs=2, default=(4, 100_000),
+                        metavar=("S", "N"),
+                        help="battery block shape: sequences, bits per sequence")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
@@ -55,6 +61,14 @@ def main() -> None:
     mask[rng.choice(n, size=n // 128, replace=False)] = 0
     _time(f"mean-intra-hd {shape} masked", mean_intra_hd,
           SignatureSet(sigs.bits, mask), golden)
+    s, n = args.battery
+    block = rng.integers(0, 2, size=(s, n), dtype=np.uint8)
+    for name, core in randomness._CORES.items():
+        if n >= randomness._MIN_LENGTH[name]:
+            _time(f"{name} core {s}x{n}",
+                  lambda c=core: c(randomness._Block(block), 0.001, None, False))
+    _time(f"run_suite_block {s}x{n}", randomness.run_suite_block, block)
+    _time(f"run_suite 1x{n}", randomness.run_suite, block[0])
 
 
 if __name__ == "__main__":

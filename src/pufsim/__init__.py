@@ -56,6 +56,7 @@ from .randomness import (  # noqa: E402
     TestResult,
     aggregate_suite,
     run_suite,
+    run_suite_block,
 )
 from .config import ExperimentConfig, SessionConfig, preset  # noqa: E402
 from .harness import compare_runs, run_experiment, unbiased_sequences  # noqa: E402
@@ -101,6 +102,7 @@ __all__ = [
     "TestResult",
     "aggregate_suite",
     "run_suite",
+    "run_suite_block",
     "ExperimentConfig",
     "SessionConfig",
     "preset",

@@ -43,7 +43,7 @@ from .randomness import (
     read_ascii_sequences,
     read_packed_sequences,
     results_csv_rows,
-    run_suite,
+    run_suite_block,
 )
 from .signature import (
     SignatureSet,
@@ -188,6 +188,22 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+def _suite_by_length(sequences, alpha: float, tests) -> list:
+    """Battery results in input order for a (sequences, n) array, or for a
+    list of 1-D sequences run in one block per length."""
+    if isinstance(sequences, np.ndarray):
+        return run_suite_block(sequences, alpha=alpha, tests=tests)
+    groups: dict = {}
+    for i, seq in enumerate(sequences):
+        groups.setdefault(seq.size, []).append(i)
+    out = [None] * len(sequences)
+    for rows in groups.values():
+        block = np.stack([sequences[i] for i in rows])
+        for i, res in zip(rows, run_suite_block(block, alpha=alpha, tests=tests)):
+            out[i] = res
+    return out
+
+
 def cmd_nist(args) -> int:
     root = _out_dir(args)
     if args.format == "ascii":
@@ -198,12 +214,11 @@ def cmd_nist(args) -> int:
         sequences = read_packed_sequences(args.input, args.bits)
     else:
         sigs = SignatureSet.from_binary(args.input)
-        kept = sigs.kept_positions()
-        sequences = [sigs.bits[d, 0, kept] for d in range(sigs.num_devices)]
+        sequences = sigs.bits[:, 0, sigs.kept_positions()]
     if args.concatenate:
-        sequences = [np.concatenate(sequences)]
+        sequences = np.concatenate(sequences)[None]
     tests = tuple(args.tests) if args.tests else None
-    per_seq = [run_suite(s, alpha=args.alpha, tests=tests) for s in sequences]
+    per_seq = _suite_by_length(sequences, args.alpha, tests)
     for idx, name, p, passed in results_csv_rows(per_seq):
         print(f"seq {idx:4d}  {name:24s}  p={p:.6g}  "
               f"{'pass' if passed else 'FAIL'}")

@@ -249,7 +249,7 @@ def to_dict(config: ExperimentConfig) -> dict:
     d["voltage_anchors"] = [list(a) for a in config.voltage_anchors]
     d["sweep_temperatures"] = list(config.sweep_temperatures)
     d["sweep_voltages"] = list(config.sweep_voltages)
-    d["nist_tests"] = list(config.nist_tests) if config.nist_tests else None
+    d["nist_tests"] = None if config.nist_tests is None else list(config.nist_tests)
     return d
 
 

@@ -46,7 +46,7 @@ from .randomness import (
     aggregate_suite,
     rank_test,
     results_csv_rows,
-    run_suite,
+    run_suite_block,
 )
 from .signature import (
     GoldenSignature,
@@ -352,13 +352,9 @@ def _randomness_payload(config: ExperimentConfig, golden: GoldenSignature, mask)
     bits = golden.bits
     if mask is not None:
         bits = bits[:, mask.astype(bool)]
-    if config.randomness_mode == "concatenated":
-        sequences = [bits.reshape(-1)]
-    else:
-        sequences = [bits[d] for d in range(bits.shape[0])]
-    per_seq = [
-        run_suite(s, alpha=config.alpha, tests=config.nist_tests) for s in sequences
-    ]
+    concatenated = config.randomness_mode == "concatenated"
+    sequences = bits.reshape(1, -1) if concatenated else bits
+    per_seq = run_suite_block(sequences, alpha=config.alpha, tests=config.nist_tests)
     payload: dict = {
         "alpha": config.alpha,
         "mode": config.randomness_mode,
@@ -373,7 +369,7 @@ def _randomness_payload(config: ExperimentConfig, golden: GoldenSignature, mask)
             }
             for name, row in agg.rows.items()
         }
-    seq_len = sequences[0].size if sequences else 0
+    seq_len = sequences.shape[1]
     if (
         config.randomness_mode == "per-signature"
         and config.rank_concatenation

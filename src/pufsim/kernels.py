@@ -71,47 +71,38 @@ def _distance_counts(a: np.ndarray, b: np.ndarray, nbits: int) -> np.ndarray:
 def gf2_rank32(rows: np.ndarray) -> np.ndarray:
     """Rank over GF(2) of a batch of 32x32 binary matrices.
 
-    rows has shape (batch, 32); each uint64 holds one 32-bit matrix row
-    (bit k = column k).
+    rows has shape (batch, 32); each uint32 or uint64 holds one 32-bit
+    matrix row (bit k = column k). Rows are taken in turn as pivots, with
+    no swaps: a row's lowest set bit is eliminated from every other row
+    holding it, and the rank is the number of rows left nonzero.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.uint64)
+    rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != 32:
         raise ValueError("rows must have shape (batch, 32)")
-    rows = rows.copy()
-    b = rows.shape[0]
-    r = np.zeros(b, dtype=np.int64)
-    colidx = np.arange(32)[None, :]
-    for col in range(32):
-        bit = np.uint64(1) << np.uint64(col)
-        cand = (rows & bit) != 0
-        elig = cand & (colidx >= r[:, None])
-        has = elig.any(axis=1)
-        bidx = np.flatnonzero(has)
-        if bidx.size == 0:
-            continue
-        rr = r[bidx]
-        piv = elig[bidx].argmax(axis=1)
-        tmp = rows[bidx, rr].copy()
-        rows[bidx, rr] = rows[bidx, piv]
-        rows[bidx, piv] = tmp
-        sub = rows[bidx]
-        cand2 = (sub & bit) != 0
-        cand2[np.arange(bidx.size), rr] = False
-        sub ^= np.where(cand2, sub[np.arange(bidx.size), rr][:, None], np.uint64(0))
-        rows[bidx] = sub
-        r[bidx] = rr + 1
-    return r
+    dtype = np.uint32 if rows.dtype == np.uint32 else np.uint64
+    # matrix index on the last axis: every row slice is contiguous
+    m = np.array(rows.T, dtype=dtype, order="C")
+    for i in range(32):
+        pivot = m[i].copy()
+        low = pivot & -pivot  # lowest set bit; 0 for a zero row
+        m ^= pivot * ((m & low) != 0)
+        m[i] = pivot  # the pivot row cleared itself
+    return np.count_nonzero(m, axis=0)
 
 
 def longest_one_run(blocks: np.ndarray) -> np.ndarray:
     """Longest run of ones in each row of a (blocks, block_len) 0/1 array."""
-    blocks = np.ascontiguousarray(blocks, dtype=np.uint8)
+    blocks = np.asarray(blocks, dtype=np.uint8)
     if blocks.ndim != 2:
         raise ValueError("blocks must be 2-D")
     n, m = blocks.shape
-    run = np.zeros(n, dtype=np.int64)
+    w = m + 1
+    # a zero column before each block, and one after the last, keeps every
+    # run inside its block; runs then alternate start and end edges
+    flat = np.zeros(n * w + 1, dtype=np.int8)
+    flat[:-1].reshape(n, w)[:, 1:] = blocks
+    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    starts, ends = edges[0::2], edges[1::2]
     best = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        run = (run + 1) * blocks[:, j]
-        np.maximum(best, run, out=best)
+    np.maximum.at(best, starts // w, ends - starts)
     return best

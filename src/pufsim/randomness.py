@@ -22,13 +22,28 @@ spectral (DFT) test. Significance conventions:
 Minimum-length preconditions reject short input unless fixture_mode is
 passed, which exists so the short published worked examples can serve as
 oracles.
+
+Every test has one batched core over a (sequences, n) block; a public
+`*_test(seq)` call is a batch of one, and `run_suite_block` runs the
+selected cores over bounded blocks of rows. Intermediates the tests share
+are built once per block:
+
+* the +-1 walk S_1..S_n, built as int32 (int64 when n >= 2**31, where
+  int32 could overflow) and reduced at once to S_n and the extremes of
+  S_1..S_{n-1}. Frequency and runs read S_n = 2 * ones - n; the forward
+  cumulative-sums statistic is max |S_k|;
+* the backward cumulative-sums statistic comes from the same walk: the
+  reversed sequence's partial sums are S_n - S_j for j = 0..n-1, with
+  S_0 = 0, so z = max(S_n - min(0, S_1..S_{n-1}),
+  max(0, S_1..S_{n-1}) - S_n). A cumulative-sums p-value depends only on
+  (n, z) and is cached by that pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,13 +82,19 @@ def as_bits(seq) -> np.ndarray:
     if isinstance(seq, BitSequence):
         return seq.bits
     if isinstance(seq, str):
-        return np.frombuffer(seq.encode(), dtype=np.uint8) - ord("0")
-    arr = np.asarray(seq, dtype=np.uint8)
+        arr = np.frombuffer(seq.encode(), dtype=np.uint8) - ord("0")
+    else:
+        arr = np.asarray(seq, dtype=np.uint8)
     if arr.ndim != 1:
         raise InvalidArgumentError("bit sequence must be one-dimensional")
+    _check_binary(arr)
+    return arr
+
+
+def _check_binary(arr: np.ndarray) -> None:
+    # characters other than '0' and '1' land above 1 after subtracting '0'
     if arr.size and arr.max() > 1:
         raise InvalidArgumentError("bit sequence must contain only 0/1")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -92,7 +113,7 @@ class BitSequence:
 
     @classmethod
     def from_string(cls, text: str) -> "BitSequence":
-        return cls(np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"))
+        return cls(as_bits(text))
 
     @classmethod
     def from_packed(cls, raw: bytes, n: int) -> "BitSequence":
@@ -127,6 +148,8 @@ class TestResult:
 
 
 def _require_length(name: str, n: int, fixture_mode: bool):
+    if n == 0:
+        raise InsufficientLengthError(f"{name} needs a non-empty sequence")
     if fixture_mode:
         return
     need = _MIN_LENGTH[name]
@@ -141,15 +164,53 @@ def _result(name, p, alpha, statistic) -> TestResult:
     return TestResult(name, (p,), alpha, float(statistic))
 
 
+def _results(name, p, alpha, statistic) -> list:
+    """One TestResult per row from per-row p-value and statistic arrays."""
+    return [_result(name, pv, alpha, st)
+            for pv, st in zip(np.asarray(p).tolist(), np.asarray(statistic).tolist())]
+
+
+class _Block:
+    """A (sequences, n) 0/1 block and the intermediates its tests share,
+    each built on first use."""
+
+    def __init__(self, bits: np.ndarray):
+        self.bits = bits
+        self.rows, self.n = bits.shape
+
+    @cached_property
+    def walk_range(self) -> tuple:
+        """(min(0, S_1..S_{n-1}), max(0, S_1..S_{n-1}), S_n) per row of
+        the +-1 walk S_1..S_n. The walk itself is not kept, so it is gone
+        before the spectrum's buffers are allocated."""
+        walk = self.bits.astype(np.int32 if self.n < 2**31 else np.int64)
+        walk *= 2
+        walk -= 1
+        np.cumsum(walk, axis=1, out=walk)
+        head = walk[:, :-1]
+        return (head.min(axis=1, initial=0), head.max(axis=1, initial=0),
+                walk[:, -1].astype(np.int64))
+
+
+def _single(name: str, seq, fixture_mode: bool, core, *args) -> TestResult:
+    """One sequence through a batched core, as a batch of one."""
+    blk = _Block(as_bits(seq)[None])
+    _require_length(name, blk.n, fixture_mode)
+    return core(blk, *args)[0]
+
+
 # ---------------------------------------------------------------------------
-# the eight tests
+# the eight tests: a batched core over a _Block each, and the public
+# single-sequence form
+
+def _frequency(blk: _Block, alpha: float) -> list:
+    s = blk.walk_range[2]
+    p = erfc(np.abs(s) / math.sqrt(2 * blk.n))
+    return _results("frequency", p, alpha, s)
+
 
 def frequency_test(seq, alpha: float = ALPHA_DEFAULT, fixture_mode: bool = False):
-    bits = as_bits(seq)
-    _require_length("frequency", bits.size, fixture_mode)
-    s = 2 * int(bits.sum()) - bits.size
-    p = erfc(abs(s) / math.sqrt(2 * bits.size))
-    return _result("frequency", p, alpha, s)
+    return _single("frequency", seq, fixture_mode, _frequency, alpha)
 
 
 def default_block_size(n: int) -> int:
@@ -158,44 +219,33 @@ def default_block_size(n: int) -> int:
     return max(20, -(-n // 100))
 
 
+def _block_frequency(blk: _Block, alpha: float, block_size: Optional[int],
+                     fixture_mode: bool) -> list:
+    m = block_size if block_size is not None else default_block_size(blk.n)
+    if m < 1 or (m < 20 and not fixture_mode):
+        raise InvalidArgumentError(f"block size {m} invalid; need at least 20")
+    nblocks = blk.n // m
+    if nblocks < 1:
+        raise InvalidArgumentError("block size exceeds sequence length")
+    pi = blk.bits[:, : nblocks * m].reshape(blk.rows, nblocks, m).mean(axis=2)
+    chi2 = 4.0 * m * np.sum((pi - 0.5) ** 2, axis=1)
+    p = gammaincc(nblocks / 2.0, chi2 / 2.0)
+    return _results("block-frequency", p, alpha, chi2)
+
+
 def block_frequency_test(
     seq,
     block_size: Optional[int] = None,
     alpha: float = ALPHA_DEFAULT,
     fixture_mode: bool = False,
 ):
-    bits = as_bits(seq)
-    _require_length("block-frequency", bits.size, fixture_mode)
-    m = block_size if block_size is not None else default_block_size(bits.size)
-    if m < 1 or (m < 20 and not fixture_mode):
-        raise InvalidArgumentError(f"block size {m} invalid; need at least 20")
-    nblocks = bits.size // m
-    if nblocks < 1:
-        raise InvalidArgumentError("block size exceeds sequence length")
-    pi = bits[: nblocks * m].reshape(nblocks, m).mean(axis=1)
-    chi2 = 4.0 * m * float(np.sum((pi - 0.5) ** 2))
-    p = gammaincc(nblocks / 2.0, chi2 / 2.0)
-    return _result("block-frequency", p, alpha, chi2)
+    return _single("block-frequency", seq, fixture_mode, _block_frequency,
+                   alpha, block_size, fixture_mode)
 
 
-def cumulative_sums_test(
-    seq,
-    mode: str = "forward",
-    alpha: float = ALPHA_DEFAULT,
-    fixture_mode: bool = False,
-):
-    if mode not in ("forward", "backward"):
-        raise InvalidArgumentError(f"unknown scan mode {mode!r}")
-    name = f"cumulative-sums-{mode}"
-    bits = as_bits(seq)
-    _require_length(name, bits.size, fixture_mode)
-    x = 2 * bits.astype(np.int64) - 1
-    if mode == "backward":
-        x = x[::-1]
-    z = int(np.max(np.abs(np.cumsum(x))))
-    n = bits.size
-    if z == 0:
-        return _result(name, 1.0, alpha, 0)
+@lru_cache(maxsize=4096)
+def _cusum_p(n: int, z: int) -> float:
+    """Cumulative-sums p-value of an n-bit sequence whose walk reaches z."""
     sn = math.sqrt(n)
     # summation bounds via integer division truncating toward zero, the
     # convention the published worked-example value was computed with
@@ -208,20 +258,52 @@ def cumulative_sums_test(
 
     t1 = np.sum(phi((4 * k1 + 1) * z / sn) - phi((4 * k1 - 1) * z / sn))
     t2 = np.sum(phi((4 * k2 + 3) * z / sn) - phi((4 * k2 + 1) * z / sn))
-    return _result(name, 1.0 - t1 + t2, alpha, z)
+    return 1.0 - t1 + t2
+
+
+def _cumulative_sums(blk: _Block, alpha: float, mode: str) -> list:
+    lo, hi, sn = blk.walk_range
+    if mode == "forward":
+        z = np.maximum(np.maximum(hi, sn), -np.minimum(lo, sn))
+    else:
+        # the backward walk's partial sums are S_n - S_j for j = 0..n-1
+        z = np.maximum(sn - lo, hi - sn)
+    name = f"cumulative-sums-{mode}"
+    return [_result(name, _cusum_p(blk.n, zi), alpha, zi) for zi in z.tolist()]
+
+
+def cumulative_sums_test(
+    seq,
+    mode: str = "forward",
+    alpha: float = ALPHA_DEFAULT,
+    fixture_mode: bool = False,
+):
+    if mode not in ("forward", "backward"):
+        raise InvalidArgumentError(f"unknown scan mode {mode!r}")
+    return _single(f"cumulative-sums-{mode}", seq, fixture_mode,
+                   _cumulative_sums, alpha, mode)
+
+
+def _runs(blk: _Block, alpha: float) -> list:
+    n = blk.n
+    pi = (blk.walk_range[2] + n) // 2 / n
+    # rows failing the prerequisite frequency condition score p = 0; below
+    # 16 bits the bound exceeds 1/2, and a constant row fails it too
+    ok = np.abs(pi - 0.5) < min(2.0 / math.sqrt(n), 0.5)
+    p = np.zeros(blk.rows)
+    v = np.full(blk.rows, np.nan)
+    if ok.any():
+        bits = blk.bits[ok]
+        vk = np.count_nonzero(bits[:, 1:] != bits[:, :-1], axis=1) + 1
+        pk = pi[ok]
+        p[ok] = erfc(np.abs(vk - 2.0 * n * pk * (1 - pk))
+                     / (2.0 * math.sqrt(2.0 * n) * pk * (1 - pk)))
+        v[ok] = vk
+    return _results("runs", p, alpha, v)
 
 
 def runs_test(seq, alpha: float = ALPHA_DEFAULT, fixture_mode: bool = False):
-    bits = as_bits(seq)
-    _require_length("runs", bits.size, fixture_mode)
-    n = bits.size
-    pi = float(bits.mean())
-    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
-        # prerequisite frequency condition failed
-        return _result("runs", 0.0, alpha, float("nan"))
-    v = int(np.count_nonzero(np.diff(bits))) + 1
-    p = erfc(abs(v - 2.0 * n * pi * (1 - pi)) / (2.0 * math.sqrt(2.0 * n) * pi * (1 - pi)))
-    return _result("runs", p, alpha, v)
+    return _single("runs", seq, fixture_mode, _runs, alpha)
 
 
 @lru_cache(maxsize=None)
@@ -256,22 +338,31 @@ def _longest_run_tier(n: int):
     return 10000, 10, 16
 
 
-def longest_run_test(seq, alpha: float = ALPHA_DEFAULT, fixture_mode: bool = False):
-    bits = as_bits(seq)
-    _require_length("longest-run", bits.size, fixture_mode)
-    if bits.size < 128:
+def _class_counts(classes: np.ndarray, k: int) -> np.ndarray:
+    """Per-row counts of the values 0..k-1 in a (rows, items) array."""
+    rows = classes.shape[0]
+    offset = np.arange(rows)[:, None] * k
+    return np.bincount((classes + offset).ravel(), minlength=rows * k).reshape(rows, k)
+
+
+def _longest_run(blk: _Block, alpha: float) -> list:
+    if blk.n < 128:
         raise InsufficientLengthError("longest-run needs at least 128 bits")
-    m, lo, hi = _longest_run_tier(bits.size)
-    nblocks = bits.size // m
-    runs = kernels.longest_one_run(bits[: nblocks * m].reshape(nblocks, m))
-    clipped = np.clip(runs, lo, hi)
-    counts = np.bincount(clipped - lo, minlength=hi - lo + 1)
+    m, lo, hi = _longest_run_tier(blk.n)
+    nblocks = blk.n // m
+    blocks = blk.bits[:, : nblocks * m].reshape(blk.rows * nblocks, m)
+    runs = kernels.longest_one_run(blocks).reshape(blk.rows, nblocks)
+    counts = _class_counts(np.clip(runs, lo, hi) - lo, hi - lo + 1)
     probs = np.array(_longest_run_class_probs(m, lo, hi))
     expected = nblocks * probs
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    chi2 = np.sum((counts - expected) ** 2 / expected, axis=1)
     k = hi - lo  # degrees of freedom: class count - 1
     p = gammaincc(k / 2.0, chi2 / 2.0)
-    return _result("longest-run", p, alpha, chi2)
+    return _results("longest-run", p, alpha, chi2)
+
+
+def longest_run_test(seq, alpha: float = ALPHA_DEFAULT, fixture_mode: bool = False):
+    return _single("longest-run", seq, fixture_mode, _longest_run, alpha)
 
 
 @lru_cache(maxsize=1)
@@ -289,49 +380,105 @@ def _rank_class_probs() -> tuple:
     return full, minus1, 1.0 - full - minus1
 
 
-def rank_test(seq, alpha: float = ALPHA_DEFAULT, fixture_mode: bool = False):
-    bits = as_bits(seq)
-    _require_length("rank", bits.size, fixture_mode)
-    nmat = bits.size // 1024
+def _rank(blk: _Block, alpha: float) -> list:
+    nmat = blk.n // 1024
     if nmat < 1:
         raise InsufficientLengthError("rank needs at least one 32x32 matrix")
-    mats = bits[: nmat * 1024].reshape(nmat, 32, 32)
-    packed8 = np.packbits(mats, axis=-1, bitorder="little")  # (nmat, 32, 4)
-    rows = np.ascontiguousarray(packed8).view(np.uint32)[..., 0].astype(np.uint64)
-    ranks = kernels.gf2_rank32(rows)
-    counts = np.array(
-        [int((ranks == 32).sum()), int((ranks == 31).sum()), int((ranks <= 30).sum())]
-    )
-    probs = np.array(_rank_class_probs())
-    expected = nmat * probs
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    mats = blk.bits[:, : nmat * 1024].reshape(blk.rows * nmat, 32, 32)
+    packed8 = np.packbits(mats, axis=-1, bitorder="little")  # (.., 32, 4)
+    rows = np.ascontiguousarray(packed8).view(np.uint32)[..., 0]
+    ranks = kernels.gf2_rank32(rows).reshape(blk.rows, nmat)
+    # classes: 0 = rank 32, 1 = rank 31, 2 = rank <= 30
+    counts = _class_counts(np.minimum(32 - ranks, 2), 3)
+    expected = nmat * np.array(_rank_class_probs())
+    chi2 = np.sum((counts - expected) ** 2 / expected, axis=1)
     p = gammaincc(1.0, chi2 / 2.0)
-    return _result("rank", p, alpha, chi2)
+    return _results("rank", p, alpha, chi2)
+
+
+def rank_test(seq, alpha: float = ALPHA_DEFAULT, fixture_mode: bool = False):
+    return _single("rank", seq, fixture_mode, _rank, alpha)
+
+
+def _dft(blk: _Block, alpha: float) -> list:
+    n = blk.n
+    x = 2.0 * blk.bits - 1.0
+    # bins 1..n/2-1: DC excluded (bin 0 is the bit-count imbalance, the
+    # frequency test's statistic); expected count stays 0.95 * n/2
+    magnitudes = np.abs(np.fft.rfft(x, axis=-1))[:, 1 : n // 2]
+    threshold = math.sqrt(n * math.log(1.0 / 0.05))
+    n0 = 0.95 * n / 2.0
+    n1 = np.count_nonzero(magnitudes < threshold, axis=1)
+    d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
+    p = erfc(np.abs(d) / math.sqrt(2.0))
+    return _results("dft", p, alpha, d)
 
 
 def dft_test(seq, alpha: float = ALPHA_DEFAULT, fixture_mode: bool = False):
-    bits = as_bits(seq)
-    _require_length("dft", bits.size, fixture_mode)
-    n = bits.size
-    x = 2.0 * bits - 1.0
-    # bins 1..n/2-1: DC excluded (bin 0 is the bit-count imbalance, the
-    # frequency test's statistic); expected count stays 0.95 * n/2
-    magnitudes = np.abs(np.fft.rfft(x))[1 : n // 2]
-    threshold = math.sqrt(n * math.log(1.0 / 0.05))
-    n0 = 0.95 * n / 2.0
-    n1 = int(np.count_nonzero(magnitudes < threshold))
-    d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
-    p = erfc(abs(d) / math.sqrt(2.0))
-    return _result("dft", p, alpha, d)
+    return _single("dft", seq, fixture_mode, _dft, alpha)
 
 
 # ---------------------------------------------------------------------------
 # suite plumbing
 
+# each test's core, called as core(block, alpha, block_size, fixture_mode)
+_CORES = {
+    "frequency": lambda blk, a, m, fx: _frequency(blk, a),
+    "block-frequency": _block_frequency,
+    "cumulative-sums-forward": lambda blk, a, m, fx: _cumulative_sums(blk, a, "forward"),
+    "cumulative-sums-backward": lambda blk, a, m, fx: _cumulative_sums(blk, a, "backward"),
+    "runs": lambda blk, a, m, fx: _runs(blk, a),
+    "longest-run": lambda blk, a, m, fx: _longest_run(blk, a),
+    "rank": lambda blk, a, m, fx: _rank(blk, a),
+    "dft": lambda blk, a, m, fx: _dft(blk, a),
+}
+
+# bits per block of rows; bounds the per-block walk and spectrum buffers
+_BLOCK_BITS = 1 << 18
+
+
 def check_test_names(tests: Sequence[str]) -> None:
     unknown = set(tests) - set(TEST_NAMES)
     if unknown:
         raise InvalidArgumentError(f"unknown tests: {sorted(unknown)}")
+
+
+def run_suite_block(
+    block,
+    alpha: float = ALPHA_DEFAULT,
+    tests: Optional[Sequence[str]] = None,
+    block_size: Optional[int] = None,
+    fixture_mode: bool = False,
+) -> list:
+    """Run the battery on every row of a (sequences, n) 0/1 block; returns
+    one {test name: TestResult} dict per row, keys in TEST_NAMES order.
+
+    With tests=None, every test whose minimum length fits n is run. Naming
+    a test explicitly makes its length requirement a hard error instead.
+    Rows are processed in blocks of at most max(1, 2**18 // n) rows, so
+    the shared intermediates stay bounded whatever the row count.
+    """
+    bits = np.ascontiguousarray(block, dtype=np.uint8)
+    if bits.ndim != 2:
+        raise InvalidArgumentError("sequence block must be two-dimensional")
+    _check_binary(bits)
+    n = bits.shape[1]
+    if tests is None:
+        selected = [t for t in TEST_NAMES if n >= _MIN_LENGTH[t]]
+    else:
+        check_test_names(tests)
+        selected = [t for t in TEST_NAMES if t in tests]
+        for name in selected:
+            _require_length(name, n, fixture_mode)
+    step = max(1, _BLOCK_BITS // max(n, 1))
+    out = []
+    for r0 in range(0, bits.shape[0], step):
+        blk = _Block(bits[r0 : r0 + step])
+        columns = [_CORES[name](blk, alpha, block_size, fixture_mode)
+                   for name in selected]
+        out.extend({name: col[i] for name, col in zip(selected, columns)}
+                   for i in range(blk.rows))
+    return out
 
 
 def run_suite(
@@ -343,35 +490,10 @@ def run_suite(
 ) -> dict:
     """Run the battery on one sequence; returns {test name: TestResult}.
 
-    With tests=None, every test whose minimum length fits the sequence is
-    run. Naming a test explicitly makes its length requirement a hard
-    error instead.
+    The single-row form of run_suite_block, with the same test selection.
     """
-    bits = as_bits(seq)
-    if tests is None:
-        selected = [t for t in TEST_NAMES if bits.size >= _MIN_LENGTH[t]]
-    else:
-        check_test_names(tests)
-        selected = list(tests)
-    out = {}
-    for name in selected:
-        if name == "frequency":
-            out[name] = frequency_test(bits, alpha, fixture_mode)
-        elif name == "block-frequency":
-            out[name] = block_frequency_test(bits, block_size, alpha, fixture_mode)
-        elif name == "cumulative-sums-forward":
-            out[name] = cumulative_sums_test(bits, "forward", alpha, fixture_mode)
-        elif name == "cumulative-sums-backward":
-            out[name] = cumulative_sums_test(bits, "backward", alpha, fixture_mode)
-        elif name == "runs":
-            out[name] = runs_test(bits, alpha, fixture_mode)
-        elif name == "longest-run":
-            out[name] = longest_run_test(bits, alpha, fixture_mode)
-        elif name == "rank":
-            out[name] = rank_test(bits, alpha, fixture_mode)
-        elif name == "dft":
-            out[name] = dft_test(bits, alpha, fixture_mode)
-    return out
+    return run_suite_block(as_bits(seq)[None], alpha, tests, block_size,
+                           fixture_mode)[0]
 
 
 @dataclass(frozen=True)
@@ -434,8 +556,9 @@ def read_ascii_sequences(path) -> list:
     return out
 
 
-def read_packed_sequences(path, nbits: int) -> list:
-    """Raw little-bit-order packed bytes, fixed nbits per sequence."""
+def read_packed_sequences(path, nbits: int) -> np.ndarray:
+    """Raw little-bit-order packed bytes, fixed nbits per sequence; returns
+    a (sequences, nbits) array whose rows are the sequences."""
     if nbits <= 0:
         raise InvalidArgumentError("nbits must be positive")
     per_seq = (nbits + 7) // 8
@@ -445,11 +568,8 @@ def read_packed_sequences(path, nbits: int) -> list:
         raise InvalidArgumentError(
             f"file size {len(raw)} is not a multiple of {per_seq} bytes"
         )
-    out = []
-    for off in range(0, len(raw), per_seq):
-        chunk = np.frombuffer(raw[off : off + per_seq], dtype=np.uint8)
-        out.append(np.unpackbits(chunk, bitorder="little")[:nbits])
-    return out
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(-1, per_seq)
+    return np.unpackbits(packed, axis=1, bitorder="little")[:, :nbits]
 
 
 def results_csv_rows(per_sequence: Sequence[dict]):

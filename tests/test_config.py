@@ -42,6 +42,10 @@ def test_round_trip_equality():
     config = _sample_config()
     assert parse(serialize(config)) == config
     assert from_dict(json.loads(json.dumps(to_dict(config)))) == config
+    # an empty test list (run no battery test) is not None (run every test)
+    for tests in ((), None, ("runs",)):
+        config = dataclasses.replace(preset("d2"), nist_tests=tests).validate()
+        assert parse(serialize(config)) == config
 
 
 def test_save_load_round_trip(tmp_path):

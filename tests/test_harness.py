@@ -220,6 +220,37 @@ def test_randomness_modes(tmp_path):
     assert "aggregate" not in payload
 
 
+def test_randomness_block_size_does_not_change_results(tmp_path, monkeypatch):
+    from pufsim import randomness
+
+    config = _config(num_devices=30, cells_per_device=512, nist_tests=None,
+                     masking_enabled=False)
+    outputs = []
+    # blocks of 1 row, 7 rows (the last one partial) and all rows
+    for rows in (1, 7, 30):
+        monkeypatch.setattr(randomness, "_BLOCK_BITS", rows * 512)
+        out = tmp_path / str(rows)
+        run_experiment(config, out_dir=str(out))
+        outputs.append(((out / "nist.csv").read_bytes(),
+                        (out / "nist.json").read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_cli_nist_ascii_mixed_lengths(tmp_path):
+    from pufsim.harness import _write_nist_csv
+    from pufsim.randomness import run_suite
+
+    rng = np.random.default_rng(3)
+    seqs = [rng.integers(0, 2, size=n, dtype=np.uint8)
+            for n in (200, 150, 200, 1100, 150, 200)]
+    path = tmp_path / "seqs.txt"
+    path.write_text("".join("".join(map(str, s)) + "\n" for s in seqs))
+    out = tmp_path / "out"
+    assert main(["nist", str(path), "--format", "ascii", "--out", str(out)]) == 0
+    _write_nist_csv(tmp_path / "want.csv", [run_suite(s) for s in seqs])
+    assert (out / "nist.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_compare_runs(tmp_path):
     _, a = run_experiment(_config(), out_dir=str(tmp_path / "a"))
     _, b = run_experiment(_config(), out_dir=str(tmp_path / "b"), seed=99)

@@ -107,17 +107,33 @@ def test_gf2_rank_known_matrices():
 
 def test_gf2_rank_matches_brute_force():
     rng = np.random.default_rng(42)
-    mats = rng.integers(0, 2, size=(50, 32, 32), dtype=np.uint8)
-    rows = np.stack([_pack_rows(m) for m in mats])
-    got = kernels.gf2_rank32(rows)
+    full = rng.integers(0, 2, size=(50, 32, 32))
+    # a 32 x r times r x 32 product has rank at most r
+    low = [rng.integers(0, 2, size=(32, r)) @ rng.integers(0, 2, size=(r, 32)) % 2
+           for r in range(33) for _ in range(2)]
+    mats = np.concatenate([full, np.stack(low)]).astype(np.uint8)
     want = [_brute_rank(m) for m in mats]
-    assert got.tolist() == want
+    for dtype in (np.uint32, np.uint64):
+        rows = np.stack([_pack_rows(m) for m in mats]).astype(dtype)
+        before = rows.copy()
+        assert kernels.gf2_rank32(rows).tolist() == want
+        assert kernels.gf2_rank32(rows[:1]).tolist() == want[:1]
+        assert np.array_equal(rows, before)  # input left untouched
 
 
-@pytest.mark.parametrize("m", [1, 8, 128, 129])
+@pytest.mark.parametrize("m", [1, 8, 128, 129, 10000])
 def test_longest_one_run_matches_brute_force(m):
     rng = np.random.default_rng(m)
     blocks = rng.integers(0, 2, size=(40, m), dtype=np.uint8)
+    # runs touching block edges, next to blocks whose runs touch theirs
+    k = max(1, m // 3)
+    blocks[0] = 1
+    blocks[1] = 0
+    blocks[2, -k:] = 1
+    blocks[3, :k] = 1
+    blocks[4, :k] = 1
+    blocks[4, -k:] = 1
+    blocks[5] = 1
     got = kernels.longest_one_run(blocks)
     assert got.tolist() == [_brute_longest(row) for row in blocks]
 

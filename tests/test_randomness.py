@@ -8,6 +8,7 @@ inputs must fail hard, near-ideal inputs must score high, and simulator
 output at realistic scale must pass.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from pufsim.randomness import (
     read_ascii_sequences,
     read_packed_sequences,
     run_suite,
+    run_suite_block,
     runs_test,
     uniformity_p,
     _rank_class_probs,
@@ -134,12 +136,36 @@ def test_cumulative_sums_directions_differ():
     assert rev.p_value == f.p_value
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 100])
+def test_cumulative_sums_statistics_match_reversed_walk(n):
+    if n <= 3:
+        block = np.array(list(itertools.product([0, 1], repeat=n)), dtype=np.uint8)
+    else:
+        rng = np.random.default_rng(n)
+        block = np.concatenate([rng.integers(0, 2, size=(30, n), dtype=np.uint8),
+                                np.zeros((1, n), np.uint8), np.ones((1, n), np.uint8)])
+    names = ("cumulative-sums-forward", "cumulative-sums-backward")
+    results = run_suite_block(block, tests=names, fixture_mode=True)
+    for bits, res in zip(block, results):
+        x = 2 * bits.astype(np.int64) - 1
+        want_f = int(np.max(np.abs(np.cumsum(x))))
+        want_b = int(np.max(np.abs(np.cumsum(x[::-1]))))
+        assert res[names[0]].statistic == want_f
+        assert res[names[1]].statistic == want_b
+        assert cumulative_sums_test(bits, "backward", fixture_mode=True) == res[names[1]]
+
+
 def test_runs_degenerate():
     ones = np.ones(1000, dtype=np.uint8)
     r = runs_test(ones)
     assert r.p_value == 0.0 and not r.passed  # prerequisite fails
     alt = np.tile([0, 1], 500).astype(np.uint8)
     assert runs_test(alt).p_value < 1e-6  # maximal run count
+    # below 16 bits the prerequisite bound exceeds 1/2: a constant row
+    # must still fail it rather than divide by pi * (1 - pi) = 0
+    for short in ("1", "0000", "111111111111111"):
+        r = runs_test(short, fixture_mode=True)
+        assert r.p_value == 0.0 and math.isnan(r.statistic)
 
 
 def test_longest_run_degenerate_and_near_expected():
@@ -214,6 +240,38 @@ def test_determinism():
         assert a[name].p_values == b[name].p_values
 
 
+def _same_result(a: TestResult, b: TestResult) -> bool:
+    # repr keeps a nan statistic (failed runs prerequisite) comparable
+    return repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("n", [128, 1016, 39000])
+def test_run_suite_block_rows_equal_run_suite(n):
+    rng = np.random.default_rng(n)
+    block = np.concatenate([
+        rng.integers(0, 2, size=(9, n), dtype=np.uint8),
+        (rng.random((2, n)) < 0.6).astype(np.uint8),
+        np.zeros((1, n), np.uint8),
+        np.ones((1, n), np.uint8),
+    ])
+    results = run_suite_block(block)
+    assert len(results) == len(block)
+    for bits, res in zip(block, results):
+        single = run_suite(bits)
+        assert tuple(res) == tuple(single)
+        assert tuple(res) == tuple(t for t in TEST_NAMES if t in res)
+        assert all(_same_result(res[t], single[t]) for t in res)
+    # keys follow TEST_NAMES whatever order the tests are named in
+    named = run_suite_block(block[:2], tests=("runs", "frequency"))
+    assert [tuple(r) for r in named] == [("frequency", "runs")] * 2
+    assert run_suite_block(block[:0]) == []
+    assert run_suite_block(block[:3], tests=()) == [{}, {}, {}]
+    with pytest.raises(InvalidArgumentError):
+        run_suite_block(block[0])
+    with pytest.raises(InvalidArgumentError):
+        run_suite_block(block * 2)
+
+
 def test_run_suite_selection_by_length():
     bits = np.random.default_rng(9).integers(0, 2, size=100, dtype=np.uint8)
     out = run_suite(bits)
@@ -231,6 +289,8 @@ def test_min_length_errors():
                block_frequency_test, cumulative_sums_test, longest_run_test):
         with pytest.raises(InsufficientLengthError):
             fn(short)
+        with pytest.raises(InsufficientLengthError):
+            fn("", fixture_mode=True)
 
 
 def test_passed_threshold_is_inclusive():
@@ -314,6 +374,15 @@ def test_as_bits_validation():
         as_bits(np.array([[0, 1], [1, 0]], dtype=np.uint8))
     with pytest.raises(InvalidArgumentError):
         as_bits(np.array([0, 2], dtype=np.uint8))
+    # a string may hold only '0' and '1'
+    assert as_bits("0110").tolist() == [0, 1, 1, 0]
+    for bad in ("0123abc", "10 1", "1/0", "2" * 200, "01\u00e9"):
+        with pytest.raises(InvalidArgumentError):
+            as_bits(bad)
+    with pytest.raises(InvalidArgumentError):
+        frequency_test("2" * 200)
+    with pytest.raises(InvalidArgumentError):
+        BitSequence.from_string("0a1")
 
 
 def test_ascii_io(tmp_path):
@@ -334,6 +403,10 @@ def test_packed_io(tmp_path):
         for row in rows:
             fh.write(np.packbits(row, bitorder="little").tobytes())
     seqs = read_packed_sequences(path, 20)
-    assert np.array_equal(np.stack(seqs), rows)
+    assert seqs.shape == (3, 20)
+    assert np.array_equal(seqs, rows)
+    assert [s.tolist() for s in seqs] == rows.tolist()
     with pytest.raises(InvalidArgumentError):
         read_packed_sequences(path, 25)  # 4 bytes/seq does not divide 9
+    path.write_bytes(b"")
+    assert read_packed_sequences(path, 20).shape == (0, 20)
