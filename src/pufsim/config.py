@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .entropy import EnvironmentCondition, NoiseCalibration
 from .errors import InvalidArgumentError, InvalidSpecError
 from .metrics import check_bucket_width
@@ -87,28 +88,20 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(
-            self,
-            "temperature_anchors",
-            tuple((float(a), float(b)) for a, b in self.temperature_anchors),
-        )
-        object.__setattr__(
-            self,
-            "voltage_anchors",
-            tuple((float(a), float(b)) for a, b in self.voltage_anchors),
-        )
-        object.__setattr__(self, "sessions", tuple(self.sessions))
+        def floats(values):
+            return tuple(float(v) for v in values)
+
+        def pairs(values):
+            return tuple((float(a), float(b)) for a, b in values)
+
+        for name, normalize in (
+            ("weights", floats), ("temperature_anchors", pairs),
+            ("voltage_anchors", pairs), ("sessions", tuple),
+            ("sweep_temperatures", floats), ("sweep_voltages", floats),
+        ):
+            object.__setattr__(self, name, normalize(getattr(self, name)))
         if self.nist_tests is not None:
             object.__setattr__(self, "nist_tests", tuple(self.nist_tests))
-        object.__setattr__(
-            self,
-            "sweep_temperatures",
-            tuple(float(t) for t in self.sweep_temperatures),
-        )
-        object.__setattr__(
-            self, "sweep_voltages", tuple(float(v) for v in self.sweep_voltages)
-        )
 
     # -- builders ----------------------------------------------------------
 
@@ -117,7 +110,7 @@ class ExperimentConfig:
             if self.placement in BUILTIN_PLACEMENTS:
                 return builtin_placement(self.placement)
             if self.placement == "single-region":
-                w, h = _near_square(self.cells_per_device)
+                w, h = near_square(self.cells_per_device)
                 return PlacementConfig("single-region", w, h,
                                        (0,) * self.cells_per_device, ())
             raise InvalidSpecError(f"unknown placement {self.placement!r}")
@@ -219,7 +212,8 @@ def _stage_bound(setting: str, check, *args) -> None:
         raise InvalidSpecError(f"{setting}: {exc}") from None
 
 
-def _near_square(n: int) -> tuple:
+def near_square(n: int) -> tuple:
+    """Grid (w, h) with w * h == n and w the largest divisor <= sqrt(n)."""
     w = int(math.isqrt(n))
     while n % w:
         w -= 1
@@ -283,7 +277,7 @@ def load(path) -> ExperimentConfig:
 
 
 def save(config: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
+    with write_atomic(path) as fh:
         fh.write(serialize(config) + "\n")
 
 

@@ -1,12 +1,13 @@
 """End-to-end experiment orchestration: generate, readout, enroll, mask,
 metrics, sweep, randomness battery, and the run manifest.
 
-Every stage writes its artifacts before the next stage starts, so a late
-failure never corrupts earlier outputs; the manifest then carries an
-"incomplete" status plus the failing stage. All stage seeds derive from
-the config's master seed, which makes outputs independent of the thread
-count; machine-readable files keep full precision while the human report
-rounds to 6 significant digits.
+Every stage writes its artifacts before the next stage starts, and each
+file is written under a temporary name and then renamed into place, so a
+late failure never corrupts earlier outputs, not even within a file; the
+manifest then carries an "incomplete" status plus the failing stage. All
+stage seeds derive from the config's master seed, which makes outputs
+independent of the thread count; machine-readable files keep full
+precision while the human report rounds to 6 significant digits.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import hashlib
 import json
 import math
 import os
-import struct
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
@@ -23,9 +23,12 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, SessionConfig, config_digest, to_dict
+from .artifacts import read_container, write_atomic, write_container
+from .config import ExperimentConfig, SessionConfig, config_digest, near_square
+from .config import save as save_config
 from .entropy import EnvironmentCondition
 from .errors import InvalidArgumentError, StageError
+from .kernels import unpack_bits
 from .metrics import (
     hd_histogram_from_counts,
     inter_hd,
@@ -53,6 +56,7 @@ from .signature import (
     ReadoutSession,
     SignatureSet,
     apply_mask,
+    count_dtype,
     eliminate_biased_positions,
     enroll_golden,
     read_signatures,
@@ -61,7 +65,11 @@ from .signature import (
 OUTPUT_DIR_ENV = "PUFSIM_OUT_DIR"
 
 _POP_MAGIC = b"PUFP"
+_POP_VERSION = 2
+_POP_HEADER = "<HI"  # version, meta length
 _GOLD_MAGIC = b"PUFG"
+_GOLD_VERSION = 2
+_GOLD_HEADER = "<HHIII"  # as signatures: version, flags (0), devices, trials, n
 
 
 def default_output_dir() -> str:
@@ -92,74 +100,14 @@ def save_population(path, population: DevicePopulation) -> None:
     meta["bias_map"] = [[r, c, v] for (r, c), v in (spec.bias_map or {}).items()] or None
     meta["mismatch_sha256"] = _mismatch_digest(population)
     blob = json.dumps(meta, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_POP_MAGIC)
-        fh.write(struct.pack("<HI", 2, len(blob)))
-        fh.write(blob)
-
-
-def _read_exact(fh, count: int, path) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise InvalidArgumentError(
-            f"{path}: truncated, expected at least "
-            f"{fh.tell() - len(data) + count} bytes, found {fh.tell()}"
-        )
-    return data
-
-
-def _check_end(fh, path) -> None:
-    size = os.fstat(fh.fileno()).st_size
-    if fh.tell() != size:
-        raise InvalidArgumentError(
-            f"{path}: headers declare {fh.tell()} bytes, found {size}"
-        )
-
-
-def _load_arrays(fh, path, count: int) -> list:
-    """Read `count` consecutive .npy arrays, checking each payload length
-    against its array header and that nothing follows the last one."""
-    size = os.fstat(fh.fileno()).st_size
-    arrays = []
-    for _ in range(count):
-        start = fh.tell()
-        try:
-            version = np.lib.format.read_magic(fh)
-            read_header = (
-                np.lib.format.read_array_header_1_0
-                if version == (1, 0)
-                else np.lib.format.read_array_header_2_0
-            )
-            shape, _, dtype = read_header(fh)
-        except ValueError as exc:
-            raise InvalidArgumentError(
-                f"{path}: unreadable array header at byte {start} ({exc}), "
-                f"found {size} bytes"
-            ) from exc
-        end = fh.tell() + math.prod(shape) * dtype.itemsize
-        if end > size:
-            raise InvalidArgumentError(
-                f"{path}: truncated, expected at least {end} bytes, found {size}"
-            )
-        fh.seek(start)
-        arrays.append(np.load(fh))
-    _check_end(fh, path)
-    return arrays
+    write_container(path, _POP_MAGIC, _POP_HEADER, (_POP_VERSION, len(blob)), blob)
 
 
 def load_population(path) -> DevicePopulation:
     """Regenerate the population a snapshot describes, and check that the
     generator still reproduces the mismatch it was saved with."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _POP_MAGIC:
-            raise InvalidArgumentError(f"not a population snapshot: {path}")
-        version, size = struct.unpack("<HI", _read_exact(fh, 6, path))
-        if version != 2:
-            raise InvalidArgumentError(
-                f"{path}: unsupported population version {version} (expected 2)"
-            )
-        blob = _read_exact(fh, size, path)
-        _check_end(fh, path)
+    _, blob = read_container(path, _POP_MAGIC, _POP_VERSION, _POP_HEADER,
+                             lambda _, size: size)
     try:
         meta = json.loads(blob)
         digest = meta.pop("mismatch_sha256")
@@ -180,44 +128,56 @@ def load_population(path) -> DevicePopulation:
     return population
 
 
+def _golden_size(_version, _flags, d, t, n) -> int:
+    counts = d * n * count_dtype(t).itemsize if t > 1 else 0
+    return d * ((n + 7) // 8) + counts
+
+
 def save_golden(path, golden: GoldenSignature) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_GOLD_MAGIC)
-        fh.write(struct.pack("<H", 1))
-        np.save(fh, golden.bits)
-        np.save(fh, golden.stability)
+    """Golden v2: the packed bits, one row per device, then the agreement
+    counts; with one trial every count is 1 and none is stored."""
+    d, n = golden.bits.shape
+    t = golden.trials
+    parts = [np.packbits(golden.bits, axis=-1, bitorder="little")]
+    if t > 1:
+        parts.append(np.ascontiguousarray(golden.counts, dtype=count_dtype(t)))
+    write_container(path, _GOLD_MAGIC, _GOLD_HEADER, (_GOLD_VERSION, 0, d, t, n),
+                    *parts)
 
 
 def load_golden(path) -> GoldenSignature:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _GOLD_MAGIC:
-            raise InvalidArgumentError(f"not a golden snapshot: {path}")
-        (version,) = struct.unpack("<H", _read_exact(fh, 2, path))
-        if version != 1:
-            raise InvalidArgumentError(f"unsupported golden version {version}")
-        bits, stability = _load_arrays(fh, path, 2)
-    return GoldenSignature(bits=bits, stability=stability)
+    (_, _, d, t, n), payload = read_container(
+        path, _GOLD_MAGIC, _GOLD_VERSION, _GOLD_HEADER, _golden_size
+    )
+    nbytes = (n + 7) // 8
+    packed = np.frombuffer(payload, dtype=np.uint8, count=d * nbytes)
+    counts = (np.frombuffer(payload, count_dtype(t), offset=d * nbytes).reshape(d, n)
+              if t > 1 else np.ones((d, n), dtype=np.uint8))
+    try:
+        return GoldenSignature(unpack_bits(packed.reshape(d, nbytes), n), counts, t)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from None
+
+
+def _write_text(path, text: str) -> None:
+    with write_atomic(path) as fh:
+        fh.write(text)
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
+    with write_atomic(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_mask(path, mask: np.ndarray) -> None:
-    _write_json(
-        path,
-        {
-            "kept": int(mask.sum()),
-            "eliminated": int((1 - mask).sum()),
-            "mask": "".join("1" if b else "0" for b in mask),
-        },
-    )
+    kept = int(mask.sum())
+    _write_json(path, {"kept": kept, "eliminated": mask.size - kept,
+                       "mask": "".join("1" if b else "0" for b in mask)})
 
 
 def _write_nist_csv(path, per_seq) -> None:
-    with open(path, "w") as fh:
+    with write_atomic(path) as fh:
         fh.write("sequence,test,p_value,passed\n")
         for idx, name, p, passed in results_csv_rows(per_seq):
             fh.write(f"{idx},{name},{p!r},{int(passed)}\n")
@@ -446,42 +406,38 @@ def run_experiment(
         _write_json(manifest_path, manifest.to_dict())
         return manifest, manifest_path
 
+    def emit(name: str, filename: str, write, *args) -> None:
+        """Write one artifact as write(path, *args) and record it."""
+        path = os.path.join(root, filename)
+        write(path, *args)
+        manifest.add(name, path, root)
+
     stage = "configure"
     try:
-        path = os.path.join(root, "config.json")
-        with open(path, "w") as fh:
-            fh.write(json.dumps(to_dict(config), indent=2, sort_keys=True) + "\n")
-        manifest.add("config", path, root)
+        emit("config", "config.json", lambda path: save_config(config, path))
 
         stage = "generate"
         t0 = time.perf_counter()
         population = generate_population(config.build_population_spec())
-        path = os.path.join(root, "population.bin")
-        save_population(path, population)
-        manifest.add("population", path, root)
+        emit("population", "population.bin", save_population, population)
         manifest.timings[stage] = time.perf_counter() - t0
 
         stage = "readout"
         t0 = time.perf_counter()
         sessions_sigs = {}
         for idx, session_cfg in enumerate(config.sessions):
+            name = f"signatures_{session_cfg.name}"
             sigs = _session_readout(config, population, session_cfg, idx, threads)
             sessions_sigs[session_cfg.name] = sigs
-            path = os.path.join(root, f"signatures_{session_cfg.name}.bin")
-            sigs.to_binary(path)
-            manifest.add(f"signatures_{session_cfg.name}", path, root)
-            path = os.path.join(root, f"signatures_{session_cfg.name}.csv")
-            sigs.to_csv(path)
-            manifest.add(f"signatures_{session_cfg.name}_csv", path, root)
+            emit(name, f"{name}.bin", sigs.to_binary)
+            emit(f"{name}_csv", f"{name}.csv", sigs.to_csv)
         manifest.timings[stage] = time.perf_counter() - t0
 
         stage = "enroll"
         t0 = time.perf_counter()
         enroll_sigs = sessions_sigs[config.enroll_session]
         golden = enroll_golden(enroll_sigs)
-        path = os.path.join(root, "golden.bin")
-        save_golden(path, golden)
-        manifest.add("golden", path, root)
+        emit("golden", "golden.bin", save_golden, golden)
         manifest.timings[stage] = time.perf_counter() - t0
 
         mask = None
@@ -494,41 +450,28 @@ def run_experiment(
                 stability_threshold=config.stability_threshold,
                 golden=golden,
             )
-            path = os.path.join(root, "mask.json")
-            _write_mask(path, mask)
-            manifest.add("mask", path, root)
+            emit("mask", "mask.json", _write_mask, mask)
             manifest.timings[stage] = time.perf_counter() - t0
 
         stage = "metrics"
         t0 = time.perf_counter()
         payload = _metrics_payload(config, sessions_sigs, golden, mask)
-        path = os.path.join(root, "metrics.json")
-        _write_json(path, payload)
-        manifest.add("metrics", path, root)
-        path = os.path.join(root, "report.txt")
-        with open(path, "w") as fh:
-            fh.write(_human_report(payload))
-        manifest.add("report", path, root)
+        emit("metrics", "metrics.json", _write_json, payload)
+        emit("report", "report.txt", _write_text, _human_report(payload))
         manifest.timings[stage] = time.perf_counter() - t0
 
         stage = "sweep"
         t0 = time.perf_counter()
         sweep = sweep_payload(config, population, threads)
         if sweep is not None:
-            path = os.path.join(root, "sweep.json")
-            _write_json(path, sweep)
-            manifest.add("sweep", path, root)
+            emit("sweep", "sweep.json", _write_json, sweep)
         manifest.timings[stage] = time.perf_counter() - t0
 
         stage = "randomness"
         t0 = time.perf_counter()
         payload, per_seq = _randomness_payload(config, golden, mask)
-        path = os.path.join(root, "nist.json")
-        _write_json(path, payload)
-        manifest.add("nist", path, root)
-        path = os.path.join(root, "nist.csv")
-        _write_nist_csv(path, per_seq)
-        manifest.add("nist_csv", path, root)
+        emit("nist", "nist.json", _write_json, payload)
+        emit("nist_csv", "nist.csv", _write_nist_csv, per_seq)
         manifest.timings[stage] = time.perf_counter() - t0
     except Exception as exc:  # noqa: BLE001 - every stage error becomes diagnostic
         finish("incomplete", {"stage": stage, "message": str(exc)})
@@ -606,10 +549,7 @@ def unbiased_sequences(num_sequences: int, nbits: int, master_seed: int):
     """Yield noiseless power-up bit sequences of unbiased simulated
     devices (pure local mismatch), one device per sequence, without
     materializing the whole population."""
-    w = int(math.isqrt(nbits))
-    while nbits % w:
-        w -= 1
-    placement = PlacementConfig("stream", w, nbits // w, (0,) * nbits, ())
+    placement = PlacementConfig("stream", *near_square(nbits), (0,) * nbits, ())
     spec = PopulationSpec(
         num_devices=num_sequences,
         cells_per_device=nbits,

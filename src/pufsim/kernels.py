@@ -6,11 +6,27 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
 # bit packing helpers
+
+def check_bits(values, what: str = "bits") -> np.ndarray:
+    """values as a uint8 array, refusing anything but exact 0/1 values:
+    uint8 and bool input costs one max(), other input is compared before
+    the cast, so 256 or 0.5 cannot wrap or truncate into a bit."""
+    arr = np.asarray(values)
+    if arr.dtype in (np.uint8, np.bool_):
+        ok = not arr.size or arr.max() <= 1
+    else:
+        ok = np.all((arr == 0) | (arr == 1))
+    if not ok:
+        raise InvalidArgumentError(f"{what} must contain only 0/1 values")
+    return arr.astype(np.uint8, copy=False)
+
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack 0/1 values along the last axis into little-endian uint64 words.

@@ -38,13 +38,11 @@ from .signature import (
 
 
 def _as_bit_matrix(signatures) -> np.ndarray:
-    mat = np.asarray(signatures, dtype=np.uint8)
+    mat = kernels.check_bits(signatures, "signatures")
     if mat.ndim == 1:
         mat = mat[None, :]
     if mat.ndim != 2:
         raise InvalidArgumentError("signatures must be a (devices, n) bit array")
-    if mat.size and mat.max() > 1:
-        raise InvalidArgumentError("signatures must contain only 0/1 values")
     return mat
 
 
@@ -52,11 +50,9 @@ def _check_mask(mask: Optional[np.ndarray], n: int):
     """Validated 0/1 keep-mask (or None) and the effective length."""
     if mask is None:
         return None, n
-    mask = np.asarray(mask, dtype=np.uint8)
+    mask = kernels.check_bits(mask, "mask")
     if mask.shape != (n,):
         raise InvalidArgumentError("mask length must equal signature length")
-    if mask.size and mask.max() > 1:
-        raise InvalidArgumentError("mask must contain only 0/1 values")
     n_eff = int(mask.sum())
     if n_eff == 0:
         raise InvalidArgumentError("mask keeps zero positions")
@@ -110,7 +106,7 @@ def inter_hd_details(signatures, mask: Optional[np.ndarray] = None):
 def intra_hd(reference, rereads, mask: Optional[np.ndarray] = None) -> float:
     """Average distance of one device's re-reads to its reference, in
     percent of the (effective) signature length."""
-    ref = np.asarray(reference, dtype=np.uint8)
+    ref = kernels.check_bits(reference, "reference")
     reads = _as_bit_matrix(rereads)
     if reads.shape[0] < 1:
         raise InvalidArgumentError("intra-HD needs at least one re-read")

@@ -82,19 +82,12 @@ def as_bits(seq) -> np.ndarray:
     if isinstance(seq, BitSequence):
         return seq.bits
     if isinstance(seq, str):
-        arr = np.frombuffer(seq.encode(), dtype=np.uint8) - ord("0")
-    else:
-        arr = np.asarray(seq, dtype=np.uint8)
+        # characters other than '0' and '1' land above 1 after subtracting '0'
+        seq = np.frombuffer(seq.encode(), dtype=np.uint8) - ord("0")
+    arr = kernels.check_bits(seq, "bit sequence")
     if arr.ndim != 1:
         raise InvalidArgumentError("bit sequence must be one-dimensional")
-    _check_binary(arr)
     return arr
-
-
-def _check_binary(arr: np.ndarray) -> None:
-    # characters other than '0' and '1' land above 1 after subtracting '0'
-    if arr.size and arr.max() > 1:
-        raise InvalidArgumentError("bit sequence must contain only 0/1")
 
 
 @dataclass(frozen=True)
@@ -117,8 +110,7 @@ class BitSequence:
 
     @classmethod
     def from_packed(cls, raw: bytes, n: int) -> "BitSequence":
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return cls(bits[:n])
+        return cls(kernels.unpack_bits(np.frombuffer(raw, dtype=np.uint8), n))
 
     def to_packed(self) -> bytes:
         return np.packbits(self.bits, bitorder="little").tobytes()
@@ -458,10 +450,9 @@ def run_suite_block(
     Rows are processed in blocks of at most max(1, 2**18 // n) rows, so
     the shared intermediates stay bounded whatever the row count.
     """
-    bits = np.ascontiguousarray(block, dtype=np.uint8)
+    bits = np.ascontiguousarray(kernels.check_bits(block, "sequence block"))
     if bits.ndim != 2:
         raise InvalidArgumentError("sequence block must be two-dimensional")
-    _check_binary(bits)
     n = bits.shape[1]
     if tests is None:
         selected = [t for t in TEST_NAMES if n >= _MIN_LENGTH[t]]
@@ -544,16 +535,12 @@ def aggregate_suite(per_sequence: Sequence[dict], alpha: float = ALPHA_DEFAULT):
 
 def read_ascii_sequences(path) -> list:
     """One sequence per line of 0/1 characters; blank lines are skipped."""
-    out = []
     with open(path) as fh:
-        for line in fh:
-            line = "".join(line.split())
-            if not line:
-                continue
-            if set(line) - {"0", "1"}:
-                raise InvalidArgumentError(f"non-binary characters in {path}")
-            out.append(as_bits(line))
-    return out
+        lines = ["".join(line.split()) for line in fh]
+    try:
+        return [as_bits(line) for line in lines if line]
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from None
 
 
 def read_packed_sequences(path, nbits: int) -> np.ndarray:
@@ -569,7 +556,7 @@ def read_packed_sequences(path, nbits: int) -> np.ndarray:
             f"file size {len(raw)} is not a multiple of {per_seq} bytes"
         )
     packed = np.frombuffer(raw, dtype=np.uint8).reshape(-1, per_seq)
-    return np.unpackbits(packed, axis=1, bitorder="little")[:, :nbits]
+    return kernels.unpack_bits(packed, nbits)
 
 
 def results_csv_rows(per_sequence: Sequence[dict]):

@@ -35,8 +35,6 @@ and of the thread count.
 
 from __future__ import annotations
 
-import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -44,6 +42,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr
 
+from .artifacts import read_container, write_atomic, write_container
 from .entropy import (
     EnvironmentCondition,
     NoiseCalibration,
@@ -51,6 +50,7 @@ from .entropy import (
     noise_sigma_at,
 )
 from .errors import EmptySignatureError, InvalidArgumentError
+from .kernels import check_bits, unpack_bits
 from .population import DevicePopulation
 
 _TAG_READOUT = 5
@@ -61,6 +61,8 @@ _RANGE_VALUES = 1 << 15
 
 _MAGIC = b"PUFS"
 _VERSION = 1
+# version, flags (bit 0: a mask follows), devices, trials, positions
+_HEADER = "<HHIII"
 
 
 def _row_blocks(n: int) -> int:
@@ -124,22 +126,18 @@ class SignatureSet:
     """
 
     def __init__(self, bits: np.ndarray, mask: Optional[np.ndarray] = None):
-        bits = np.asarray(bits, dtype=np.uint8)
+        bits = check_bits(bits)
         if bits.ndim != 3:
             raise InvalidArgumentError("bits must be (devices, trials, positions)")
-        if bits.size and bits.max() > 1:
-            raise InvalidArgumentError("bits must contain only 0/1 values")
         self.bits = bits
         self.bits.setflags(write=False)
         self.mask = None
         if mask is not None:
-            mask = np.asarray(mask, dtype=np.uint8)
+            mask = check_bits(mask, "mask")
             if mask.shape != (bits.shape[2],):
                 raise InvalidArgumentError(
                     f"mask length {mask.shape} does not match n={bits.shape[2]}"
                 )
-            if mask.size and mask.max() > 1:
-                raise InvalidArgumentError("mask must contain only 0/1 values")
             if int(mask.sum()) == 0:
                 raise EmptySignatureError("mask keeps zero positions")
             self.mask = mask
@@ -169,47 +167,26 @@ class SignatureSet:
     # -- serialization -----------------------------------------------------
 
     def to_binary(self, path) -> None:
-        """Flat layout: header (device count, trials, n, mask) then
-        row-major packed bits, one row per (device, trial)."""
+        """Container layout: header (version, flags, device count, trials,
+        n), the packed mask when flags bit 0 is set, then row-major packed
+        bits, one row per (device, trial)."""
         d, t, n = self.bits.shape
         flags = 1 if self.mask is not None else 0
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<HHIII", _VERSION, flags, d, t, n))
-            if self.mask is not None:
-                fh.write(np.packbits(self.mask, bitorder="little").tobytes())
-            rows = self.bits.reshape(d * t, n)
-            fh.write(np.packbits(rows, axis=-1, bitorder="little").tobytes())
+        parts = [np.packbits(self.mask, bitorder="little")] if flags else []
+        rows = self.bits.reshape(d * t, n)
+        parts.append(np.packbits(rows, axis=-1, bitorder="little"))
+        write_container(path, _MAGIC, _HEADER, (_VERSION, flags, d, t, n), *parts)
 
     @classmethod
     def from_binary(cls, path) -> "SignatureSet":
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            magic = fh.read(4)
-            if magic != _MAGIC:
-                raise InvalidArgumentError(f"not a signature file: {path}")
-            header = fh.read(16)
-            if len(header) != 16:
-                raise InvalidArgumentError(
-                    f"{path}: truncated header, expected at least 20 bytes, "
-                    f"found {size}"
-                )
-            version, flags, d, t, n = struct.unpack("<HHIII", header)
-            if version != _VERSION:
-                raise InvalidArgumentError(f"unsupported signature version {version}")
-            nbytes = (n + 7) // 8
-            expected = 20 + (nbytes if flags & 1 else 0) + d * t * nbytes
-            if size != expected:
-                raise InvalidArgumentError(
-                    f"{path}: header declares {expected} bytes, found {size}"
-                )
-            mask = None
-            if flags & 1:
-                raw = np.frombuffer(fh.read(nbytes), dtype=np.uint8)
-                mask = np.unpackbits(raw, bitorder="little")[:n]
-            raw = np.frombuffer(fh.read(d * t * nbytes), dtype=np.uint8)
-            rows = np.unpackbits(raw.reshape(d * t, nbytes), axis=-1, bitorder="little")
-            return cls(rows[:, :n].reshape(d, t, n), mask)
+        (_, flags, d, t, n), payload = read_container(
+            path, _MAGIC, _VERSION, _HEADER,
+            lambda _, flags, d, t, n: ((flags & 1) + d * t) * ((n + 7) // 8),
+        )
+        has_mask = flags & 1
+        packed = np.frombuffer(payload, dtype=np.uint8)
+        rows = unpack_bits(packed.reshape(has_mask + d * t, (n + 7) // 8), n)
+        return cls(rows[has_mask:].reshape(d, t, n), rows[0] if has_mask else None)
 
     def to_csv(self, path) -> None:
         """One row per (device, trial); bits as a 0/1 character string."""
@@ -217,7 +194,7 @@ class SignatureSet:
         text = np.empty((d * t, n + 1), dtype=np.uint8)
         text[:, :n] = self.bits.reshape(d * t, n) + ord("0")
         text[:, n] = ord("\n")
-        with open(path, "wb") as fh:
+        with write_atomic(path, "wb") as fh:
             fh.write(b"device,trial,bits\n")
             for row, (dev, trial) in enumerate(np.ndindex(d, t)):
                 fh.write(b"%d,%d,%s" % (dev, trial, text[row].tobytes()))
@@ -225,14 +202,33 @@ class SignatureSet:
 
 @dataclass(frozen=True)
 class GoldenSignature:
-    """Per-device enrollment reference and per-position stability.
+    """Per-device enrollment reference and per-position agreement.
 
-    stability is the fraction of trials agreeing with the golden bit,
-    always in [0.5, 1.0] under the majority definition.
+    counts[device, position] is how many of the `trials` enrollment reads
+    agree with the golden bit, held in the smallest unsigned dtype that
+    holds `trials`; stability is counts / trials, always in [0.5, 1.0]
+    under the majority definition.
     """
 
     bits: np.ndarray  # (devices, n) uint8
-    stability: np.ndarray  # (devices, n) float64
+    counts: np.ndarray  # (devices, n) unsigned, <= trials
+    trials: int
+
+    def __post_init__(self):
+        check_trials(self.trials)
+        counts = self.counts
+        if counts.shape != self.bits.shape or counts.max(initial=0) > self.trials:
+            raise InvalidArgumentError("counts must match bits' shape and be <= trials")
+
+    @property
+    def stability(self) -> np.ndarray:
+        """Fraction of enrollment trials agreeing with the golden bit."""
+        return self.counts / self.trials
+
+
+def count_dtype(trials: int) -> np.dtype:
+    """Smallest little-endian unsigned dtype that holds `trials`."""
+    return np.min_scalar_type(trials).newbyteorder("<")
 
 
 def read_signatures(
@@ -286,10 +282,10 @@ def enroll_golden(sigs: SignatureSet) -> GoldenSignature:
     golden = np.where(
         counts * 2 > t, 1, np.where(counts * 2 == t, sigs.bits[:, 0, :], 0)
     ).astype(np.uint8)
-    agree = np.where(golden == 1, counts, t - counts) / t
+    agree = np.where(golden == 1, counts, t - counts).astype(count_dtype(t))
     golden.setflags(write=False)
     agree.setflags(write=False)
-    return GoldenSignature(bits=golden, stability=agree)
+    return GoldenSignature(bits=golden, counts=agree, trials=t)
 
 
 def check_mask_thresholds(bias_threshold: float, stability_threshold: float) -> None:

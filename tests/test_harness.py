@@ -1,6 +1,7 @@
 """End-to-end pipeline: artifact persistence, manifests, determinism,
 failure isolation, run comparison, and the command-line surface."""
 
+import io
 import json
 import os
 import struct
@@ -27,7 +28,13 @@ from pufsim.population import (
     generate_population,
     inject_position_bias,
 )
-from pufsim.signature import GoldenSignature, SignatureSet, read_signatures
+from pufsim.signature import (
+    GoldenSignature,
+    SignatureSet,
+    eliminate_biased_positions,
+    enroll_golden,
+    read_signatures,
+)
 
 
 def _config(**kw):
@@ -351,13 +358,65 @@ def test_golden_snapshot_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     golden = GoldenSignature(
         bits=rng.integers(0, 2, size=(4, 32), dtype=np.uint8),
-        stability=rng.random((4, 32)),
+        counts=rng.integers(3, 6, size=(4, 32), dtype=np.uint8),
+        trials=5,
     )
     path = tmp_path / "golden.bin"
     save_golden(path, golden)
     back = load_golden(path)
+    assert back.trials == 5
+    assert np.array_equal(back.bits, golden.bits)
+    assert np.array_equal(back.counts, golden.counts)
+    assert np.array_equal(back.stability, golden.stability)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 5, 255, 256])
+def test_golden_snapshot_round_trip_from_enrollment(tmp_path, trials):
+    # per-position flip rates from 0 to 0.5 give a spread of agreement
+    # counts, so the mask keeps some positions and drops others
+    d, n = 8, 24
+    rng = np.random.default_rng(trials)
+    base = rng.integers(0, 2, size=(d, 1, n), dtype=np.uint8)
+    flips = rng.random((d, trials, n)) < np.linspace(0.0, 0.5, n)
+    sigs = SignatureSet(base ^ flips)
+    golden = enroll_golden(sigs)
+    path = tmp_path / "golden.bin"
+    save_golden(path, golden)
+    itemsize = 1 if trials <= 255 else 2
+    counts_bytes = d * n * itemsize if trials > 1 else 0
+    assert path.stat().st_size == 20 + d * n // 8 + counts_bytes
+    back = load_golden(path)
+    assert back.counts.dtype == np.dtype(f"u{itemsize}")
     assert np.array_equal(back.bits, golden.bits)
     assert np.array_equal(back.stability, golden.stability)
+    assert np.array_equal(
+        eliminate_biased_positions(sigs, golden=back),
+        eliminate_biased_positions(sigs, golden=golden),
+    )
+
+
+def test_golden_snapshot_rejects_version_1(tmp_path):
+    # version 1 stored .npy arrays of bits and float64 stability
+    buf = io.BytesIO()
+    np.save(buf, np.ones((4, 32), dtype=np.uint8))
+    np.save(buf, np.full((4, 32), 0.75))
+    path = tmp_path / "golden.bin"
+    path.write_bytes(b"PUFG" + struct.pack("<H", 1) + buf.getvalue())
+    with pytest.raises(InvalidArgumentError) as err:
+        load_golden(path)
+    assert str(path) in str(err.value) and "version 1" in str(err.value)
+
+
+def test_golden_snapshot_rejects_impossible_counts(tmp_path):
+    header = b"PUFG" + struct.pack("<HHIII", 2, 0, 2, 3, 8)
+    path = tmp_path / "golden.bin"
+    # a count above the trial count, and a zero trial count
+    for data in (header + b"\x00\x00" + bytes([3] * 15 + [4]),
+                 header[:-12] + struct.pack("<III", 2, 0, 8) + b"\x00\x00"):
+        path.write_bytes(data)
+        with pytest.raises(InvalidArgumentError) as err:
+            load_golden(path)
+        assert str(path) in str(err.value)
 
 
 def test_snapshot_magic_rejected(tmp_path):
@@ -374,7 +433,7 @@ def _assert_bad_lengths_rejected(load, path):
     for bad, why in ((data[:-1], "truncated"),
                      (data[: len(data) // 2], ""),
                      (data[:5], "truncated"),
-                     (data + b"\x00", f"declare {len(data)} bytes")):
+                     (data + b"\x00", f"declares {len(data)} bytes")):
         path.write_bytes(bad)
         with pytest.raises(InvalidArgumentError) as err:
             load(path)
@@ -391,7 +450,7 @@ def test_population_snapshot_rejects_bad_length(tmp_path):
 
 def test_golden_snapshot_rejects_bad_length(tmp_path):
     golden = GoldenSignature(bits=np.ones((4, 32), dtype=np.uint8),
-                             stability=np.full((4, 32), 0.75))
+                             counts=np.full((4, 32), 3, dtype=np.uint8), trials=4)
     path = tmp_path / "golden.bin"
     save_golden(path, golden)
     _assert_bad_lengths_rejected(load_golden, path)

@@ -1,9 +1,14 @@
-"""Kernel correctness against brute-force oracles."""
+"""Kernel correctness against brute-force oracles, and the one 0/1 check
+behind every public entry that takes bits."""
 
 import numpy as np
 import pytest
 
 from pufsim import kernels
+from pufsim.errors import InvalidArgumentError
+from pufsim.metrics import inter_hd, intra_hd
+from pufsim.randomness import as_bits, run_suite_block
+from pufsim.signature import SignatureSet
 
 
 def _brute_pairwise(bits):
@@ -152,3 +157,41 @@ def test_dispatch_rejects_bad_shapes():
         kernels.gf2_rank32(np.zeros((4, 31), dtype=np.uint64))
     with pytest.raises(ValueError):
         kernels.longest_one_run(np.zeros(8, dtype=np.uint8))
+
+
+# every public entry that takes 0/1 values, fed a 1-D pair of values
+_BIT_ENTRIES = {
+    "as_bits": lambda v: as_bits(v),
+    "run_suite_block": lambda v: run_suite_block(np.tile(v, (1, 100))),
+    "SignatureSet bits": lambda v: SignatureSet(np.reshape(v, (1, 1, 2))),
+    "SignatureSet mask": lambda v: SignatureSet(np.zeros((1, 1, 2)), mask=v),
+    "inter_hd signatures": lambda v: inter_hd(np.stack([v, [0, 1]])),
+    "inter_hd mask": lambda v: inter_hd(np.zeros((2, 2)), mask=v),
+    "intra_hd reference": lambda v: intra_hd(v, [[0, 1]]),
+    "intra_hd rereads": lambda v: intra_hd([0, 1], [v]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_BIT_ENTRIES))
+@pytest.mark.parametrize("values", [
+    [0.5, 1],  # truncated to 0 by a uint8 cast
+    np.array([0.7, 1.2]),
+    np.array([256, 1]),  # wrapped to 0 by a uint8 cast
+    [0, -1],  # OverflowError from a uint8 cast
+    [0, 2],
+    [float("nan"), 1],
+    np.array([0, 2], dtype=np.uint8),
+])
+def test_non_binary_values_rejected(entry, values):
+    with pytest.raises(InvalidArgumentError):
+        _BIT_ENTRIES[entry](values)
+
+
+@pytest.mark.parametrize(
+    "values", [[0.0, 1.0], [False, True], np.array([0, 1], dtype=np.int64)]
+)
+def test_exact_binary_values_accepted(values):
+    got = kernels.check_bits(values)
+    assert got.dtype == np.uint8 and got.tolist() == [0, 1]
+    for entry in _BIT_ENTRIES.values():
+        entry(values)
