@@ -1,8 +1,9 @@
-"""Best-of-three wall time of the three public kernels on random inputs,
-of the packed intra-HD path (`metrics.mean_intra_hd`) at a session
-shape, with and without a position mask, and of the randomness battery:
-each test's batched core on an S x N block (shared intermediates built
-inside the timed call), `run_suite_block` on that block, and one
+"""Best-of-three wall time of the three public kernels on random inputs
+(the pairwise kernel at --devices x --bits and at the paper-sim shape,
+10000 x 64), of the packed intra-HD path (`metrics.mean_intra_hd`) at a
+session shape, with and without a position mask, and of the randomness
+battery: each test's batched core on an S x N block (shared intermediates
+built inside the timed call), `run_suite_block` on that block, and one
 single-sequence `run_suite` call.
 
 Run:  python3 benchmarks/bench_kernels.py --devices 2000 --bits 1024
@@ -16,6 +17,9 @@ import numpy as np
 from pufsim import kernels, randomness
 from pufsim.metrics import mean_intra_hd
 from pufsim.signature import SignatureSet, enroll_golden
+
+
+PAPER_SIM_SHAPE = (10000, 64)  # devices, bits
 
 
 def _time(label: str, fn, *args, repeat: int = 3) -> None:
@@ -44,9 +48,10 @@ def main() -> None:
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    bits = rng.integers(0, 2, size=(args.devices, args.bits), dtype=np.uint8)
-    _time(f"pairwise-hd {args.devices}x{args.bits}",
-          kernels.pairwise_hd_stats, kernels.pack_bits(bits), args.bits)
+    for d, n in ((args.devices, args.bits), PAPER_SIM_SHAPE):
+        bits = rng.integers(0, 2, size=(d, n), dtype=np.uint8)
+        _time(f"pairwise-hd {d}x{n}", kernels.pairwise_hd_stats,
+              kernels.pack_bits(bits), n)
     rows = rng.integers(0, 1 << 32, size=(args.matrices, 32), dtype=np.uint64)
     _time(f"gf2-rank32 {args.matrices} mats", kernels.gf2_rank32, rows)
     blocks = rng.integers(0, 2, size=(args.blocks, args.block_size), dtype=np.uint8)

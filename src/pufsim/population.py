@@ -41,6 +41,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidSpecError
+from .kernels import read_only
 
 _TAG_GLOBAL = 1
 _TAG_REGIONAL = 2
@@ -53,34 +54,30 @@ BUILTIN_PLACEMENTS = ("d1", "d2", "d3", "d4")
 class _DeviceStreams:
     """One keyed Philox per component tag, re-pointed per device.
 
-    `normals(tag, device, size)` draws what a fresh
-    `Philox(key=[master_seed, tag], counter=[0, 0, device, 0])` would;
-    setting the state of one generator costs a few microseconds, where
-    constructing a new one costs about five times as much.
+    `normals(tag, device, size, out)` draws what a fresh
+    `Philox(key=[master_seed, tag], counter=[0, 0, device, 0])` would.
+    Each tag keeps the state dict of its fresh generator, and only its
+    counter word 2 is rewritten per device: setting that state costs a
+    few microseconds, where constructing a new generator costs about five
+    times as much.
     """
 
     def __init__(self, master_seed: int):
         self._seed = int(master_seed)
         self._gens = {}
 
-    def normals(self, tag: int, device: int, size=None):
-        gen = self._gens.get(tag)
-        if gen is None:
-            gen = self._gens[tag] = np.random.Generator(
-                np.random.Philox(key=[self._seed, tag])
-            )
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.array([0, 0, device, 0], dtype=np.uint64),
-                "key": np.array([self._seed, tag], dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return gen.standard_normal(size)
+    def normals(self, tag: int, device: int, size=None, out=None):
+        entry = self._gens.get(tag)
+        if entry is None:
+            # a uint64 key: in a plain list, a seed of 2**63 or more would
+            # pass through float64 and lose its low bits
+            bitgen = np.random.Philox(key=np.array([self._seed, tag], np.uint64))
+            # the state getter returns copies, so this dict stays ours
+            entry = self._gens[tag] = (np.random.Generator(bitgen), bitgen.state)
+        gen, state = entry
+        state["state"]["counter"][2] = device
+        gen.bit_generator.state = state
+        return gen.standard_normal(size, out=out)
 
 
 @dataclass(frozen=True)
@@ -254,10 +251,8 @@ class DevicePopulation:
 
     def __init__(self, spec: PopulationSpec, mismatch: np.ndarray):
         self.spec = spec
-        self.mismatch = mismatch
-        self.bias_offsets = _bias_offsets(spec)
-        for arr in (self.bias_offsets, self.mismatch):
-            arr.setflags(write=False)
+        self.mismatch = read_only(mismatch)
+        self.bias_offsets = read_only(_bias_offsets(spec))
 
     @property
     def num_devices(self) -> int:
@@ -270,13 +265,13 @@ class DevicePopulation:
     def cell(self, device: int, index: int) -> CellParams:
         spec = self.spec
         placement = spec.placement
-        g, regional, local = _device_draws(
+        g, regional, local = _one_device(
             spec, _RegionTables(placement), _DeviceStreams(spec.master_seed), device
         )
         return CellParams(
-            global_component=g,
-            regional_component=float(regional[index]),
-            local_component=float(local[index]),
+            global_component=float(g[0, 0]),
+            regional_component=float(regional[0, index]),
+            local_component=float(local[0, index]),
             position=(index // placement.grid_width, index % placement.grid_width),
             region=placement.region_of[index],
         )
@@ -324,15 +319,17 @@ def _combine(spec: PopulationSpec, parts, shape) -> np.ndarray:
     return spec.sigma_mismatch * np.broadcast_to(total, shape)
 
 
-def _device_draws(
-    spec: PopulationSpec, tables: _RegionTables, streams: _DeviceStreams, device: int
-):
-    """One device's (global, regional-per-cell, local) components; a
-    component of zero weight is not drawn and reads as zeros."""
-    n = spec.cells_per_device
+def _draw_device(
+    spec: PopulationSpec, tables: _RegionTables, streams: _DeviceStreams,
+    device: int, parts: tuple, row: int,
+) -> None:
+    """Write one device's components into row `row` of parts = (global
+    (rows, 1), regional (rows, n), local (rows, n)); a component of zero
+    weight is not drawn and its array is not touched."""
+    g, regional, local = parts
     w_g, w_r, w_l = spec.weights
-    g = float(streams.normals(_TAG_GLOBAL, device)) if w_g else 0.0
-    regional = np.zeros(n)
+    if w_g:
+        streams.normals(_TAG_GLOBAL, device, out=g[row])
     if w_r:
         own = streams.normals(_TAG_REGIONAL, device, tables.num_regions)
         cluster = (
@@ -340,9 +337,20 @@ def _device_draws(
             if tables.num_components
             else np.empty(0)
         )
-        regional = tables.regional_per_cell(own, cluster)
-    local = streams.normals(_TAG_LOCAL, device, n) if w_l else np.zeros(n)
-    return g, regional, local
+        regional[row] = tables.regional_per_cell(own, cluster)
+    if w_l:
+        streams.normals(_TAG_LOCAL, device, out=local[row])
+
+
+def _one_device(
+    spec: PopulationSpec, tables: _RegionTables, streams: _DeviceStreams, device: int
+) -> tuple:
+    """One device's (global, regional, local) draws, each of one row; a
+    component of zero weight reads as zeros."""
+    n = spec.cells_per_device
+    parts = (np.zeros((1, 1)), np.zeros((1, n)), np.zeros((1, n)))
+    _draw_device(spec, tables, streams, device, parts, 0)
+    return parts
 
 
 def generate_population(spec: PopulationSpec) -> DevicePopulation:
@@ -350,20 +358,18 @@ def generate_population(spec: PopulationSpec) -> DevicePopulation:
 
     Identical specs (including seed) produce bit-identical populations;
     distinct master seeds produce statistically independent ones.
+    Components of zero weight get no array at all.
     """
     tables = _RegionTables(spec.placement)
     streams = _DeviceStreams(spec.master_seed)
     d, n = spec.num_devices, spec.cells_per_device
-    global_draw = np.empty(d)
-    regional = np.empty((d, n))
-    local = np.empty((d, n))
-    for dev in range(d):
-        global_draw[dev], regional[dev], local[dev] = _device_draws(
-            spec, tables, streams, dev
-        )
-    return DevicePopulation(
-        spec, _combine(spec, (global_draw[:, None], regional, local), (d, n))
+    parts = tuple(
+        np.empty((d, width)) if w else None
+        for w, width in zip(spec.weights, (1, n, n))
     )
+    for dev in range(d):
+        _draw_device(spec, tables, streams, dev, parts, dev)
+    return DevicePopulation(spec, _combine(spec, parts, (d, n)))
 
 
 def iter_device_mismatch(spec: PopulationSpec) -> Iterator[np.ndarray]:
@@ -372,9 +378,9 @@ def iter_device_mismatch(spec: PopulationSpec) -> Iterator[np.ndarray]:
     """
     tables = _RegionTables(spec.placement)
     streams = _DeviceStreams(spec.master_seed)
-    n = spec.cells_per_device
+    shape = (1, spec.cells_per_device)
     for dev in range(spec.num_devices):
-        yield _combine(spec, _device_draws(spec, tables, streams, dev), (n,))
+        yield _combine(spec, _one_device(spec, tables, streams, dev), shape)[0]
 
 
 def inject_position_bias(

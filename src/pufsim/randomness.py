@@ -97,8 +97,7 @@ class BitSequence:
     bits: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", as_bits(self.bits))
-        self.bits.setflags(write=False)
+        object.__setattr__(self, "bits", kernels.read_only(as_bits(self.bits)))
 
     @property
     def n(self) -> int:

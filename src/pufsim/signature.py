@@ -50,7 +50,7 @@ from .entropy import (
     noise_sigma_at,
 )
 from .errors import EmptySignatureError, InvalidArgumentError
-from .kernels import check_bits, unpack_bits
+from .kernels import check_bits, read_only, unpack_bits
 from .population import DevicePopulation
 
 _TAG_READOUT = 5
@@ -129,8 +129,7 @@ class SignatureSet:
         bits = check_bits(bits)
         if bits.ndim != 3:
             raise InvalidArgumentError("bits must be (devices, trials, positions)")
-        self.bits = bits
-        self.bits.setflags(write=False)
+        self.bits = read_only(bits)
         self.mask = None
         if mask is not None:
             mask = check_bits(mask, "mask")
@@ -140,8 +139,7 @@ class SignatureSet:
                 )
             if int(mask.sum()) == 0:
                 raise EmptySignatureError("mask keeps zero positions")
-            self.mask = mask
-            self.mask.setflags(write=False)
+            self.mask = read_only(mask)
 
     @property
     def num_devices(self) -> int:
@@ -276,13 +274,15 @@ def read_signatures(
 
 
 def enroll_golden(sigs: SignatureSet) -> GoldenSignature:
-    """Majority vote across trials; an exact tie takes the trial-0 bit."""
+    """Majority vote across trials; an exact tie takes the trial-0 bit.
+    Counts are summed in `count_dtype(trials)`, which every step keeps."""
     t = sigs.trials
-    counts = sigs.bits.sum(axis=1, dtype=np.int64)
-    golden = np.where(
-        counts * 2 > t, 1, np.where(counts * 2 == t, sigs.bits[:, 0, :], 0)
-    ).astype(np.uint8)
-    agree = np.where(golden == 1, counts, t - counts).astype(count_dtype(t))
+    half = t // 2
+    counts = sigs.bits.sum(axis=1, dtype=count_dtype(t))
+    golden = (counts > half).view(np.uint8)
+    if t % 2 == 0:
+        golden |= (counts == half) & sigs.bits[:, 0, :]
+    agree = np.where(golden, counts, t - counts)
     golden.setflags(write=False)
     agree.setflags(write=False)
     return GoldenSignature(bits=golden, counts=agree, trials=t)

@@ -1,6 +1,8 @@
 """Kernel correctness against brute-force oracles, and the one 0/1 check
 behind every public entry that takes bits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,16 +14,17 @@ from pufsim.signature import SignatureSet
 
 
 def _brute_pairwise(bits):
-    d = bits.shape[0]
-    total = 0
-    dists = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            h = int(np.sum(bits[i] != bits[j]))
-            dists.append(h)
-            total += h
-    hist = np.bincount(dists, minlength=bits.shape[1] + 1)
-    return total, hist
+    """Every pair i < j from a distance matrix, a block of rows at a time:
+    |x ^ y| = |x| + |y| - 2 x.y, exact in float32 at these lengths."""
+    d, n = bits.shape
+    b = bits.astype(np.float32)
+    ones = b.sum(axis=1)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for i0 in range(0, d, 512):
+        hd = ones[i0:i0 + 512, None] + ones - 2 * (b[i0:i0 + 512] @ b.T)
+        upper = np.arange(i0, i0 + len(hd))[:, None] < np.arange(d)
+        hist += np.bincount(hd[upper].astype(np.int64), minlength=n + 1)
+    return int(hist @ np.arange(n + 1)), hist
 
 
 def _brute_rank(mat):
@@ -74,18 +77,46 @@ def test_pack_pads_with_zeros():
     assert int(packed[0, 1]) == (1 << 6) - 1
 
 
+_ROWS, _COLS = kernels._TILE_ROWS, kernels._TILE_COLS
+# row counts on either side of every tile edge; lengths on either side of
+# a word and of the uint8/uint16 accumulator switch
+_SMALL_D = [0, 1, 2, _ROWS - 1, _ROWS, _ROWS + 1]
+_LARGE_D = [_COLS - 1, _COLS, _COLS + 1]
+_BITS = [1, 63, 64, 65, 255, 256, 1016, 5120]
+
+
 @pytest.mark.parametrize(
     "d,n",
-    # 256 rows fill one 256-row block; 257 and 600 span several, the last partial
-    [(2, 64), (7, 10), (12, 100), (9, 130), (3, 1), (256, 5), (257, 9), (600, 3)],
+    [(d, n) for d in _SMALL_D for n in _BITS]
+    + [(d, n) for d in _LARGE_D for n in _BITS[:6]]
+    + [(7, 10), (12, 100), (9, 130), (3, 1), (256, 5), (257, 9), (600, 3)],
 )
 def test_pairwise_hd_matches_brute_force(d, n):
-    rng = np.random.default_rng(d * 1000 + n)
+    rng = np.random.default_rng(d * 10000 + n)
     bits = rng.integers(0, 2, size=(d, n), dtype=np.uint8)
+    if d >= 3:
+        bits[d // 2] = bits[0]  # distance 0
+        bits[-1] = 1 - bits[0]  # distance n
     want_total, want_hist = _brute_pairwise(bits)
     total, hist = kernels.pairwise_hd_stats(kernels.pack_bits(bits), n)
     assert total == want_total
     assert np.array_equal(hist, want_hist)
+    if d >= 3:
+        assert hist[0] >= 1 and hist[n] >= 1
+
+
+def test_pairwise_hd_memory_is_tile_bounded():
+    # the paper-sim shape; whole-row blocks against every later row
+    # allocate tens of MiB here
+    rng = np.random.default_rng(3)
+    packed = kernels.pack_bits(rng.integers(0, 2, size=(10000, 64), dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        kernels.pairwise_hd_stats(packed, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_pairwise_hd_identical_and_complement():

@@ -16,6 +16,7 @@ import pytest
 from pufsim.errors import InvalidArgumentError, InvalidSpecError
 from pufsim.population import (
     BUILTIN_PLACEMENTS,
+    DevicePopulation,
     PlacementConfig,
     PopulationSpec,
     builtin_placement,
@@ -89,6 +90,16 @@ def test_iter_matches_generate():
         pop = generate_population(spec)
         streamed = np.stack(list(iter_device_mismatch(spec)))
         assert np.allclose(streamed, pop.mismatch, atol=0, rtol=0)
+
+
+def test_population_leaves_caller_mismatch_writable():
+    spec = _spec(devices=2, cells=1024)
+    mismatch = np.zeros((2, 1024))
+    pop = DevicePopulation(spec, mismatch)
+    mismatch[0, 0] = 1.0
+    assert not pop.mismatch.flags.writeable
+    with pytest.raises(ValueError):
+        pop.mismatch[0, 1] = 1.0
 
 
 # -- variance budget -------------------------------------------------------------

@@ -224,6 +224,15 @@ def _sample_inputs():
     yield biased
 
 
+def test_bit_sequence_leaves_caller_array_writable():
+    bits = np.zeros(8, dtype=np.uint8)
+    seq = BitSequence(bits)
+    bits[0] = 1
+    assert not seq.bits.flags.writeable
+    with pytest.raises(ValueError):
+        seq.bits[1] = 1
+
+
 def test_p_values_in_unit_interval():
     for bits in _sample_inputs():
         for r in run_suite(bits).values():

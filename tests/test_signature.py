@@ -255,6 +255,35 @@ def test_enroll_noiseless_is_idempotent():
     assert np.all(golden.stability == 1.0)
 
 
+def _enroll_reference(bits):
+    """Majority vote in int64 with nested wheres, ties to trial 0."""
+    t = bits.shape[1]
+    counts = bits.sum(axis=1, dtype=np.int64)
+    golden = np.where(counts * 2 > t, 1, np.where(counts * 2 == t, bits[:, 0, :], 0))
+    return golden, np.where(golden == 1, counts, t - counts)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 255, 256])
+def test_enroll_matches_reference_formula(t):
+    rng = np.random.default_rng(t)
+    d, n = 6, 40
+    bits = rng.integers(0, 2, size=(d, t, n), dtype=np.uint8)
+    if t % 2 == 0:
+        # exact ties at the first n/2 positions, trial 0 shuffled either way
+        tie = (np.arange(t) < t // 2).astype(np.uint8)
+        for dev in range(d):
+            for pos in range(n // 2):
+                bits[dev, :, pos] = rng.permutation(tie)
+        assert set(bits[:, 0, :n // 2].ravel().tolist()) == {0, 1}
+    golden = enroll_golden(SignatureSet(bits))
+    want_bits, want_counts = _enroll_reference(bits)
+    assert golden.bits.dtype == np.uint8
+    assert golden.counts.dtype == signature.count_dtype(t)
+    assert np.array_equal(golden.bits, want_bits)
+    assert np.array_equal(golden.counts, want_counts)
+    assert np.array_equal(golden.stability, want_counts / t)
+
+
 # -- bias elimination ---------------------------------------------------------------
 
 def _column_set(cols):
@@ -330,6 +359,17 @@ def test_signature_set_rejects_non_binary():
     with pytest.raises(InvalidArgumentError):
         apply_mask(SignatureSet(bits), [1, 1, 1, 1, 0, 0, 0, 3])
     assert SignatureSet(bits, [1, 1, 1, 0, 0, 0, 0, 0]).effective_length == 3
+
+
+def test_signature_set_leaves_caller_arrays_writable():
+    bits = np.zeros((1, 1, 2), dtype=np.uint8)
+    mask = np.ones(2, dtype=np.uint8)
+    sigs = SignatureSet(bits, mask)
+    bits[0, 0, 0] = 1
+    mask[1] = 0
+    assert not sigs.bits.flags.writeable and not sigs.mask.flags.writeable
+    with pytest.raises(ValueError):
+        sigs.bits[0, 0, 1] = 1
 
 
 def test_apply_mask():
