@@ -4,22 +4,32 @@
 session shape, with and without a position mask, and of the randomness
 battery: each test's batched core on an S x N block (shared intermediates
 built inside the timed call), `run_suite_block` on that block, and one
-single-sequence `run_suite` call.
+single-sequence `run_suite` call. `--readout D T N` times
+`read_signatures` on a D-device, N-cell population of the paper-sim
+preset over a T-trial session at a 10% target bit-error rate, and at the
+paper-sim shape, 10000 x 1 x 64.
 
 Run:  python3 benchmarks/bench_kernels.py --devices 2000 --bits 1024
 """
 
 import argparse
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from pufsim import kernels, randomness
+from pufsim.config import preset
+from pufsim.entropy import EnvironmentCondition
 from pufsim.metrics import mean_intra_hd
-from pufsim.signature import SignatureSet, enroll_golden
+from pufsim.population import generate_population
+from pufsim.signature import (
+    ReadoutSession, SignatureSet, enroll_golden, read_signatures,
+)
 
 
 PAPER_SIM_SHAPE = (10000, 64)  # devices, bits
+READOUT_BER = 0.1  # inside the paper-sim sweep's 6-16% band
 
 
 def _time(label: str, fn, *args, repeat: int = 3) -> None:
@@ -29,6 +39,16 @@ def _time(label: str, fn, *args, repeat: int = 3) -> None:
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     print(f"{label:40s} {best*1e3:9.2f} ms")
+
+
+def _time_readout(d: int, t: int, n: int, seed: int) -> None:
+    config = replace(preset("paper-sim"), num_devices=d, cells_per_device=n,
+                     master_seed=seed)
+    population = generate_population(config.build_population_spec())
+    session = ReadoutSession(EnvironmentCondition(25.0, 1.0), t,
+                             config.session_seed(0), config.build_calibration(),
+                             target_ber=READOUT_BER)
+    _time(f"readout {d}x{t}x{n}", read_signatures, population, session)
 
 
 def main() -> None:
@@ -44,9 +64,14 @@ def main() -> None:
     parser.add_argument("--battery", type=int, nargs=2, default=(4, 100_000),
                         metavar=("S", "N"),
                         help="battery block shape: sequences, bits per sequence")
+    parser.add_argument("--readout", type=int, nargs=3, default=(1000, 5, 1024),
+                        metavar=("D", "T", "N"),
+                        help="readout shape: devices, trials per session, bits")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
+    for shape in (args.readout, (PAPER_SIM_SHAPE[0], 1, PAPER_SIM_SHAPE[1])):
+        _time_readout(*shape, args.seed)
     rng = np.random.default_rng(args.seed)
     for d, n in ((args.devices, args.bits), PAPER_SIM_SHAPE):
         bits = rng.integers(0, 2, size=(d, n), dtype=np.uint8)

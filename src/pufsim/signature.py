@@ -15,12 +15,20 @@ factor taken from the calibration (0 disables the effect). Skewed cells
 thus hurt both uniqueness and reliability, which is what makes eliminating
 them worthwhile.
 
-Threshold readout. A bit is 1 with probability p = Phi(margin / sigma_eff),
-so it is resolved as `u < p` with u uniform on [0, 1): the same law as
-`margin + sigma_eff * z > 0` with z standard normal. p is computed once per
-device per session, not once per trial. A noiseless session (sigma = 0) has
-p = (margin > 0) and draws nothing, so it reproduces the sign of the margin
-exactly and an exact zero margin resolves to 0.
+Threshold readout. A bit is 1 with probability p = Phi(x), x = margin /
+sigma_eff, so it is resolved as `u < p` with u uniform on [0, 1): the same
+law as `margin + sigma_eff * z > 0` with z standard normal. Most bits are
+resolved without evaluating p. A table built at import holds ndtr on a grid
+of x from -9 to 9 in steps of 1/64, widened by 2**-40 into a bracket
+LO <= p <= HI for each grid bucket (the end buckets run to -inf and +inf).
+Each cell looks up its bucket from x once per session; a draw with u < LO
+reads 1 and one with u >= HI reads 0. A draw lands inside its bracket with
+probability under 0.63% at any x; only the cells with such a draw evaluate
+p = ndtr(x), and only those draws read `u < p`, so the bits are exactly
+those of evaluating p for every cell. A noiseless
+session (sigma = 0) has p = (margin > 0) and draws nothing, so it
+reproduces the sign of the margin exactly and an exact zero margin
+resolves to 0.
 
 Randomness derivation. A session has one keyed Philox counter generator,
 key = (session_seed, readout tag), in the manner of Salmon et al.,
@@ -35,6 +43,7 @@ and of the thread count.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -58,6 +67,27 @@ _TAG_READOUT = 5
 # uniforms drawn per device range (256 KiB of float64); bounds the
 # readout's working memory, whatever the population size
 _RANGE_VALUES = 1 << 15
+
+# Bracketing table for Phi: ndtr on the grid x_k = _GRID_LO + k / _GRID_STEPS,
+# k = 0 .. _GRID_POINTS - 1 (-9 to 9). Bucket b = 1 .. _GRID_POINTS - 1 holds
+# x in [x_(b-1), x_b), bucket 0 all x < x_0 and the last bucket all x >= 9.
+# _SLACK (in probability) covers the rounding of the bucket index and of
+# ndtr itself, both below 1e-15, so _PHI_LO[b] <= ndtr(x) <= _PHI_HI[b] for
+# every x of bucket b.
+_GRID_STEPS = 64
+_GRID_LO = -9.0
+_GRID_POINTS = 18 * _GRID_STEPS + 1
+_SLACK = 2.0**-40
+_GRID_PHI = ndtr(_GRID_LO + np.arange(_GRID_POINTS) / _GRID_STEPS)
+_PHI_LO = np.concatenate(([-np.inf], _GRID_PHI - _SLACK))
+_PHI_HI = np.concatenate((_GRID_PHI + _SLACK, [np.inf]))
+
+# Padding of the needed-cell mask. numpy keeps freed data blocks under
+# 1 KiB in a per-size cache for the life of the process; a small index
+# array of a new size in every range would leave such blocks pinned across
+# the heap (3 MiB more peak RSS from the second pipeline run in a process
+# on). With 128 always-set entries, the index array never gets that small.
+_INDEX_PAD = 128
 
 _MAGIC = b"PUFS"
 _VERSION = 1
@@ -229,6 +259,64 @@ def count_dtype(trials: int) -> np.dtype:
     return np.min_scalar_type(trials).newbyteorder("<")
 
 
+class _RangeBuffers:
+    """Working arrays of one readout thread, sized for its largest device
+    range of r devices x t trials x n positions and reused for every range
+    it reads, so that a range allocates only the index array of its
+    exactly resolved cells."""
+
+    def __init__(self, r: int, t: int, n: int):
+        cells = r * n
+        self.u = np.empty(r * t * 4 * _row_blocks(n))
+        self.x = np.empty(cells)
+        self.lo = np.empty(cells)
+        self.hi = np.empty(cells)
+        self.bucket = np.empty(cells, dtype=np.intp)
+        self.needed = np.empty(cells + _INDEX_PAD, dtype=bool)
+        self.undecided = np.empty(r * t * n, dtype=bool)
+
+    def resolve(self, x: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+        """out = u[:, :, :n] < ndtr(x)[:, None, :] for contiguous x of shape
+        (r, n), u of shape (r, t, w >= n) and out of shape (r, t, n), bit for
+        bit.
+
+        Each cell's bucket brackets ndtr(x) between _PHI_LO and _PHI_HI: a
+        draw below the bracket reads 1, one at or above it reads 0, and only
+        the cells with a draw inside it (at most 0.63% of draws for any x)
+        evaluate ndtr.
+        """
+        r, n = x.shape
+        t = u.shape[1]
+        m = r * n
+        lo = self.lo[:m].reshape(r, n)
+        hi = self.hi[:m].reshape(r, n)
+        bucket = self.bucket[:m].reshape(r, n)
+        undecided = self.undecided[: m * t].reshape(r, t, n)
+        # bucket = floor((x - x_0) * steps) + 1, clipped to the table; the
+        # cast truncates, which is floor on the clipped, non-negative values
+        np.multiply(x, _GRID_STEPS, out=lo)
+        np.add(lo, 1 - _GRID_LO * _GRID_STEPS, out=lo)
+        np.clip(lo, 0, _GRID_POINTS, out=lo)
+        np.copyto(bucket, lo, casting="unsafe")
+        np.take(_PHI_LO, bucket, out=lo, mode="clip")
+        np.take(_PHI_HI, bucket, out=hi, mode="clip")
+        draws = u[:, :, :n]
+        bits = out.view(bool)  # a bool output needs no casting buffer
+        np.less(draws, lo[:, None, :], out=bits)
+        np.less(draws, hi[:, None, :], out=undecided)
+        undecided ^= bits
+        # the mask of cells to evaluate ends in _INDEX_PAD set entries
+        needed = self.needed[: m + _INDEX_PAD]
+        np.any(undecided, axis=1, out=needed[:m].reshape(r, n))
+        needed[m:] = True
+        cells = np.flatnonzero(needed)[:-_INDEX_PAD]
+        # lo becomes p = ndtr(x) at those cells, evaluated in the spent hi
+        p = np.take(x, cells, out=self.hi[: cells.size], mode="clip")
+        ndtr(p, out=p)
+        lo.put(cells, p)
+        np.less(draws, lo[:, None, :], out=bits, where=undecided)
+
+
 def read_signatures(
     population: DevicePopulation, session: ReadoutSession, threads: int = 1
 ) -> SignatureSet:
@@ -247,20 +335,24 @@ def read_signatures(
     blocks = _row_blocks(n)
     bits = np.empty((d, t, n), dtype=np.uint8)
     step = max(1, _RANGE_VALUES // (t * 4 * blocks))
+    local = threading.local()
 
     def fill(lo: int):
         hi = min(lo + step, d)
-        margin = population.mismatch[lo:hi] + offsets
+        r = hi - lo
         if sigma_n == 0:
             # strict inequality: an exact zero margin resolves to 0
-            bits[lo:hi] = (margin > 0)[:, None, :]
+            bits[lo:hi] = (population.mismatch[lo:hi] + offsets > 0)[:, None, :]
             return
-        p = ndtr(margin / sigma_eff)
-        u = _readout_generator(session.session_seed, lo * t * blocks).random(
-            (hi - lo) * t * 4 * blocks
-        )
-        np.less(u.reshape(hi - lo, t, 4 * blocks)[:, :, :n], p[:, None, :],
-                out=bits[lo:hi])
+        buffers = getattr(local, "buffers", None)
+        if buffers is None:
+            buffers = local.buffers = _RangeBuffers(min(step, d), t, n)
+        x = buffers.x[: r * n].reshape(r, n)
+        np.add(population.mismatch[lo:hi], offsets, out=x)
+        np.divide(x, sigma_eff, out=x)
+        u = buffers.u[: r * t * 4 * blocks]
+        _readout_generator(session.session_seed, lo * t * blocks).random(out=u)
+        buffers.resolve(x, u.reshape(r, t, 4 * blocks), bits[lo:hi])
 
     starts = range(0, d, step)
     threads = max(1, int(threads))

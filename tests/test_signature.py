@@ -90,23 +90,93 @@ def test_readout_deterministic_and_thread_invariant():
 
 
 def test_readout_invariant_to_range_size_and_threads(monkeypatch):
-    # n = 13 pads each row to 16 uniforms; coupling makes sigma_eff vary
+    # n = 13 pads each row to 16 uniforms; coupling makes sigma_eff vary.
+    # BER 1e-4 puts most cells in saturated buckets, 0.45 most draws
+    # inside their bracket.
     pop = generate_population(PopulationSpec(
         num_devices=37, cells_per_device=13, sigma_mismatch=0.25,
         weights=(0.0, 0.0, 1.0), placement=PlacementConfig("row", 13, 1, (0,) * 13, ()),
         master_seed=5, bias_map={(0, 3): 0.1}))
-    session = _session(trials=3, target_ber=0.1, seed=61, coupling=2.0)
-    want = read_signatures(pop, session).bits.tobytes()
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the pool's threads finely
     try:
-        for values in (1, 3 * 16 * 5, 10**9):  # one device, five, all devices
-            monkeypatch.setattr(signature, "_RANGE_VALUES", values)
-            for threads in (1, 2, 3):
-                got = read_signatures(pop, session, threads=threads).bits.tobytes()
-                assert got == want, (values, threads)
+        for trials, ber in ((3, 0.1), (1, 1e-4), (5, 1e-4), (1, 0.45), (5, 0.45)):
+            session = _session(trials=trials, target_ber=ber, seed=61, coupling=2.0)
+            monkeypatch.undo()
+            want = read_signatures(pop, session).bits.tobytes()
+            # one device, five, all devices per range
+            for values in (1, trials * 16 * 5, 10**9):
+                monkeypatch.setattr(signature, "_RANGE_VALUES", values)
+                for threads in (1, 2, 3):
+                    got = read_signatures(pop, session, threads=threads).bits.tobytes()
+                    assert got == want, (trials, ber, values, threads)
     finally:
         sys.setswitchinterval(switch)
+
+
+def _grid_edges():
+    return signature._GRID_LO + np.arange(signature._GRID_POINTS) / signature._GRID_STEPS
+
+
+def test_phi_table_brackets_ndtr_on_every_bucket():
+    lo, hi = signature._PHI_LO, signature._PHI_HI
+    assert np.all(np.diff(lo) >= 0) and np.all(np.diff(hi) >= 0)
+    edges = _grid_edges()
+    rng = np.random.default_rng(12)
+    # bucket b holds [x_(b-1), x_b); both edges and 64 interior points each
+    left, right = edges[:-1, None], edges[1:, None]
+    x = np.hstack([left, right, left + rng.random((left.size, 64)) / signature._GRID_STEPS])
+    p = ndtr(x)
+    assert np.all(lo[1:-1, None] <= p) and np.all(p <= hi[1:-1, None])
+    below = np.concatenate([[-np.inf, -40.0, edges[0]], rng.uniform(-40, edges[0], 64)])
+    above = np.concatenate([[np.inf, 40.0, edges[-1]], rng.uniform(edges[-1], 40, 64)])
+    assert np.all(ndtr(below) <= hi[0]) and lo[0] == -np.inf
+    assert np.all(ndtr(above) >= lo[-1]) and hi[-1] == np.inf
+
+
+def _adversarial_cells(rng):
+    """x at every grid edge, one ulp either side of it, beyond +-9 up to
+    where ndtr underflows, and at random."""
+    edges = _grid_edges()
+    return np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [-40.0, -38.5, -37.6, -20.0, -9.5, -0.0, 0.0, 9.5, 20.0, 40.0],
+        np.nextafter([-9.0, 9.0], [-np.inf, np.inf]),
+        rng.uniform(-40, 40, 200), rng.standard_normal(200),
+    ])
+
+
+@pytest.mark.parametrize("trials", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 13, 63, 64, 65])
+def test_bracketed_resolve_equals_ndtr_threshold(trials, n):
+    rng = np.random.default_rng(1000 * trials + n)
+    cells = _adversarial_cells(rng)
+    # uniforms on the 2**-53 grid, in [0, 1): zero, ndtr(x) rounded down
+    # and up to it, one step either side, and random; each cell meets every
+    # kind across its copies and trials
+    ulp = 2.0**-53
+    below = np.floor(ndtr(cells) / ulp) * ulp
+    kinds = np.clip(np.stack([
+        np.zeros_like(cells), below, below + ulp, below - ulp, below + 2 * ulp,
+        np.floor(rng.random(cells.size) / ulp) * ulp,
+    ]), 0, 1 - ulp)
+    k = len(kinds)
+    x = np.tile(cells, k)
+    kind = np.repeat(np.arange(k), cells.size)
+    rows = -(-x.size // n)
+    pad = rows * n - x.size
+    x = np.concatenate([x, rng.standard_normal(pad)]).reshape(rows, n)
+    kind = np.concatenate([kind, np.zeros(pad, int)]).reshape(rows, n)
+    index = np.concatenate([np.tile(np.arange(cells.size), k),
+                            np.zeros(pad, int)]).reshape(rows, n)
+    w = 4 * signature._row_blocks(n)
+    u = rng.random((rows, trials, w))  # padding draws must not matter
+    for trial in range(trials):
+        u[:, trial, :n] = kinds[(kind + trial) % k, index]
+    want = (u[:, :, :n] < ndtr(x)[:, None, :]).astype(np.uint8)
+    out = np.empty((rows, trials, n), dtype=np.uint8)
+    signature._RangeBuffers(rows + 3, trials, n).resolve(x, u, out)
+    assert np.array_equal(out, want)
 
 
 def test_noise_stream_is_the_row_slice():
