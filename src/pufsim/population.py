@@ -51,11 +51,21 @@ _TAG_LOCAL = 4
 BUILTIN_PLACEMENTS = ("d1", "d2", "d3", "d4")
 
 
+def keyed_philox(seed: int, tag: int) -> np.random.Philox:
+    """Philox bit generator keyed by (seed, tag), at counter 0.
+
+    The key is a uint64 array: in a plain list, a seed of 2**63 or more
+    would pass through float64 and lose its low bits.
+    """
+    return np.random.Philox(key=np.array([seed, tag], dtype=np.uint64))
+
+
 class _DeviceStreams:
     """One keyed Philox per component tag, re-pointed per device.
 
     `normals(tag, device, size, out)` draws what a fresh
-    `Philox(key=[master_seed, tag], counter=[0, 0, device, 0])` would.
+    `keyed_philox(master_seed, tag)` set to counter (0, 0, device, 0)
+    would.
     Each tag keeps the state dict of its fresh generator, and only its
     counter word 2 is rewritten per device: setting that state costs a
     few microseconds, where constructing a new generator costs about five
@@ -69,9 +79,7 @@ class _DeviceStreams:
     def normals(self, tag: int, device: int, size=None, out=None):
         entry = self._gens.get(tag)
         if entry is None:
-            # a uint64 key: in a plain list, a seed of 2**63 or more would
-            # pass through float64 and lose its low bits
-            bitgen = np.random.Philox(key=np.array([self._seed, tag], np.uint64))
+            bitgen = keyed_philox(self._seed, tag)
             # the state getter returns copies, so this dict stays ours
             entry = self._gens[tag] = (np.random.Generator(bitgen), bitgen.state)
         gen, state = entry

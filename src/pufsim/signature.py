@@ -31,7 +31,8 @@ reproduces the sign of the margin exactly and an exact zero margin
 resolves to 0.
 
 Randomness derivation. A session has one keyed Philox counter generator,
-key = (session_seed, readout tag), in the manner of Salmon et al.,
+key = (session_seed, readout tag) built by `population.keyed_philox` as
+exact 64-bit words, in the manner of Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3" (SC'11). Each uniform uses
 one 64-bit output, and each row is padded to whole 4-output counter
 blocks, so row (device, trial) of a session with t trials and n positions
@@ -60,7 +61,7 @@ from .entropy import (
 )
 from .errors import EmptySignatureError, InvalidArgumentError
 from .kernels import check_bits, read_only, unpack_bits
-from .population import DevicePopulation
+from .population import DevicePopulation, keyed_philox
 
 _TAG_READOUT = 5
 
@@ -101,7 +102,7 @@ def _row_blocks(n: int) -> int:
 
 
 def _readout_generator(session_seed: int, first_block: int) -> np.random.Generator:
-    bitgen = np.random.Philox(key=[session_seed, _TAG_READOUT])
+    bitgen = keyed_philox(session_seed, _TAG_READOUT)
     bitgen.advance(first_block)
     return np.random.Generator(bitgen)
 

@@ -214,6 +214,18 @@ def test_session_seed_must_fit_the_key():
         _session(seed=-1)
 
 
+def test_readout_key_is_the_exact_session_seed():
+    # paper-sim's enroll session; as a float64 it would be ...829952
+    seed = 12609499769784830095
+    key = noise_stream(seed, 0, 0, 1, 64).bit_generator.state["state"]["key"]
+    assert [int(k) for k in key] == [seed, signature._TAG_READOUT]
+    pop = _population(devices=4)
+    for s in (2**63, seed, 2**64 - 2):
+        a = read_signatures(pop, _session(target_ber=0.2, seed=s)).bits
+        b = read_signatures(pop, _session(target_ber=0.2, seed=s + 1)).bits
+        assert all(not np.array_equal(a[dev], b[dev]) for dev in range(4)), s
+
+
 def test_ones_fraction_near_half():
     pop = _population(devices=400, cells=256, seed=8)
     sigs = read_signatures(pop, _session())
