@@ -11,7 +11,6 @@ from .entropy import (  # noqa: E402
     NoiseCalibration,
     calibrate_noise_for_ber,
     expected_flip_probability,
-    resolve_power_up,
 )
 from .errors import (  # noqa: E402
     EmptySignatureError,
@@ -41,17 +40,14 @@ from .signature import (  # noqa: E402
     read_signatures,
 )
 from .metrics import (  # noqa: E402
-    MetricReport,
     compute_report,
     hd_histogram,
     inter_hd,
     intra_hd,
     mean_intra_hd,
-    ones_fraction_and_colormap,
     robustness_sweep,
 )
 from .randomness import (  # noqa: E402
-    BitSequence,
     SuiteAggregate,
     TestResult,
     aggregate_suite,
@@ -67,7 +63,6 @@ __all__ = [
     "NoiseCalibration",
     "calibrate_noise_for_ber",
     "expected_flip_probability",
-    "resolve_power_up",
     "EmptySignatureError",
     "ExtrapolationRefusedError",
     "InsufficientLengthError",
@@ -89,15 +84,12 @@ __all__ = [
     "eliminate_biased_positions",
     "enroll_golden",
     "read_signatures",
-    "MetricReport",
     "compute_report",
     "hd_histogram",
     "inter_hd",
     "intra_hd",
     "mean_intra_hd",
-    "ones_fraction_and_colormap",
     "robustness_sweep",
-    "BitSequence",
     "SuiteAggregate",
     "TestResult",
     "aggregate_suite",

@@ -30,13 +30,13 @@ from .harness import (
     compare_runs,
     default_output_dir,
     load_population,
-    metrics_entry,
     run_experiment,
     save_golden,
     save_population,
     load_golden,
     sweep_payload,
 )
+from .metrics import compute_report
 from .population import generate_population
 from .randomness import (
     aggregate_suite,
@@ -180,9 +180,7 @@ def cmd_metrics(args) -> int:
     sigs = SignatureSet.from_binary(args.signatures)
     golden = load_golden(args.golden) if args.golden else enroll_golden(sigs)
     mask = _load_mask(args.mask, sigs.n) if args.mask else sigs.mask
-    payload = {
-        "sessions": {"input": metrics_entry(sigs, golden, sigs.bits[:, 0, :], mask)}
-    }
+    payload = {"sessions": {"input": compute_report(sigs, golden, mask=mask)}}
     _write_json(os.path.join(root, "metrics.json"), payload)
     sys.stdout.write(_human_report(payload))
     return 0

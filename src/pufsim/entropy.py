@@ -1,5 +1,5 @@
-"""Power-up bit resolution for a bistable cell and the closed-form link
-between noise magnitude and expected bit-error rate.
+"""The power-up model of a bistable cell and the closed-form link between
+noise magnitude and expected bit-error rate.
 
 A cell's power-up value is modeled as the sign of
 
@@ -7,8 +7,10 @@ A cell's power-up value is modeled as the sign of
 
 where static_mismatch is the device's process-variation term, the offset is
 an optional position-systematic skew, and the noise draw is an independent
-per-readout disturbance. For zero-mean Gaussian mismatch m ~ N(0, sigma_m^2)
-and noise n ~ N(0, sigma_n^2), the probability that sign(m + n) differs from
+per-readout disturbance. The readout (`signature.read_signatures`) draws
+each bit with P(1) = P(margin > 0); without noise a zero margin reads 0.
+For zero-mean Gaussian mismatch m ~ N(0, sigma_m^2) and noise
+n ~ N(0, sigma_n^2), the probability that sign(m + n) differs from
 sign(m) is the orthant probability of the bivariate normal (m, m + n):
 
     P(flip) = arctan(sigma_n / sigma_m) / pi
@@ -48,28 +50,6 @@ class EnvironmentCondition:
                 f"temperature {self.temperature_celsius} outside model range "
                 f"[{lo}, {hi}]"
             )
-
-
-@dataclass(frozen=True)
-class PowerUpOutcome:
-    """Resolved power-up bit plus the signed margin that decided it."""
-
-    bit: int
-    resolved_margin: float
-
-
-def resolve_power_up(
-    static_mismatch: float, systematic_offset: float, noise_draw: float
-) -> PowerUpOutcome:
-    """Resolve one power-up readout.
-
-    bit = 1 iff the total margin is strictly positive; an exact zero margin
-    resolves to 0 (a measure-zero event under continuous noise).
-    """
-    margin = static_mismatch + systematic_offset + noise_draw
-    if not math.isfinite(margin):
-        raise InvalidArgumentError("power-up inputs must be finite")
-    return PowerUpOutcome(bit=1 if margin > 0 else 0, resolved_margin=margin)
 
 
 def expected_flip_probability(sigma_m: float, sigma_n: float) -> float:
@@ -136,10 +116,12 @@ class NoiseCalibration:
     bias_noise_coupling: float = 2.0
 
     def __post_init__(self):
-        if not (self.sigma_mismatch > 0):
-            raise InvalidArgumentError("sigma_mismatch must be positive")
-        if self.bias_noise_coupling < 0:
-            raise InvalidArgumentError("bias_noise_coupling must be non-negative")
+        if not (0 < self.sigma_mismatch < math.inf):
+            raise InvalidArgumentError("sigma_mismatch must be positive and finite")
+        if not (0 <= self.bias_noise_coupling < math.inf):
+            raise InvalidArgumentError(
+                "bias_noise_coupling must be non-negative and finite"
+            )
         object.__setattr__(
             self,
             "temperature_anchors",

@@ -29,14 +29,7 @@ from .config import save as save_config
 from .entropy import EnvironmentCondition
 from .errors import InvalidArgumentError, StageError
 from .kernels import unpack_bits
-from .metrics import (
-    hd_histogram_from_counts,
-    inter_hd,
-    inter_hd_details,
-    mean_intra_hd,
-    ones_fraction_and_colormap,
-    robustness_sweep,
-)
+from .metrics import compute_report, robustness_sweep
 from .population import (
     DevicePopulation,
     PlacementConfig,
@@ -55,7 +48,6 @@ from .signature import (
     GoldenSignature,
     ReadoutSession,
     SignatureSet,
-    apply_mask,
     count_dtype,
     eliminate_biased_positions,
     enroll_golden,
@@ -243,46 +235,13 @@ def _session_readout(
     return read_signatures(population, session, threads=threads)
 
 
-def metrics_entry(
-    sigs: SignatureSet,
-    golden: GoldenSignature,
-    rows: np.ndarray,
-    mask: Optional[np.ndarray] = None,
-    bucket_width: float = 1.0,
-) -> dict:
-    """One session's metrics.json entry.
-
-    Inter-HD and its distance histogram both describe `rows` (the golden
-    bits for the enrollment session, trial 0 otherwise) and come from one
-    pairwise pass; the masked inter-HD uses the closed-form total. Intra-HD
-    is against `golden`; the ones fraction is over trial 0. The unmasked
-    figures cover every position, whatever mask `sigs` carries; only the
-    "masked" entry applies `mask`.
-    """
-    percent, raw_hist = inter_hd_details(rows)
-    histogram = hd_histogram_from_counts(raw_hist, rows.shape[1], bucket_width)
-    entry = {
-        "inter_hd_percent": percent,
-        "intra_hd_percent": mean_intra_hd(SignatureSet(sigs.bits), golden),
-        "ones_fraction": ones_fraction_and_colormap(sigs)[0],
-        "hd_histogram": {f"{k:g}": v for k, v in histogram.items()},
-    }
-    if mask is not None:
-        entry["masked"] = {
-            "inter_hd_percent": inter_hd(rows, mask),
-            "intra_hd_percent": mean_intra_hd(apply_mask(sigs, mask), golden),
-            "effective_length": int(mask.sum()),
-        }
-    return entry
-
-
 def _metrics_payload(config, sessions_sigs, golden, mask):
     return {
         "sessions": {
-            name: metrics_entry(
+            name: compute_report(
                 sigs,
                 golden,
-                golden.bits if name == config.enroll_session else sigs.bits[:, 0, :],
+                golden.bits if name == config.enroll_session else None,
                 mask,
                 config.histogram_bucket_percent,
             )

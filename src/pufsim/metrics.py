@@ -1,6 +1,8 @@
 """Signature-quality metrics: uniqueness (inter-device Hamming distance),
 reliability (intra-device Hamming distance against the enrolled golden),
-bias colormaps, distance histograms, and environment robustness sweeps.
+distance histograms, and environment robustness sweeps. `compute_report`
+builds a `metrics.json` session entry for both `pufsim run` and
+`pufsim metrics`.
 
 Inter-HD over R device signatures of length n:
 
@@ -19,7 +21,6 @@ Masked positions are zeroed before packing and excluded from n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ from .signature import (
     GoldenSignature,
     ReadoutSession,
     SignatureSet,
+    apply_mask,
     enroll_golden,
     read_signatures,
 )
@@ -124,15 +126,6 @@ def mean_intra_hd(sigs: SignatureSet, golden: GoldenSignature) -> float:
     return 100.0 * total / (d * t * n_eff)
 
 
-def ones_fraction_and_colormap(sigs: SignatureSet, trial: int = 0):
-    """Fraction of 1 bits at one trial over all devices and positions,
-    plus the device-by-position grid for rendering."""
-    if not (0 <= trial < sigs.trials):
-        raise InvalidArgumentError(f"trial {trial} out of range")
-    grid = sigs.bits[:, trial, :]
-    return float(grid.mean()), grid
-
-
 def check_bucket_width(bucket_width: float) -> None:
     if not (bucket_width > 0):
         raise InvalidArgumentError("bucket width must be positive")
@@ -151,7 +144,12 @@ def _bucket(percents, counts, bucket_width: float) -> dict:
 
 def hd_histogram(pairwise_percents: Sequence[float], bucket_width: float = 1.0) -> dict:
     """Counts per percent bucket [k*w, (k+1)*w); keys are bucket lower
-    edges, values sum to the number of pairs."""
+    edges, values sum to the number of pairs.
+
+    The pipeline builds its histogram from integer distance counts
+    (`hd_histogram_from_counts`); this per-pair form stays as the
+    reference those counts are tested against.
+    """
     return _bucket(pairwise_percents, 1, bucket_width)
 
 
@@ -190,54 +188,37 @@ def robustness_sweep(
             for idx, env in enumerate(envs)]
 
 
-@dataclass
-class MetricReport:
-    """Bundle of the quality numbers one readout produces."""
-
-    inter_hd_percent: float
-    intra_hd_percent: Optional[float]
-    hd_histogram: dict
-    ones_fraction: float
-    colormap: np.ndarray
-    per_env_ber: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "inter_hd_percent": self.inter_hd_percent,
-            "intra_hd_percent": self.intra_hd_percent,
-            "hd_histogram": {f"{k:g}": v for k, v in self.hd_histogram.items()},
-            "ones_fraction": self.ones_fraction,
-            "per_env_ber": [
-                {
-                    "temperature_celsius": env.temperature_celsius,
-                    "supply_voltage_volts": env.supply_voltage_volts,
-                    "ber_percent": ber,
-                }
-                for env, ber in self.per_env_ber
-            ],
-        }
-
-
 def compute_report(
     sigs: SignatureSet,
-    golden: Optional[GoldenSignature] = None,
+    golden: GoldenSignature,
+    rows: Optional[np.ndarray] = None,
+    mask: Optional[np.ndarray] = None,
     bucket_width: float = 1.0,
-    per_env_ber: Optional[list] = None,
-    trial: int = 0,
-) -> MetricReport:
-    """Inter-HD over golden signatures (falling back to the given trial's
-    rows when no golden is supplied), intra-HD against golden, histogram,
-    ones fraction, and colormap, all honoring the set's mask."""
-    rows = golden.bits if golden is not None else sigs.bits[:, trial, :]
-    percent, raw_hist = inter_hd_details(rows, sigs.mask)
-    n_eff = sigs.effective_length
-    intra = mean_intra_hd(sigs, golden) if golden is not None else None
-    ones, grid = ones_fraction_and_colormap(sigs, trial)
-    return MetricReport(
-        inter_hd_percent=percent,
-        intra_hd_percent=intra,
-        hd_histogram=hd_histogram_from_counts(raw_hist, n_eff, bucket_width),
-        ones_fraction=ones,
-        colormap=grid,
-        per_env_ber=per_env_ber or [],
-    )
+) -> dict:
+    """One session's metrics.json entry, as `pufsim run` and `pufsim
+    metrics` write it. perfbench/spans.py rebinds this name.
+
+    Inter-HD and its distance histogram both describe `rows` (default: the
+    trial-0 rows; `run` passes the golden bits for the enrollment session)
+    and come from one pairwise pass; the masked inter-HD uses the
+    closed-form total. Intra-HD is against `golden`; the ones fraction is
+    over trial 0. The unmasked figures cover every position, whatever mask
+    `sigs` carries; only the "masked" entry applies `mask`.
+    """
+    trial0 = sigs.bits[:, 0, :]
+    rows = trial0 if rows is None else rows
+    percent, raw_hist = inter_hd_details(rows)
+    histogram = hd_histogram_from_counts(raw_hist, rows.shape[1], bucket_width)
+    entry = {
+        "inter_hd_percent": percent,
+        "intra_hd_percent": mean_intra_hd(SignatureSet(sigs.bits), golden),
+        "ones_fraction": float(trial0.mean()),
+        "hd_histogram": {f"{k:g}": v for k, v in histogram.items()},
+    }
+    if mask is not None:
+        entry["masked"] = {
+            "inter_hd_percent": inter_hd(rows, mask),
+            "intra_hd_percent": mean_intra_hd(apply_mask(sigs, mask), golden),
+            "effective_length": int(mask.sum()),
+        }
+    return entry

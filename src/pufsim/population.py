@@ -35,6 +35,7 @@ of the mismatch instead of the arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
@@ -216,11 +217,11 @@ class PopulationSpec:
     def __post_init__(self):
         if self.num_devices <= 0 or self.cells_per_device <= 0:
             raise InvalidSpecError("population sizes must be positive")
-        if not (self.sigma_mismatch > 0):
-            raise InvalidSpecError("sigma_mismatch must be positive")
+        if not (0 < self.sigma_mismatch < math.inf):
+            raise InvalidSpecError("sigma_mismatch must be positive and finite")
         w = tuple(float(x) for x in self.weights)
-        if len(w) != 3 or any(x < 0 for x in w):
-            raise InvalidSpecError("weights must be three non-negative values")
+        if len(w) != 3 or not all(0 <= x < math.inf for x in w):
+            raise InvalidSpecError("weights must be three non-negative finite values")
         if abs(w[0] ** 2 + w[1] ** 2 + w[2] ** 2 - 1.0) > 1e-9:
             raise InvalidSpecError(
                 "squared weights must sum to 1 (total variance budget)"
@@ -234,6 +235,8 @@ class PopulationSpec:
             raise InvalidSpecError("master_seed must fit in 64 unsigned bits")
         object.__setattr__(self, "weights", w)
         if self.bias_map is not None:
+            if not all(math.isfinite(float(v)) for v in self.bias_map.values()):
+                raise InvalidSpecError("bias offsets must be finite")
             object.__setattr__(self, "bias_map", dict(self.bias_map) or None)
 
 

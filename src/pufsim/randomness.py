@@ -78,9 +78,7 @@ _MIN_LENGTH = {
 
 
 def as_bits(seq) -> np.ndarray:
-    """Coerce a 0/1 string, list, array, or BitSequence to a uint8 array."""
-    if isinstance(seq, BitSequence):
-        return seq.bits
+    """Coerce a 0/1 string, list or array to a uint8 array."""
     if isinstance(seq, str):
         # characters other than '0' and '1' land above 1 after subtracting '0'
         seq = np.frombuffer(seq.encode(), dtype=np.uint8) - ord("0")
@@ -88,31 +86,6 @@ def as_bits(seq) -> np.ndarray:
     if arr.ndim != 1:
         raise InvalidArgumentError("bit sequence must be one-dimensional")
     return arr
-
-
-@dataclass(frozen=True)
-class BitSequence:
-    """A bit string held unpacked; n is its length."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", kernels.read_only(as_bits(self.bits)))
-
-    @property
-    def n(self) -> int:
-        return int(self.bits.size)
-
-    @classmethod
-    def from_string(cls, text: str) -> "BitSequence":
-        return cls(as_bits(text))
-
-    @classmethod
-    def from_packed(cls, raw: bytes, n: int) -> "BitSequence":
-        return cls(kernels.unpack_bits(np.frombuffer(raw, dtype=np.uint8), n))
-
-    def to_packed(self) -> bytes:
-        return np.packbits(self.bits, bitorder="little").tobytes()
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,12 @@ def noise_stream(
     session_seed: int, device: int, trial: int, trials: int, n: int
 ) -> np.random.Generator:
     """Generator whose first n uniforms are the readout draws of row
-    (device, trial) in a session of `trials` trials over n positions."""
+    (device, trial) in a session of `trials` trials over n positions.
+
+    The readout draws whole device ranges and never calls this. It stays
+    as the per-row form of the addressing that the tests check range draws
+    against, and because perfbench/spans.py rebinds it by name.
+    """
     return _readout_generator(session_seed, (device * trials + trial) * _row_blocks(n))
 
 

@@ -146,6 +146,33 @@ def test_stage_settings_rejected_at_validate(field, value):
         from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "field,text,error",
+    [
+        ("sigma_mismatch", "NaN", InvalidSpecError),
+        ("sigma_mismatch", "Infinity", InvalidSpecError),
+        ("weights", "[NaN, 0.0, 1.0]", InvalidSpecError),
+        ("weights", "[0.0, Infinity, 1.0]", InvalidSpecError),
+        ("bias", '{"positions": [[0, 0]], "offset": NaN}', InvalidSpecError),
+        ("bias", '{"positions": [[0, 0]], "offset": Infinity}', InvalidSpecError),
+        ("bias", '{"entries": [[0, 1, -Infinity]]}', InvalidSpecError),
+        ("bias_noise_coupling", "NaN", InvalidArgumentError),
+        ("bias_noise_coupling", "Infinity", InvalidArgumentError),
+    ],
+    ids=["sigma-nan", "sigma-inf", "weight-nan", "weight-inf", "offset-nan",
+         "offset-inf", "entry-inf", "coupling-nan", "coupling-inf"],
+)
+def test_non_finite_model_parameters_rejected_at_load(tmp_path, field, text, error):
+    # json reads NaN and Infinity; a model built from them would read
+    # constant bits instead of failing
+    data = to_dict(_sample_config())
+    data[field] = "@"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data).replace('"@"', text))
+    with pytest.raises(error):
+        load(path)
+
+
 def test_mask_thresholds_ignored_without_masking():
     config = dataclasses.replace(
         preset("d1"), masking_enabled=False, bias_threshold=0.9,

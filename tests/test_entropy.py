@@ -1,5 +1,5 @@
-"""Power-up resolution, the flip-probability closed form, and the
-environment-to-noise calibration tables.
+"""The flip-probability closed form and the environment-to-noise
+calibration tables.
 
 The flip-probability oracle is Monte Carlo: draw (mismatch, noise) pairs,
 count sign disagreements, and require agreement within 3 standard errors.
@@ -18,35 +18,8 @@ from pufsim.entropy import (
     calibrate_noise_for_ber,
     expected_flip_probability,
     noise_sigma_at,
-    resolve_power_up,
 )
 from pufsim.errors import ExtrapolationRefusedError, InvalidArgumentError
-
-
-# -- power-up resolution -----------------------------------------------------
-
-def test_resolve_sign_convention():
-    assert resolve_power_up(0.3, 0.0, 0.0).bit == 1
-    assert resolve_power_up(-0.3, 0.0, 0.0).bit == 0
-    assert resolve_power_up(0.1, 0.3, -0.2).bit == 1
-    assert resolve_power_up(0.1, -0.3, 0.1).bit == 0
-
-
-def test_resolve_tie_goes_to_zero():
-    assert resolve_power_up(0.5, -0.25, -0.25).bit == 0
-    assert resolve_power_up(0.0, 0.0, 0.0).bit == 0
-
-
-def test_resolve_rejects_non_finite():
-    with pytest.raises(InvalidArgumentError):
-        resolve_power_up(float("nan"), 0.0, 0.0)
-    with pytest.raises(InvalidArgumentError):
-        resolve_power_up(float("inf"), 0.0, 0.0)
-
-
-def test_resolve_margin_reported():
-    out = resolve_power_up(0.2, 0.1, -0.05)
-    assert out.resolved_margin == pytest.approx(0.25)
 
 
 # -- flip probability closed form --------------------------------------------
@@ -202,6 +175,11 @@ def test_anchor_table_validation():
         _cal(temperature_anchors=((20.0, 0.6),))  # ber out of range
     with pytest.raises(InvalidArgumentError):
         _cal(bias_noise_coupling=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidArgumentError):
+            _cal(bias_noise_coupling=bad)
+        with pytest.raises(InvalidArgumentError):
+            _cal(sigma_mismatch=bad)
 
 
 def test_noise_sigma_at_consistency():

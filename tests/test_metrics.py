@@ -22,7 +22,6 @@ from pufsim.metrics import (
     inter_hd_details,
     intra_hd,
     mean_intra_hd,
-    ones_fraction_and_colormap,
     robustness_sweep,
 )
 from pufsim.population import PlacementConfig, PopulationSpec, generate_population
@@ -174,15 +173,6 @@ def test_hd_histogram_from_counts_equivalent():
     assert hd_histogram_from_counts(raw, 64, 2.0) == hd_histogram(pairs, 2.0)
 
 
-def test_ones_fraction_and_colormap():
-    bits = np.array([[[1, 0, 1, 0]], [[1, 1, 1, 0]]], dtype=np.uint8)
-    frac, grid = ones_fraction_and_colormap(SignatureSet(bits))
-    assert frac == pytest.approx(5 / 8)
-    assert grid.shape == (2, 4)
-    with pytest.raises(InvalidArgumentError):
-        ones_fraction_and_colormap(SignatureSet(bits), trial=1)
-
-
 # -- sweep and report ---------------------------------------------------------------
 
 def _flat_population(devices, cells, seed):
@@ -238,13 +228,33 @@ def test_compute_report_fields():
     bits = rng.integers(0, 2, size=(6, 2, 32), dtype=np.uint8)
     sigs = SignatureSet(bits)
     golden = enroll_golden(sigs)
-    report = compute_report(sigs, golden, bucket_width=5.0)
-    assert report.intra_hd_percent is not None
-    assert 0.0 <= report.ones_fraction <= 1.0
-    assert sum(report.hd_histogram.values()) == 6 * 5 // 2
-    assert report.colormap.shape == (6, 32)
-    d = report.to_dict()
-    assert set(d) == {"inter_hd_percent", "intra_hd_percent", "hd_histogram",
-                      "ones_fraction", "per_env_ber"}
-    no_golden = compute_report(sigs)
-    assert no_golden.intra_hd_percent is None
+    entry = compute_report(sigs, golden, bucket_width=5.0)
+    assert set(entry) == {"inter_hd_percent", "intra_hd_percent",
+                          "ones_fraction", "hd_histogram"}
+    # rows default to trial 0; the histogram counts every device pair
+    assert entry["inter_hd_percent"] == inter_hd(bits[:, 0, :])
+    assert sum(entry["hd_histogram"].values()) == 6 * 5 // 2
+    assert entry["intra_hd_percent"] == mean_intra_hd(sigs, golden)
+    on_golden = compute_report(sigs, golden, golden.bits, bucket_width=5.0)
+    assert on_golden["inter_hd_percent"] == inter_hd(golden.bits)
+    assert sum(on_golden["hd_histogram"].values()) == 6 * 5 // 2
+
+    # "masked" is present exactly when a mask is given
+    mask = np.zeros(32, dtype=np.uint8)
+    mask[::2] = 1
+    masked = compute_report(sigs, golden, mask=mask, bucket_width=5.0)
+    assert set(masked) == set(entry) | {"masked"}
+    assert masked["masked"] == {
+        "inter_hd_percent": inter_hd(bits[:, 0, :], mask),
+        "intra_hd_percent": mean_intra_hd(apply_mask(sigs, mask), golden),
+        "effective_length": 16,
+    }
+    # the unmasked figures ignore the set's own mask
+    assert {k: v for k, v in masked.items() if k != "masked"} == entry
+    assert compute_report(apply_mask(sigs, mask), golden, bucket_width=5.0) == entry
+
+    # the ones fraction covers trial 0 only: 5 of 8 here, 9 of 16 overall
+    bits = np.array([[[1, 0, 1, 0], [1, 1, 1, 1]],
+                     [[1, 1, 1, 0], [0, 0, 0, 0]]], dtype=np.uint8)
+    sigs = SignatureSet(bits)
+    assert compute_report(sigs, enroll_golden(sigs))["ones_fraction"] == 5 / 8

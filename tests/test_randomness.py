@@ -18,7 +18,6 @@ from pufsim.errors import InsufficientLengthError, InvalidArgumentError
 from pufsim.harness import unbiased_sequences
 from pufsim.randomness import (
     TEST_NAMES,
-    BitSequence,
     TestResult,
     aggregate_suite,
     as_bits,
@@ -224,15 +223,6 @@ def _sample_inputs():
     yield biased
 
 
-def test_bit_sequence_leaves_caller_array_writable():
-    bits = np.zeros(8, dtype=np.uint8)
-    seq = BitSequence(bits)
-    bits[0] = 1
-    assert not seq.bits.flags.writeable
-    with pytest.raises(ValueError):
-        seq.bits[1] = 1
-
-
 def test_p_values_in_unit_interval():
     for bits in _sample_inputs():
         for r in run_suite(bits).values():
@@ -368,15 +358,7 @@ def test_uniformity_handles_p_equal_one():
     assert uniformity_p([0.95, 1.0] * 5) < 1.0
 
 
-# -- sequence containers and IO ---------------------------------------------------------
-
-def test_bit_sequence_round_trip():
-    seq = BitSequence.from_string("1011001")
-    assert seq.n == 7
-    packed = seq.to_packed()
-    back = BitSequence.from_packed(packed, 7)
-    assert np.array_equal(back.bits, seq.bits)
-
+# -- sequence coercion and IO -----------------------------------------------------------------
 
 def test_as_bits_validation():
     with pytest.raises(InvalidArgumentError):
@@ -385,13 +367,11 @@ def test_as_bits_validation():
         as_bits(np.array([0, 2], dtype=np.uint8))
     # a string may hold only '0' and '1'
     assert as_bits("0110").tolist() == [0, 1, 1, 0]
-    for bad in ("0123abc", "10 1", "1/0", "2" * 200, "01\u00e9"):
+    for bad in ("0123abc", "0a1", "10 1", "1/0", "2" * 200, "01\u00e9"):
         with pytest.raises(InvalidArgumentError):
             as_bits(bad)
     with pytest.raises(InvalidArgumentError):
         frequency_test("2" * 200)
-    with pytest.raises(InvalidArgumentError):
-        BitSequence.from_string("0a1")
 
 
 def test_ascii_io(tmp_path):
