@@ -253,8 +253,16 @@ def test_compute_report_fields():
     assert {k: v for k, v in masked.items() if k != "masked"} == entry
     assert compute_report(apply_mask(sigs, mask), golden, bucket_width=5.0) == entry
 
+
+def test_ones_fraction_and_colormap():
     # the ones fraction covers trial 0 only: 5 of 8 here, 9 of 16 overall
     bits = np.array([[[1, 0, 1, 0], [1, 1, 1, 1]],
                      [[1, 1, 1, 0], [0, 0, 0, 0]]], dtype=np.uint8)
     sigs = SignatureSet(bits)
-    assert compute_report(sigs, enroll_golden(sigs))["ones_fraction"] == 5 / 8
+    golden = enroll_golden(sigs)
+    entry = compute_report(sigs, golden)
+    assert entry["ones_fraction"] == pytest.approx(5 / 8)
+    # the default rows are the (devices, n) trial-0 grid, not a later trial
+    assert entry == compute_report(sigs, golden, bits[:, 0, :])
+    assert entry["inter_hd_percent"] == pytest.approx(100.0 / 4)
+    assert entry != compute_report(sigs, golden, bits[:, 1, :])
