@@ -9,10 +9,20 @@ single-sequence `run_suite` call. `--readout D T N` times
 preset over a T-trial session at a 10% target bit-error rate, and at the
 paper-sim shape, 10000 x 1 x 64.
 
+`--battery-loop S N` runs only the criterion-8 loop instead: S N-bit
+`unbiased_sequences`, each through one `run_suite` call, and prints the
+generation ms per sequence, the `run_suite` ms per call and the median of
+the minor page faults (`ru_minflt`) each `run_suite` call took. It runs
+alone so that the faults count the loop's own heap, not the one the other
+timings leave.
+
 Run:  python3 benchmarks/bench_kernels.py --devices 2000 --bits 1024
+      python3 benchmarks/bench_kernels.py --battery-loop 250 100000
 """
 
 import argparse
+import resource
+import statistics
 import time
 from dataclasses import replace
 
@@ -21,6 +31,7 @@ import numpy as np
 from pufsim import kernels, randomness
 from pufsim.config import preset
 from pufsim.entropy import EnvironmentCondition
+from pufsim.harness import unbiased_sequences
 from pufsim.metrics import mean_intra_hd
 from pufsim.population import generate_population
 from pufsim.signature import (
@@ -51,6 +62,24 @@ def _time_readout(d: int, t: int, n: int, seed: int) -> None:
     _time(f"readout {d}x{t}x{n}", read_signatures, population, session)
 
 
+def _battery_loop(s: int, n: int, seed: int) -> None:
+    gen_s = suite_s = 0.0
+    faults = []
+    t = time.perf_counter()
+    for seq in unbiased_sequences(s, n, seed):
+        t0 = time.perf_counter()
+        gen_s += t0 - t
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        randomness.run_suite(seq)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+        t = time.perf_counter()
+        suite_s += t - t0
+    print(f"{'generation per sequence':40s} {gen_s / s * 1e3:9.2f} ms")
+    print(f"{'run_suite per call':40s} {suite_s / s * 1e3:9.2f} ms")
+    print(f"{'run_suite minor faults per call':40s} {statistics.median(faults):9.0f} "
+          f"(median of {s})")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--devices", type=int, default=2000)
@@ -67,8 +96,15 @@ def main() -> None:
     parser.add_argument("--readout", type=int, nargs=3, default=(1000, 5, 1024),
                         metavar=("D", "T", "N"),
                         help="readout shape: devices, trials per session, bits")
+    parser.add_argument("--battery-loop", type=int, nargs=2, metavar=("S", "N"),
+                        help="time only the generator loop of S N-bit sequences "
+                             "through run_suite")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+
+    if args.battery_loop:
+        _battery_loop(*args.battery_loop, args.seed)
+        return
 
     for shape in (args.readout, (PAPER_SIM_SHAPE[0], 1, PAPER_SIM_SHAPE[1])):
         _time_readout(*shape, args.seed)

@@ -24,18 +24,19 @@ import numpy as np
 
 from . import __version__
 from .artifacts import read_container, write_atomic, write_container
-from .config import ExperimentConfig, SessionConfig, config_digest, near_square
+from .config import ExperimentConfig, SessionConfig, config_digest
 from .config import save as save_config
 from .entropy import EnvironmentCondition
-from .errors import InvalidArgumentError, StageError
+from .errors import InvalidArgumentError, InvalidSpecError, StageError
 from .kernels import unpack_bits
 from .metrics import compute_report, robustness_sweep
 from .population import (
+    _TAG_LOCAL,
     DevicePopulation,
     PlacementConfig,
     PopulationSpec,
     generate_population,
-    iter_device_mismatch,
+    keyed_philox,
 )
 from .randomness import (
     TEST_NAMES,
@@ -504,18 +505,39 @@ def compare_runs(manifest_path_a: str, manifest_path_b: str) -> dict:
 # ---------------------------------------------------------------------------
 # simulator-backed bit sequences for the battery
 
+# raw words per draw of the battery's generator: 64 KiB, under glibc's
+# 128 KiB mmap threshold, so no draw maps and unmaps fresh pages
+_SEQUENCE_CHUNK = 8192
+
+
 def unbiased_sequences(num_sequences: int, nbits: int, master_seed: int):
     """Yield noiseless power-up bit sequences of unbiased simulated
-    devices (pure local mismatch), one device per sequence, without
-    materializing the whole population."""
-    placement = PlacementConfig("stream", *near_square(nbits), (0,) * nbits, ())
-    spec = PopulationSpec(
-        num_devices=num_sequences,
-        cells_per_device=nbits,
-        sigma_mismatch=0.25,
-        weights=(0.0, 0.0, 1.0),
-        placement=placement,
-        master_seed=master_seed,
-    )
-    for mismatch in iter_device_mismatch(spec):
-        yield (mismatch > 0).astype(np.uint8)
+    devices (pure local mismatch), one device per sequence.
+
+    Bit i of device d is the top bit of raw 64-bit word i of
+    `keyed_philox(master_seed, local tag)` from counter block
+    d * ceil(nbits / 4), the readout's addressing. That is the sign of the
+    cell's mismatch sigma * ndtri(u) with u on the open 52-bit grid
+    u = ((word >> 12) + 1/2) * 2**-52: ndtri(u) > 0 exactly when
+    word >> 12 >= 2**51, that is when the top bit is set. The population
+    draw still uses ziggurat normals, so until it moves to those uniforms
+    the sequences are not `iter_device_mismatch(spec) > 0` of a pure-local
+    spec.
+
+    One generator serves the whole call and draws each sequence's words in
+    chunks of at most 8192, so no draw allocates more than 64 KiB.
+    """
+    if num_sequences <= 0 or nbits <= 0:
+        raise InvalidSpecError("population sizes must be positive")
+    if not (0 <= int(master_seed) < 2**64):
+        raise InvalidSpecError("master_seed must fit in 64 unsigned bits")
+    bitgen = keyed_philox(int(master_seed), _TAG_LOCAL)
+    row_words = 4 * -(-nbits // 4)  # whole counter blocks per device
+    for _ in range(num_sequences):
+        seq = np.empty(nbits, dtype=np.uint8)
+        for lo in range(0, row_words, _SEQUENCE_CHUNK):
+            hi = min(lo + _SEQUENCE_CHUNK, row_words)
+            words = bitgen.random_raw(hi - lo)
+            words >>= 63
+            seq[lo:hi] = words[: nbits - lo]
+        yield seq

@@ -52,13 +52,14 @@ _TAG_LOCAL = 4
 BUILTIN_PLACEMENTS = ("d1", "d2", "d3", "d4")
 
 
-def keyed_philox(seed: int, tag: int) -> np.random.Philox:
-    """Philox bit generator keyed by (seed, tag), at counter 0.
+def keyed_philox(seed: int, tag: int, block: int = 0) -> np.random.Philox:
+    """Philox bit generator keyed by (seed, tag), advanced to counter
+    block `block`: its next four raw 64-bit words are that block's.
 
     The key is a uint64 array: in a plain list, a seed of 2**63 or more
     would pass through float64 and lose its low bits.
     """
-    return np.random.Philox(key=np.array([seed, tag], dtype=np.uint64))
+    return np.random.Philox(key=np.array([seed, tag], dtype=np.uint64)).advance(block)
 
 
 class _DeviceStreams:

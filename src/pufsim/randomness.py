@@ -37,11 +37,24 @@ are built once per block:
   S_0 = 0, so z = max(S_n - min(0, S_1..S_{n-1}),
   max(0, S_1..S_{n-1}) - S_n). A cumulative-sums p-value depends only on
   (n, z) and is cached by that pair.
+
+The walk, the spectral test's +-1 input, its rfft spectrum and the
+magnitudes (written over the spent input) go into working arrays. For a
+block of at most 2**17 bits (one 1e5-bit sequence, say) those are arrays
+each thread keeps and reuses from call to call, grown to fit and never
+beyond 2**17 bits' worth, about 2.5 MiB per thread in all; so a
+sequence-at-a-time battery does not allocate and free about 2 MB of
+temporaries per sequence, and the first use in a thread lifts glibc's
+heap-trim bound above the scratch numpy's rfft allocates for itself (see
+_Block.work), so neither is faulted in again per sequence. Larger blocks
+allocate theirs per call, so their size bounds no retained memory.
+Results do not depend on which path a block takes.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
@@ -134,6 +147,22 @@ def _results(name, p, alpha, statistic) -> list:
             for pv, st in zip(np.asarray(p).tolist(), np.asarray(statistic).tolist())]
 
 
+# Blocks of at most this many bits run on working arrays that each thread
+# keeps and reuses (about 2.5 MiB per thread at most); larger blocks
+# allocate theirs per call.
+_RETAIN_BITS = 1 << 17
+
+
+class _WorkArrays(threading.local):
+    """This thread's retained working arrays, flat, by name."""
+
+    def __init__(self):
+        self.arrays = {}
+
+
+_WORK = _WorkArrays()
+
+
 class _Block:
     """A (sequences, n) 0/1 block and the intermediates its tests share,
     each built on first use."""
@@ -142,13 +171,39 @@ class _Block:
         self.bits = bits
         self.rows, self.n = bits.shape
 
+    def work(self, name: str, dtype, shape: tuple) -> np.ndarray:
+        """An uninitialised working array of `shape`: a view of this
+        thread's retained array `name` (grown to fit) when the block holds
+        at most _RETAIN_BITS bits, a new array otherwise. The caller must
+        be done with it before it asks for `name` again."""
+        if self.bits.size > _RETAIN_BITS:
+            return np.empty(shape, dtype)
+        size = math.prod(shape)
+        arrays = _WORK.arrays
+        buf = arrays.get(name)
+        if buf is None or buf.size < size:
+            if not arrays:
+                # numpy's rfft allocates its own scratch inside every call,
+                # about 16 bytes per bit. glibc hands freed memory at the top
+                # of its heap back to the system once it exceeds twice the
+                # largest mmap-ed block freed so far, so unless a block near
+                # that size was freed before, the scratch is returned and
+                # faulted in again on every call. Freeing one untouched
+                # block of 16 bytes per retained bit lifts that bound above
+                # the scratch of any block that runs on retained arrays.
+                np.empty(16 * _RETAIN_BITS, dtype=np.uint8)
+            buf = arrays[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
     @cached_property
     def walk_range(self) -> tuple:
         """(min(0, S_1..S_{n-1}), max(0, S_1..S_{n-1}), S_n) per row of
-        the +-1 walk S_1..S_n. The walk itself is not kept, so it is gone
-        before the spectrum's buffers are allocated."""
-        walk = self.bits.astype(np.int32 if self.n < 2**31 else np.int64)
-        walk *= 2
+        the +-1 walk S_1..S_n. The walk itself is not kept: a large
+        block's is freed before the spectrum's arrays are allocated, and a
+        small block's retained array is free for the next block."""
+        walk = self.work("walk", np.int32 if self.n < 2**31 else np.int64,
+                         self.bits.shape)
+        np.multiply(self.bits, 2, out=walk)
         walk -= 1
         np.cumsum(walk, axis=1, out=walk)
         head = walk[:, :-1]
@@ -366,10 +421,17 @@ def rank_test(seq, alpha: float = ALPHA_DEFAULT, fixture_mode: bool = False):
 
 def _dft(blk: _Block, alpha: float) -> list:
     n = blk.n
-    x = 2.0 * blk.bits - 1.0
+    x = blk.work("dft", np.float64, blk.bits.shape)
+    np.multiply(blk.bits, 2.0, out=x)
+    x -= 1.0
+    spectrum = blk.work("spectrum", np.complex128, (blk.rows, n // 2 + 1))
+    np.fft.rfft(x, axis=-1, out=spectrum)
+    # the input is spent, so the magnitudes take its array
+    magnitudes = blk.work("dft", np.float64, spectrum.shape)
+    np.abs(spectrum, out=magnitudes)
     # bins 1..n/2-1: DC excluded (bin 0 is the bit-count imbalance, the
     # frequency test's statistic); expected count stays 0.95 * n/2
-    magnitudes = np.abs(np.fft.rfft(x, axis=-1))[:, 1 : n // 2]
+    magnitudes = magnitudes[:, 1 : n // 2]
     threshold = math.sqrt(n * math.log(1.0 / 0.05))
     n0 = 0.95 * n / 2.0
     n1 = np.count_nonzero(magnitudes < threshold, axis=1)

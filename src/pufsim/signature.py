@@ -102,9 +102,7 @@ def _row_blocks(n: int) -> int:
 
 
 def _readout_generator(session_seed: int, first_block: int) -> np.random.Generator:
-    bitgen = keyed_philox(session_seed, _TAG_READOUT)
-    bitgen.advance(first_block)
-    return np.random.Generator(bitgen)
+    return np.random.Generator(keyed_philox(session_seed, _TAG_READOUT, first_block))
 
 
 def noise_stream(

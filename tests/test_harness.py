@@ -11,7 +11,7 @@ import pytest
 
 from pufsim.cli import main
 from pufsim.config import ExperimentConfig, SessionConfig, preset
-from pufsim.errors import InvalidArgumentError, StageError
+from pufsim.errors import InvalidArgumentError, InvalidSpecError, StageError
 from pufsim.harness import (
     compare_runs,
     load_golden,
@@ -23,6 +23,7 @@ from pufsim.harness import (
 )
 from pufsim.metrics import hd_histogram_from_counts, inter_hd_details
 from pufsim.population import (
+    _TAG_LOCAL,
     PopulationSpec,
     builtin_placement,
     generate_population,
@@ -463,6 +464,60 @@ def test_unbiased_sequences_properties():
     assert all(np.array_equal(a, b) for a, b in zip(seqs, again))
     mean = np.mean([s.mean() for s in seqs])
     assert abs(mean - 0.5) < 0.05
+
+
+def _counter_block_bits(seed, device, nbits):
+    """Reference: the top bits of the first nbits raw words of a Philox
+    keyed (seed, local tag) and set directly to device's first counter
+    block, d * ceil(nbits / 4)."""
+    key = np.array([seed, _TAG_LOCAL], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key, counter=device * -(-nbits // 4))
+    return (bitgen.random_raw(nbits) >> np.uint64(63)).astype(np.uint8)
+
+
+@pytest.mark.parametrize("nbits", [1, 3, 4, 5, 1000, 100_001])
+def test_unbiased_sequences_read_each_devices_counter_blocks(nbits):
+    seed = 2**64 - 3  # above 2**63, where a float key would lose low bits
+    seqs = list(unbiased_sequences(8, nbits, master_seed=seed))
+    for device in (0, 1, 7):
+        assert seqs[device].dtype == np.uint8
+        np.testing.assert_array_equal(seqs[device],
+                                      _counter_block_bits(seed, device, nbits))
+
+
+def test_unbiased_sequences_prefix_does_not_depend_on_count():
+    nine = list(unbiased_sequences(9, 1001, master_seed=44))
+    five = list(unbiased_sequences(5, 1001, master_seed=44))
+    assert all(np.array_equal(a, b) for a, b in zip(nine[:5], five, strict=True))
+
+
+def test_unbiased_bit_is_the_sign_of_the_ndtri_mismatch():
+    # u = ((word >> 12) + 1/2) * 2**-52 is the open 52-bit grid; the top
+    # bit is set exactly when sigma * ndtri(u) > 0
+    from scipy.special import ndtri
+
+    grid = np.array([0, 1, 2**51 - 2, 2**51 - 1, 2**51, 2**51 + 1, 2**52 - 1],
+                    dtype=np.uint64)
+    words = np.concatenate([grid << np.uint64(12),
+                            (grid << np.uint64(12)) | np.uint64(0xFFF)])
+    rng = np.random.default_rng(20261018)
+    words = np.concatenate([words, rng.integers(0, 2**64, size=100_000,
+                                                dtype=np.uint64)])
+    u = ((words >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+    assert np.all((u > 0) & (u < 1))
+    np.testing.assert_array_equal((words >> np.uint64(63)).astype(bool),
+                                  0.25 * ndtri(u) > 0)
+
+
+@pytest.mark.parametrize("args", [(0, 10, 1), (1, 0, 1), (1, 10, 2**64), (1, 10, -1)])
+def test_unbiased_sequences_reject_bad_arguments(args):
+    with pytest.raises(InvalidSpecError):
+        next(unbiased_sequences(*args))
+
+
+def test_unbiased_sequences_accept_the_largest_seed():
+    (seq,) = unbiased_sequences(1, 10, master_seed=2**64 - 1)
+    np.testing.assert_array_equal(seq, _counter_block_bits(2**64 - 1, 0, 10))
 
 
 # -- command line ------------------------------------------------------------------

@@ -10,10 +10,13 @@ output at realistic scale must pass.
 
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from pufsim import randomness
 from pufsim.errors import InsufficientLengthError, InvalidArgumentError
 from pufsim.harness import unbiased_sequences
 from pufsim.randomness import (
@@ -269,6 +272,75 @@ def test_run_suite_block_rows_equal_run_suite(n):
         run_suite_block(block[0])
     with pytest.raises(InvalidArgumentError):
         run_suite_block(block * 2)
+
+
+def _working_array_blocks():
+    """Blocks on both sides of the retained-array bound: one 1e5-bit row and
+    the last row of 3 x 131072 (at most 2**17 bits, retained arrays), and
+    258 x 1016 rows, one 640 000-bit row and the first two 131072-bit rows
+    (more, allocated per call)."""
+    rng = np.random.default_rng(17)
+    return [rng.integers(0, 2, size=shape, dtype=np.uint8)
+            for shape in ((1, 100_000), (258, 1016), (1, 640_000), (3, 131072))]
+
+
+def _suite_reprs(blocks, order):
+    return {i: repr(run_suite_block(blocks[i])) for i in order}
+
+
+def test_working_arrays_do_not_depend_on_call_order(monkeypatch):
+    blocks = _working_array_blocks()
+    with monkeypatch.context() as m:
+        m.setattr(randomness, "_RETAIN_BITS", 0)  # every array per call
+        reference = _suite_reprs(blocks, range(4))
+    for order in ((0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1), (1, 3, 0, 2)):
+        assert _suite_reprs(blocks, order) == reference
+
+
+def test_working_arrays_are_per_thread():
+    blocks = _working_array_blocks()
+    serial = _suite_reprs(blocks, range(4))
+    orders = [(0, 1, 2, 3, 0, 3), (3, 0, 2, 1, 3, 0), (0, 3, 0, 3, 1, 2)]
+    found = [None] * len(orders)
+    start = threading.Barrier(len(orders))
+
+    def work(k):
+        start.wait(timeout=60)
+        found[k] = [(i, repr(run_suite_block(blocks[i]))) for i in orders[k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k, order in enumerate(orders):
+        assert found[k] == [(i, serial[i]) for i in order]
+
+
+def test_working_arrays_stay_within_the_bound():
+    sizes = {}
+
+    def work():
+        blocks = _working_array_blocks()
+        run_suite_block(blocks[0])
+        kept = dict(randomness._WORK.arrays)
+        run_suite_block(blocks[2])  # 640 000 bits: allocated per call
+        sizes.update({name: (arr.size, arr is kept.get(name))
+                      for name, arr in randomness._WORK.arrays.items()})
+
+    t = threading.Thread(target=work)  # a thread of its own: fresh arrays
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive()
+    assert set(sizes) == {"walk", "dft", "spectrum"}
+    assert all(size <= randomness._RETAIN_BITS and same
+               for size, same in sizes.values())
 
 
 def test_run_suite_selection_by_length():
