@@ -7,7 +7,10 @@ built inside the timed call), `run_suite_block` on that block, and one
 single-sequence `run_suite` call. `--readout D T N` times
 `read_signatures` on a D-device, N-cell population of the paper-sim
 preset over a T-trial session at a 10% target bit-error rate, and at the
-paper-sim shape, 10000 x 1 x 64.
+paper-sim shape, 10000 x 1 x 64. `generate_population` is timed best of
+five at the paper-sim shape (10000 x 64, pure local) and at the
+board-repeat shape (the d2 preset at 1000 x 1024, weights
+(0, 0.3, sqrt(0.91))).
 
 `--battery-loop S N` runs only the criterion-8 loop instead: S N-bit
 `unbiased_sequences`, each through one `run_suite` call, and prints the
@@ -106,6 +109,10 @@ def main() -> None:
         _battery_loop(*args.battery_loop, args.seed)
         return
 
+    for name, d in (("paper-sim", 10000), ("d2", 1000)):
+        spec = replace(preset(name), num_devices=d).build_population_spec()
+        _time(f"generate-population {name} {d}x{spec.cells_per_device}",
+              generate_population, spec, repeat=5)
     for shape in (args.readout, (PAPER_SIM_SHAPE[0], 1, PAPER_SIM_SHAPE[1])):
         _time_readout(*shape, args.seed)
     rng = np.random.default_rng(args.seed)

@@ -520,9 +520,8 @@ def unbiased_sequences(num_sequences: int, nbits: int, master_seed: int):
     cell's mismatch sigma * ndtri(u) with u on the open 52-bit grid
     u = ((word >> 12) + 1/2) * 2**-52: ndtri(u) > 0 exactly when
     word >> 12 >= 2**51, that is when the top bit is set. The population
-    draw still uses ziggurat normals, so until it moves to those uniforms
-    the sequences are not `iter_device_mismatch(spec) > 0` of a pure-local
-    spec.
+    draws its local component from the same words, so the sequences are
+    `iter_device_mismatch(spec) > 0` of a pure-local spec of nbits cells.
 
     One generator serves the whole call and draws each sequence's words in
     chunks of at most 8192, so no draw allocates more than 64 KiB.

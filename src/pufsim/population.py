@@ -18,13 +18,14 @@ correlate at exactly w_r^2 / 2 while unrelated regions stay uncorrelated.
 Randomness derivation. Each mismatch component has one keyed Philox
 counter generator, key = (master_seed, component tag), in the manner of
 Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3" (SC'11).
-Device d reads its component from counter (0, 0, d, 0): the device index
-sits in a high word of the 256-bit counter, so a device's draws start at
-a fixed place whatever the ziggurat normal sampler consumed for other
-devices, and never reach the next device's counter. Components with
-zero weight are not drawn. Results are therefore reproducible
-bit-for-bit regardless of generation order, device count or thread
-count.
+A component of k draws per device gives each device ceil(k / 4) whole
+4-word counter blocks, so device d starts at counter block d * ceil(k / 4),
+the readout's addressing. Its draws are the first k raw 64-bit words
+there, each turned into a standard normal by inverse transform on the open
+52-bit grid, ndtri(((word >> 12) + 1/2) * 2**-52), which never reaches 0
+or 1. Any device range is one contiguous draw, so results are
+reproducible bit-for-bit regardless of generation order, device range or
+device count. Components with zero weight are not drawn.
 
 A population is thus a pure function of its `PopulationSpec`. It keeps
 only the combined mismatch and the bias offsets derived from
@@ -40,6 +41,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import InvalidArgumentError, InvalidSpecError
 from .kernels import read_only
@@ -52,9 +54,15 @@ _TAG_LOCAL = 4
 BUILTIN_PLACEMENTS = ("d1", "d2", "d3", "d4")
 
 
+# raw words per draw of a component (256 KiB); bounds the draw's working
+# memory, whatever the population size
+_DRAW_WORDS = 1 << 15
+
+
 def keyed_philox(seed: int, tag: int, block: int = 0) -> np.random.Philox:
     """Philox bit generator keyed by (seed, tag), advanced to counter
-    block `block`: its next four raw 64-bit words are that block's.
+    block `block`: its next four raw 64-bit words are that block's. Row r
+    of a stream with k words per row starts at block r * ceil(k / 4).
 
     The key is a uint64 array: in a plain list, a seed of 2**63 or more
     would pass through float64 and lose its low bits.
@@ -62,32 +70,24 @@ def keyed_philox(seed: int, tag: int, block: int = 0) -> np.random.Philox:
     return np.random.Philox(key=np.array([seed, tag], dtype=np.uint64)).advance(block)
 
 
-class _DeviceStreams:
-    """One keyed Philox per component tag, re-pointed per device.
-
-    `normals(tag, device, size, out)` draws what a fresh
-    `keyed_philox(master_seed, tag)` set to counter (0, 0, device, 0)
-    would.
-    Each tag keeps the state dict of its fresh generator, and only its
-    counter word 2 is rewritten per device: setting that state costs a
-    few microseconds, where constructing a new generator costs about five
-    times as much.
-    """
-
-    def __init__(self, master_seed: int):
-        self._seed = int(master_seed)
-        self._gens = {}
-
-    def normals(self, tag: int, device: int, size=None, out=None):
-        entry = self._gens.get(tag)
-        if entry is None:
-            bitgen = keyed_philox(self._seed, tag)
-            # the state getter returns copies, so this dict stays ours
-            entry = self._gens[tag] = (np.random.Generator(bitgen), bitgen.state)
-        gen, state = entry
-        state["state"]["counter"][2] = device
-        gen.bit_generator.state = state
-        return gen.standard_normal(size, out=out)
+def _normals(seed: int, tag: int, first: int, rows: int, k: int) -> np.ndarray:
+    """The (rows, k) standard normals of devices first .. first + rows - 1
+    of component `tag`: the first k raw words of each device's ceil(k / 4)
+    counter blocks, through ndtri(((word >> 12) + 1/2) * 2**-52). Words
+    are drawn in chunks of whole devices, at most _DRAW_WORDS of them
+    unless one device needs more."""
+    out = np.empty((rows, k))
+    blocks = -(-k // 4)
+    bitgen = keyed_philox(seed, tag, first * blocks)
+    step = max(1, _DRAW_WORDS // (4 * blocks))
+    for lo in range(0, rows, step):
+        chunk = out[lo:lo + step]
+        words = bitgen.random_raw(len(chunk) * 4 * blocks)
+        words >>= 12
+        np.add(words.reshape(len(chunk), 4 * blocks)[:, :k], 0.5, out=chunk)
+        chunk *= 2.0**-52
+        ndtri(chunk, out=chunk)
+    return out
 
 
 @dataclass(frozen=True)
@@ -277,13 +277,13 @@ class DevicePopulation:
     def cell(self, device: int, index: int) -> CellParams:
         spec = self.spec
         placement = spec.placement
-        g, regional, local = _one_device(
-            spec, _RegionTables(placement), _DeviceStreams(spec.master_seed), device
+        g, regional, local = _draw_range(
+            spec, _RegionTables(placement), device, device + 1
         )
         return CellParams(
-            global_component=float(g[0, 0]),
-            regional_component=float(regional[0, index]),
-            local_component=float(local[0, index]),
+            global_component=0.0 if g is None else float(g[0, 0]),
+            regional_component=0.0 if regional is None else float(regional[0, index]),
+            local_component=0.0 if local is None else float(local[0, index]),
             position=(index // placement.grid_width, index % placement.grid_width),
             region=placement.region_of[index],
         )
@@ -298,27 +298,33 @@ class _RegionTables:
         comp_map = placement.adjacency_components()
         self.num_regions = len(region_ids)
         self.num_components = (max(comp_map.values()) + 1) if comp_map else 0
-        # per region slot: component index, or -1 for an unshared region
-        self.comp_of_slot = np.array(
+        # region slots in an adjacency component, and that component
+        comp_of_slot = np.array(
             [comp_map.get(r, -1) for r in region_ids], dtype=np.int64
         )
+        self.shared = np.flatnonzero(comp_of_slot >= 0)
+        self.comp_of_shared = comp_of_slot[self.shared]
         self.slot_of_cell = np.array(
             [id_to_slot[r] for r in placement.region_of], dtype=np.int64
         )
 
-    def regional_per_cell(self, own: np.ndarray, cluster: np.ndarray) -> np.ndarray:
-        eff = own.copy()
-        shared = self.comp_of_slot >= 0
-        if shared.any():
-            eff[shared] = np.sqrt(0.5) * own[shared] + np.sqrt(0.5) * cluster[
-                self.comp_of_slot[shared]
-            ]
-        return eff[self.slot_of_cell]
+    def regional_per_cell(self, own: np.ndarray, cluster) -> np.ndarray:
+        """Effective regional draw of each cell, (rows, cells), from the
+        own draws (rows, regions) and cluster draws (rows, components);
+        `own` is overwritten."""
+        if self.shared.size:
+            half = np.sqrt(0.5)
+            own[:, self.shared] = (
+                half * own[:, self.shared] + half * cluster[:, self.comp_of_shared]
+            )
+        return own[:, self.slot_of_cell]
 
 
 def _combine(spec: PopulationSpec, parts, shape) -> np.ndarray:
     """sigma * (w_g * global + w_r * regional + w_l * local) over the
-    components of nonzero weight, broadcast to shape.
+    components of nonzero weight, broadcast to shape. The parts are scaled
+    and summed in place, in that order: only the global part is narrower
+    than shape, and it comes first.
 
     Dropping a zero-weight term leaves every sum unchanged, and each
     element goes through the same operations whether it is computed for
@@ -326,43 +332,31 @@ def _combine(spec: PopulationSpec, parts, shape) -> np.ndarray:
     total = None
     for w, part in zip(spec.weights, parts):
         if w:
-            term = w * part
-            total = term if total is None else total + term
+            part *= w
+            total = part if total is None else np.add(total, part, out=part)
     return spec.sigma_mismatch * np.broadcast_to(total, shape)
 
 
-def _draw_device(
-    spec: PopulationSpec, tables: _RegionTables, streams: _DeviceStreams,
-    device: int, parts: tuple, row: int,
-) -> None:
-    """Write one device's components into row `row` of parts = (global
-    (rows, 1), regional (rows, n), local (rows, n)); a component of zero
-    weight is not drawn and its array is not touched."""
-    g, regional, local = parts
-    w_g, w_r, w_l = spec.weights
-    if w_g:
-        streams.normals(_TAG_GLOBAL, device, out=g[row])
-    if w_r:
-        own = streams.normals(_TAG_REGIONAL, device, tables.num_regions)
-        cluster = (
-            streams.normals(_TAG_CLUSTER, device, tables.num_components)
-            if tables.num_components
-            else np.empty(0)
-        )
-        regional[row] = tables.regional_per_cell(own, cluster)
-    if w_l:
-        streams.normals(_TAG_LOCAL, device, out=local[row])
-
-
-def _one_device(
-    spec: PopulationSpec, tables: _RegionTables, streams: _DeviceStreams, device: int
+def _draw_range(
+    spec: PopulationSpec, tables: _RegionTables, first: int, stop: int
 ) -> tuple:
-    """One device's (global, regional, local) draws, each of one row; a
-    component of zero weight reads as zeros."""
-    n = spec.cells_per_device
-    parts = (np.zeros((1, 1)), np.zeros((1, n)), np.zeros((1, n)))
-    _draw_device(spec, tables, streams, device, parts, 0)
-    return parts
+    """Components (global (rows, 1), regional (rows, n), local (rows, n))
+    of devices first .. stop - 1; a component of zero weight is not drawn
+    and reads None."""
+    seed, rows, n = spec.master_seed, stop - first, spec.cells_per_device
+    w_g, w_r, w_l = spec.weights
+    g = _normals(seed, _TAG_GLOBAL, first, rows, 1) if w_g else None
+    regional = None
+    if w_r:
+        own = _normals(seed, _TAG_REGIONAL, first, rows, tables.num_regions)
+        cluster = (
+            _normals(seed, _TAG_CLUSTER, first, rows, tables.num_components)
+            if tables.num_components
+            else None
+        )
+        regional = tables.regional_per_cell(own, cluster)
+    local = _normals(seed, _TAG_LOCAL, first, rows, n) if w_l else None
+    return g, regional, local
 
 
 def generate_population(spec: PopulationSpec) -> DevicePopulation:
@@ -372,15 +366,8 @@ def generate_population(spec: PopulationSpec) -> DevicePopulation:
     distinct master seeds produce statistically independent ones.
     Components of zero weight get no array at all.
     """
-    tables = _RegionTables(spec.placement)
-    streams = _DeviceStreams(spec.master_seed)
     d, n = spec.num_devices, spec.cells_per_device
-    parts = tuple(
-        np.empty((d, width)) if w else None
-        for w, width in zip(spec.weights, (1, n, n))
-    )
-    for dev in range(d):
-        _draw_device(spec, tables, streams, dev, parts, dev)
+    parts = _draw_range(spec, _RegionTables(spec.placement), 0, d)
     return DevicePopulation(spec, _combine(spec, parts, (d, n)))
 
 
@@ -389,10 +376,9 @@ def iter_device_mismatch(spec: PopulationSpec) -> Iterator[np.ndarray]:
     the population; identical values to generate_population(spec).mismatch.
     """
     tables = _RegionTables(spec.placement)
-    streams = _DeviceStreams(spec.master_seed)
     shape = (1, spec.cells_per_device)
     for dev in range(spec.num_devices):
-        yield _combine(spec, _one_device(spec, tables, streams, dev), shape)[0]
+        yield _combine(spec, _draw_range(spec, tables, dev, dev + 1), shape)[0]
 
 
 def inject_position_bias(

@@ -24,10 +24,12 @@ from pufsim.harness import (
 from pufsim.metrics import hd_histogram_from_counts, inter_hd_details
 from pufsim.population import (
     _TAG_LOCAL,
+    PlacementConfig,
     PopulationSpec,
     builtin_placement,
     generate_population,
     inject_position_bias,
+    iter_device_mismatch,
 )
 from pufsim.signature import (
     GoldenSignature,
@@ -483,6 +485,11 @@ def test_unbiased_sequences_read_each_devices_counter_blocks(nbits):
         assert seqs[device].dtype == np.uint8
         np.testing.assert_array_equal(seqs[device],
                                       _counter_block_bits(seed, device, nbits))
+    # by construction, the signs of a pure-local population's mismatch
+    spec = PopulationSpec(8, nbits, 0.25, (0.0, 0.0, 1.0),
+                          PlacementConfig("flat", nbits, 1, (0,) * nbits, ()), seed)
+    for seq, mismatch in zip(seqs, iter_device_mismatch(spec), strict=True):
+        np.testing.assert_array_equal(seq, mismatch > 0)
 
 
 def test_unbiased_sequences_prefix_does_not_depend_on_count():

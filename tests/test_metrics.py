@@ -11,8 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
-from pufsim.entropy import EnvironmentCondition, NoiseCalibration
+from pufsim.entropy import EnvironmentCondition, NoiseCalibration, noise_sigma_at
 from pufsim.errors import InvalidArgumentError
 from pufsim.metrics import (
     compute_report,
@@ -202,6 +203,14 @@ def test_robustness_sweep_nominal_is_exact_zero():
 
 
 def test_robustness_sweep_tracks_target_ber():
+    # The golden is the noiseless sign of each margin m, so a re-read bit
+    # flips with probability q = Phi(-|m| / sigma_n) at its cell. Two
+    # checks, each at three standard errors:
+    # (a) the realized flip rate against expected = mean q over the cells:
+    #     its count sums t Bernoulli(q) per cell, variance t * sum q(1 - q);
+    # (b) expected against the calibration's target, the mean of q over
+    #     the mismatch distribution, of which the cells are one sample:
+    #     standard error sqrt(Var(q) / cells).
     pop = _flat_population(150, 64, 10)
     cal = NoiseCalibration(
         sigma_mismatch=0.25,
@@ -213,13 +222,18 @@ def test_robustness_sweep_tracks_target_ber():
         EnvironmentCondition(0.0, 1.0),
         EnvironmentCondition(85.0, 1.0),
     ]
-    results = robustness_sweep(pop, cal, envs, trials=2, base_seed=5)
+    trials = 2
+    results = robustness_sweep(pop, cal, envs, trials=trials, base_seed=5)
     intra = [v for _, v in results]
     assert intra[0] == 0.0
-    samples = 150 * 64 * 2
-    for got, ber in zip(intra[1:], (0.08, 0.16)):
-        se = 100.0 * math.sqrt(ber * (1 - ber) / samples)
-        assert abs(got - 100.0 * ber) < 3 * se
+    margin = np.abs(pop.mismatch).ravel()
+    cells = margin.size
+    for env, got, ber in zip(envs[1:], intra[1:], (0.08, 0.16)):
+        q = ndtr(-margin / noise_sigma_at(cal, env))
+        expected = float(q.mean())
+        realized_se = math.sqrt(trials * float((q * (1 - q)).sum())) / (trials * cells)
+        assert abs(got / 100.0 - expected) < 3 * realized_se
+        assert abs(expected - ber) < 3 * math.sqrt(float(q.var()) / cells)
     assert intra[0] < intra[1] < intra[2]
 
 

@@ -9,10 +9,13 @@ assertions use 3-standard-error bands around these values.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
+from pufsim import population
 from pufsim.errors import InvalidArgumentError, InvalidSpecError
 from pufsim.population import (
     BUILTIN_PLACEMENTS,
@@ -35,7 +38,7 @@ def _spec(devices=50, cells=1024, weights=PURE_LOCAL, placement="d1",
         placement = builtin_placement(placement)
     return PopulationSpec(
         num_devices=devices,
-        cells_per_device=cells,
+        cells_per_device=placement.num_cells if cells is None else cells,
         sigma_mismatch=sigma,
         weights=weights,
         placement=placement,
@@ -68,28 +71,67 @@ def test_devices_are_prefix_stable():
     assert np.array_equal(small.mismatch, large.mismatch[:10])
 
 
+def _reference_normals(seed, tag, device, k):
+    """Reference draw: the first k raw words of a bare Philox keyed
+    (seed, tag) and set to device's first counter block, d * ceil(k / 4),
+    through ndtri on the open 52-bit grid ((word >> 12) + 1/2) * 2**-52."""
+    key = np.array([seed, tag], dtype=np.uint64)
+    words = np.random.Philox(key=key, counter=device * -(-k // 4)).random_raw(k)
+    return ndtri(((words >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52)
+
+
+FLAT_13 = PlacementConfig("flat", 13, 1, (0,) * 13, ())
+
+
 def test_device_streams_are_counter_addressed():
-    # component tag 4 (local) of device k reads Philox key (seed, 4) from
-    # counter (0, 0, k, 0), so a device's draws never depend on the others;
-    # with pure-local weights the mismatch is exactly sigma times that draw
-    pop = generate_population(_spec(devices=5, cells=1024, seed=99))
-    for dev in (0, 3, 4):
-        gen = np.random.Generator(
-            np.random.Philox(key=[99, 4], counter=[0, 0, dev, 0]))
-        assert np.array_equal(pop.mismatch[dev], 0.25 * gen.standard_normal(1024))
-        # zero-weight components are not drawn
-        for idx in (0, 100, 1023):
-            cell = pop.cell(dev, idx)
-            assert cell.global_component == 0.0 and cell.regional_component == 0.0
+    # component tag 4 (local) of device d reads Philox key (seed, 4) from
+    # counter block d * ceil(k / 4), so a device's draws never depend on
+    # the others; with pure-local weights the mismatch is exactly sigma
+    # times that draw. 2**64 - 3 needs an exact uint64 key; 13 cells and
+    # the one global draw leave part of each device's last block unused.
+    for seed in (99, 2**64 - 3):
+        for placement in ("d1", FLAT_13):
+            spec = _spec(devices=5, cells=None, placement=placement, seed=seed)
+            k = spec.cells_per_device
+            pop = generate_population(spec)
+            for dev in (0, 3, 4):
+                np.testing.assert_array_equal(
+                    pop.mismatch[dev], 0.25 * _reference_normals(seed, 4, dev, k))
+                # zero-weight components are not drawn
+                for idx in (0, 7, k - 1):
+                    cell = pop.cell(dev, idx)
+                    assert cell.global_component == cell.regional_component == 0.0
+            # the global component (tag 1) has one draw per device
+            pop = generate_population(replace(spec, weights=(1.0, 0.0, 0.0)))
+            for dev in (0, 3, 4):
+                (g,) = _reference_normals(seed, 1, dev, 1)
+                np.testing.assert_array_equal(pop.mismatch[dev], np.full(k, 0.25 * g))
+                assert pop.cell(dev, k - 1).global_component == g
 
 
-def test_iter_matches_generate():
-    for weights in (PURE_LOCAL, (0.6, 0.0, 0.8), (0.0, 0.3, math.sqrt(0.91)),
-                    (0.2, 0.4, math.sqrt(1 - 0.04 - 0.16))):
-        spec = _spec(devices=6, weights=weights, placement="d2", seed=5)
-        pop = generate_population(spec)
-        streamed = np.stack(list(iter_device_mismatch(spec)))
-        assert np.allclose(streamed, pop.mismatch, atol=0, rtol=0)
+def test_iter_matches_generate(monkeypatch):
+    # 40 devices of 1024 local draws span more than one 2**15-word draw
+    assert 40 * 1024 > population._DRAW_WORDS
+    drawn = []
+    for devices in (6, 40):
+        for weights in (PURE_LOCAL, (0.6, 0.0, 0.8), (0.0, 0.3, math.sqrt(0.91)),
+                        (0.2, 0.4, math.sqrt(1 - 0.04 - 0.16))):
+            spec = _spec(devices=devices, weights=weights, placement="d2", seed=5)
+            pop = generate_population(spec)
+            streamed = np.stack(list(iter_device_mismatch(spec)))
+            np.testing.assert_array_equal(streamed, pop.mismatch)
+            # one-device draws of cell() recombine to the mismatch exactly
+            w_g, w_r, w_l = spec.weights
+            for dev, idx in ((devices - 1, 700), (0, 0), (devices // 2, 1023)):
+                c = pop.cell(dev, idx)
+                assert pop.mismatch[dev, idx] == 0.25 * (
+                    w_g * c.global_component + w_r * c.regional_component
+                    + w_l * c.local_component)
+            drawn.append((spec, pop.mismatch))
+    # one counter block per draw: every component spans many draws
+    monkeypatch.setattr(population, "_DRAW_WORDS", 4)
+    for spec, mismatch in drawn:
+        np.testing.assert_array_equal(generate_population(spec).mismatch, mismatch)
 
 
 def test_population_leaves_caller_mismatch_writable():
@@ -283,8 +325,7 @@ def test_cell_accessor():
     cell = pop.cell(1, 17)
     assert cell.position == (1, 1)  # 16-wide grid
     assert cell.region == 1
-    gen = np.random.Generator(np.random.Philox(key=[99, 4], counter=[0, 0, 1, 0]))
-    assert cell.local_component == gen.standard_normal(1024)[17]
+    assert cell.local_component == _reference_normals(99, 4, 1, 1024)[17]
     assert cell.global_component == cell.regional_component == 0.0
     assert pop.mismatch[1, 17] == 0.25 * cell.local_component
     # mixed weights: the components recombine to the stored mismatch
@@ -293,6 +334,14 @@ def test_cell_accessor():
                                     placement="d2", seed=5))
     for dev, idx in ((0, 0), (2, 700)):
         c = pop.cell(dev, idx)
+        # d2: region r = idx // 64 mixes its own draw (tag 2, 16 regions)
+        # with its pair's cluster draw (tag 3, 8 pairs)
+        region = idx // 64
+        own = _reference_normals(5, 2, dev, 16)[region]
+        cluster = _reference_normals(5, 3, dev, 8)[region // 2]
+        assert c.global_component == _reference_normals(5, 1, dev, 1)[0]
+        assert c.regional_component == np.sqrt(0.5) * own + np.sqrt(0.5) * cluster
+        assert c.local_component == _reference_normals(5, 4, dev, 1024)[idx]
         assert pop.mismatch[dev, idx] == pytest.approx(
             0.25 * (w_g * c.global_component + w_r * c.regional_component
                     + w_l * c.local_component), rel=1e-12)
