@@ -7,10 +7,13 @@ built inside the timed call), `run_suite_block` on that block, and one
 single-sequence `run_suite` call. `--readout D T N` times
 `read_signatures` on a D-device, N-cell population of the paper-sim
 preset over a T-trial session at a 10% target bit-error rate, and at the
-paper-sim shape, 10000 x 1 x 64. `generate_population` is timed best of
-five at the paper-sim shape (10000 x 64, pure local) and at the
-board-repeat shape (the d2 preset at 1000 x 1024, weights
-(0, 0.3, sqrt(0.91))).
+paper-sim shape, 10000 x 1 x 64; at each shape it also prints the median
+minor page faults (`ru_minflt`) per `read_signatures` call, beside the
+pages of the (D, T, N) output array that a call may fault in, and times
+`SignatureSet.to_csv` and `to_binary` on the result.
+`generate_population` is timed best of five at the paper-sim shape
+(10000 x 64, pure local) and at the board-repeat shape (the d2 preset at
+1000 x 1024, weights (0, 0.3, sqrt(0.91))).
 
 `--battery-loop S N` runs only the criterion-8 loop instead: S N-bit
 `unbiased_sequences`, each through one `run_suite` call, and prints the
@@ -24,8 +27,10 @@ Run:  python3 benchmarks/bench_kernels.py --devices 2000 --bits 1024
 """
 
 import argparse
+import os
 import resource
 import statistics
+import tempfile
 import time
 from dataclasses import replace
 
@@ -62,7 +67,18 @@ def _time_readout(d: int, t: int, n: int, seed: int) -> None:
     session = ReadoutSession(EnvironmentCondition(25.0, 1.0), t,
                              config.session_seed(0), config.build_calibration(),
                              target_ber=READOUT_BER)
-    _time(f"readout {d}x{t}x{n}", read_signatures, population, session)
+    shape = f"{d}x{t}x{n}"
+    _time(f"readout {shape}", read_signatures, population, session)
+    faults = []
+    for _ in range(5):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        sigs = read_signatures(population, session)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+    print(f"{'readout minor faults per call':40s} {statistics.median(faults):9.0f} "
+          f"(median of 5; output array {-(-d * t * n // resource.getpagesize())} pages)")
+    with tempfile.TemporaryDirectory() as tmp:
+        _time(f"to_csv {shape}", sigs.to_csv, os.path.join(tmp, "sigs.csv"))
+        _time(f"to_binary {shape}", sigs.to_binary, os.path.join(tmp, "sigs.bin"))
 
 
 def _battery_loop(s: int, n: int, seed: int) -> None:

@@ -174,10 +174,12 @@ def robustness_sweep(
     nominal environment (defaults to the calibration reference).
 
     Reproducible: the enrollment seed and each sweep point's session seed
-    derive from base_seed and the point's position in envs.
+    are full 64-bit words of SeedSequence(base_seed, spawn_key=(key,)),
+    key 0 for the enrollment and 1 + the point's position in envs.
     """
     def read(env, n_trials, key):
-        seed = np.random.SeedSequence(base_seed, spawn_key=(key,)).generate_state(1)[0]
+        ss = np.random.SeedSequence(base_seed, spawn_key=(key,))
+        seed = ss.generate_state(1, dtype=np.uint64)[0]
         session = ReadoutSession(env, trials=n_trials, session_seed=int(seed),
                                  calibration=calibration)
         return read_signatures(population, session, threads=threads)

@@ -16,30 +16,32 @@ thus hurt both uniqueness and reliability, which is what makes eliminating
 them worthwhile.
 
 Threshold readout. A bit is 1 with probability p = Phi(x), x = margin /
-sigma_eff, so it is resolved as `u < p` with u uniform on [0, 1): the same
-law as `margin + sigma_eff * z > 0` with z standard normal. Most bits are
-resolved without evaluating p. A table built at import holds ndtr on a grid
-of x from -9 to 9 in steps of 1/64, widened by 2**-40 into a bracket
-LO <= p <= HI for each grid bucket (the end buckets run to -inf and +inf).
-Each cell looks up its bucket from x once per session; a draw with u < LO
-reads 1 and one with u >= HI reads 0. A draw lands inside its bracket with
+sigma_eff, so it is resolved as `u < p * 2**32` with u a uniform 32-bit
+integer: the same law as `margin + sigma_eff * z > 0` with z standard
+normal, up to a shift of P(1) below 2**-32. Most bits are resolved without
+evaluating p. A table built at import holds ndtr on a grid of x from -9 to
+9 in steps of 1/64, widened by 2**-40 into a bracket LO <= p <= HI for each
+grid bucket (the end buckets run to -inf and +inf), and scales it to
+integer bounds LO32 = floor(LO * 2**32) and HIM1 = ceil(HI * 2**32) - 1.
+Each cell looks up its bucket from x once per session; a draw with u < LO32
+reads 1 and one with u > HIM1 reads 0. A draw lands inside its bracket with
 probability under 0.63% at any x; only the cells with such a draw evaluate
-p = ndtr(x), and only those draws read `u < p`, so the bits are exactly
-those of evaluating p for every cell. A noiseless
-session (sigma = 0) has p = (margin > 0) and draws nothing, so it
-reproduces the sign of the margin exactly and an exact zero margin
-resolves to 0.
+p = ndtr(x), and only those draws compare u < p * 2**32, exactly, so the
+bits are exactly those of evaluating p for every cell. A noiseless session
+(sigma = 0) has p = (margin > 0) and draws nothing, so it reproduces the
+sign of the margin exactly and an exact zero margin resolves to 0.
 
 Randomness derivation. A session has one keyed Philox counter generator,
 key = (session_seed, readout tag) built by `population.keyed_philox` as
 exact 64-bit words, in the manner of Salmon et al.,
-"Parallel Random Numbers: As Easy as 1, 2, 3" (SC'11). Each uniform uses
-one 64-bit output, and each row is padded to whole 4-output counter
-blocks, so row (device, trial) of a session with t trials and n positions
-starts at counter block (device * t + trial) * ceil(n / 4). Any device
-range is then one contiguous draw that starts at a computed counter,
-which makes the bits independent of how the devices are split into ranges
-and of the thread count.
+"Parallel Random Numbers: As Easy as 1, 2, 3" (SC'11). Each raw 64-bit
+output holds two uniforms, its low 32-bit half first, and each row is
+padded to whole 4-output counter blocks (8 uniforms), so row (device,
+trial) of a session with t trials and n positions starts at counter block
+(device * t + trial) * ceil(n / 8). Any device range is then one
+contiguous draw that starts at a computed counter, which makes the bits
+independent of how the devices are split into ranges and of the thread
+count.
 """
 
 from __future__ import annotations
@@ -65,23 +67,31 @@ from .population import DevicePopulation, keyed_philox
 
 _TAG_READOUT = 5
 
-# uniforms drawn per device range (256 KiB of float64); bounds the
+# uniforms drawn per device range (256 KiB of raw words); bounds the
 # readout's working memory, whatever the population size
-_RANGE_VALUES = 1 << 15
+_RANGE_VALUES = 1 << 16
+
+# text assembled per write of the signature CSV, unless one device's rows
+# are longer
+_CSV_CHUNK_BYTES = 1 << 18
 
 # Bracketing table for Phi: ndtr on the grid x_k = _GRID_LO + k / _GRID_STEPS,
 # k = 0 .. _GRID_POINTS - 1 (-9 to 9). Bucket b = 1 .. _GRID_POINTS - 1 holds
 # x in [x_(b-1), x_b), bucket 0 all x < x_0 and the last bucket all x >= 9.
 # _SLACK (in probability) covers the rounding of the bucket index and of
 # ndtr itself, both below 1e-15, so _PHI_LO[b] <= ndtr(x) <= _PHI_HI[b] for
-# every x of bucket b.
+# every x of bucket b. Scaled to the uint32 draws, the bracket is
+# _LO32[b] <= ndtr(x) * 2**32 <= _HIM1[b] + 1.
 _GRID_STEPS = 64
 _GRID_LO = -9.0
 _GRID_POINTS = 18 * _GRID_STEPS + 1
 _SLACK = 2.0**-40
+_SCALE = 2.0**32
 _GRID_PHI = ndtr(_GRID_LO + np.arange(_GRID_POINTS) / _GRID_STEPS)
-_PHI_LO = np.concatenate(([-np.inf], _GRID_PHI - _SLACK))
-_PHI_HI = np.concatenate((_GRID_PHI + _SLACK, [np.inf]))
+_PHI_LO = np.clip(np.concatenate(([0.0], _GRID_PHI - _SLACK)), 0.0, 1.0)
+_PHI_HI = np.clip(np.concatenate((_GRID_PHI + _SLACK, [1.0])), 0.0, 1.0)
+_LO32 = np.minimum(np.floor(_PHI_LO * _SCALE), _SCALE - 1).astype(np.uint32)
+_HIM1 = (np.ceil(_PHI_HI * _SCALE) - 1).astype(np.uint32)
 
 # Padding of the needed-cell mask. numpy keeps freed data blocks under
 # 1 KiB in a per-size cache for the life of the process; a small index
@@ -97,25 +107,25 @@ _HEADER = "<HHIII"
 
 
 def _row_blocks(n: int) -> int:
-    """4-output Philox counter blocks per readout row of n positions."""
-    return (n + 3) // 4
-
-
-def _readout_generator(session_seed: int, first_block: int) -> np.random.Generator:
-    return np.random.Generator(keyed_philox(session_seed, _TAG_READOUT, first_block))
+    """4-output Philox counter blocks (8 uniforms) per readout row of n
+    positions."""
+    return (n + 7) // 8
 
 
 def noise_stream(
     session_seed: int, device: int, trial: int, trials: int, n: int
-) -> np.random.Generator:
-    """Generator whose first n uniforms are the readout draws of row
-    (device, trial) in a session of `trials` trials over n positions.
+) -> np.random.Philox:
+    """Philox bit generator at the start of row (device, trial) in a
+    session of `trials` trials over n positions: the first n entries of
+    `random_raw(ceil(n / 2)).view(np.uint32)` are that row's draws.
 
     The readout draws whole device ranges and never calls this. It stays
     as the per-row form of the addressing that the tests check range draws
     against, and because perfbench/spans.py rebinds it by name.
     """
-    return _readout_generator(session_seed, (device * trials + trial) * _row_blocks(n))
+    return keyed_philox(
+        session_seed, _TAG_READOUT, (device * trials + trial) * _row_blocks(n)
+    )
 
 
 def check_trials(trials: int) -> None:
@@ -221,15 +231,58 @@ class SignatureSet:
         return cls(rows[has_mask:].reshape(d, t, n), rows[0] if has_mask else None)
 
     def to_csv(self, path) -> None:
-        """One row per (device, trial); bits as a 0/1 character string."""
+        """One row per (device, trial); bits as a 0/1 character string.
+
+        The text is assembled as uint8 arrays, without a loop over rows:
+        devices whose numbers have the same count of decimal digits share
+        one layout of their t rows, so a chunk of them is one (devices,
+        bytes) array, written as it is. A chunk holds at most
+        _CSV_CHUNK_BYTES, and never more than the d * t * (n + 1) bytes of
+        the bits as text, unless one device's rows are longer.
+        """
         d, t, n = self.bits.shape
-        text = np.empty((d * t, n + 1), dtype=np.uint8)
-        text[:, :n] = self.bits.reshape(d * t, n) + ord("0")
-        text[:, n] = ord("\n")
+        comma = np.full((t, 1), ord(","), dtype=np.uint8)
+        # ",<trial>," for each run of trials of one digit count
+        trial_runs = [(a, b, np.hstack([comma[a:b], _decimal(a, b, k), comma[a:b]]))
+                      for a, b, k in _digit_runs(t)]
+        budget = min(_CSV_CHUNK_BYTES, d * t * (n + 1))
         with write_atomic(path, "wb") as fh:
             fh.write(b"device,trial,bits\n")
-            for row, (dev, trial) in enumerate(np.ndindex(d, t)):
-                fh.write(b"%d,%d,%s" % (dev, trial, text[row].tobytes()))
+            for start, stop, digits in _digit_runs(d):
+                widths = [digits + mid.shape[1] + n + 1 for _, _, mid in trial_runs]
+                device_bytes = sum((b - a) * w for (a, b, _), w in zip(trial_runs, widths))
+                step = max(1, budget // device_bytes)
+                for lo in range(start, stop, step):
+                    hi = min(lo + step, stop)
+                    text = np.empty((hi - lo, device_bytes), dtype=np.uint8)
+                    device = _decimal(lo, hi, digits)[:, None, :]
+                    col = 0
+                    for (a, b, mid), width in zip(trial_runs, widths):
+                        rows = text[:, col:col + (b - a) * width].reshape(hi - lo, b - a, width)
+                        rows[:, :, :digits] = device
+                        rows[:, :, digits:width - n - 1] = mid
+                        np.add(self.bits[lo:hi, a:b], ord("0"), out=rows[:, :, width - n - 1:-1])
+                        rows[:, :, -1] = ord("\n")
+                        col += (b - a) * width
+                    fh.write(text)
+
+
+def _digit_runs(count: int):
+    """(start, stop, digits) for each run of 0 .. count - 1 whose decimal
+    forms have the same number of digits."""
+    start, digits = 0, 1
+    while start < count:
+        stop = min(10**digits, count)
+        yield start, stop, digits
+        start, digits = stop, digits + 1
+
+
+def _decimal(start: int, stop: int, digits: int) -> np.ndarray:
+    """(stop - start, digits) uint8 decimal text of start .. stop - 1, each
+    of exactly `digits` digits."""
+    values = np.arange(start, stop, dtype=np.int64)[:, None]
+    powers = 10 ** np.arange(digits - 1, -1, -1, dtype=np.int64)
+    return (values // powers % 10 + ord("0")).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -266,59 +319,78 @@ def count_dtype(trials: int) -> np.dtype:
 class _RangeBuffers:
     """Working arrays of one readout thread, sized for its largest device
     range of r devices x t trials x n positions and reused for every range
-    it reads, so that a range allocates only the index array of its
-    exactly resolved cells."""
+    it reads, so that a range allocates only its raw draws and the index
+    array of its exactly resolved cells."""
 
     def __init__(self, r: int, t: int, n: int):
         cells = r * n
-        self.u = np.empty(r * t * 4 * _row_blocks(n))
         self.x = np.empty(cells)
-        self.lo = np.empty(cells)
-        self.hi = np.empty(cells)
+        self.p = np.empty(cells)
+        self.lo = np.empty(cells, dtype=np.uint32)
+        self.span = np.empty(cells, dtype=np.uint32)
+        self.threshold = np.empty(cells, dtype=np.uint32)
         self.bucket = np.empty(cells, dtype=np.intp)
         self.needed = np.empty(cells + _INDEX_PAD, dtype=bool)
         self.undecided = np.empty(r * t * n, dtype=bool)
 
     def resolve(self, x: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
-        """out = u[:, :, :n] < ndtr(x)[:, None, :] for contiguous x of shape
-        (r, n), u of shape (r, t, w >= n) and out of shape (r, t, n), bit for
-        bit.
+        """out = u[:, :, :n] < ndtr(x)[:, None, :] * 2**32 for contiguous x
+        of shape (r, n), uint32 u of shape (r, t, w >= n) and out of shape
+        (r, t, n), bit for bit. x and the draws in u are overwritten.
 
-        Each cell's bucket brackets ndtr(x) between _PHI_LO and _PHI_HI: a
-        draw below the bracket reads 1, one at or above it reads 0, and only
-        the cells with a draw inside it (at most 0.63% of draws for any x)
-        evaluate ndtr.
+        Each cell's bucket brackets ndtr(x) * 2**32 between _LO32 and
+        _HIM1 + 1: a draw below _LO32 reads 1, one above _HIM1 reads 0, and
+        only the cells with a draw inside (at most 0.63% of draws for any
+        x) evaluate ndtr. For integer u, u < p * 2**32 is u < ceil(p *
+        2**32); those draws compare both sides as offsets from _LO32, which
+        fit in 32 bits because a bracket is narrower than 2**32.
         """
         r, n = x.shape
         t = u.shape[1]
         m = r * n
+        p = self.p[:m].reshape(r, n)
         lo = self.lo[:m].reshape(r, n)
-        hi = self.hi[:m].reshape(r, n)
+        span = self.span[:m].reshape(r, n)
         bucket = self.bucket[:m].reshape(r, n)
         undecided = self.undecided[: m * t].reshape(r, t, n)
         # bucket = floor((x - x_0) * steps) + 1, clipped to the table; the
-        # cast truncates, which is floor on the clipped, non-negative values
-        np.multiply(x, _GRID_STEPS, out=lo)
-        np.add(lo, 1 - _GRID_LO * _GRID_STEPS, out=lo)
-        np.clip(lo, 0, _GRID_POINTS, out=lo)
-        np.copyto(bucket, lo, casting="unsafe")
-        np.take(_PHI_LO, bucket, out=lo, mode="clip")
-        np.take(_PHI_HI, bucket, out=hi, mode="clip")
+        # cast into bucket truncates, which is floor on the clipped,
+        # non-negative values
+        np.multiply(x, _GRID_STEPS, out=p)
+        np.add(p, 1 - _GRID_LO * _GRID_STEPS, out=p)
+        np.clip(p, 0, _GRID_POINTS, out=bucket, casting="unsafe")
+        np.take(_LO32, bucket, out=lo, mode="clip")
+        np.take(_HIM1, bucket, out=span, mode="clip")
+        span -= lo
         draws = u[:, :, :n]
         bits = out.view(bool)  # a bool output needs no casting buffer
         np.less(draws, lo[:, None, :], out=bits)
-        np.less(draws, hi[:, None, :], out=undecided)
-        undecided ^= bits
+        # each draw becomes its offset from lo, which wraps below lo, so it
+        # is <= span just inside the bracket
+        offset = np.subtract(draws, lo[:, None, :], out=draws)
+        np.less_equal(offset, span[:, None, :], out=undecided)
         # the mask of cells to evaluate ends in _INDEX_PAD set entries
         needed = self.needed[: m + _INDEX_PAD]
         np.any(undecided, axis=1, out=needed[:m].reshape(r, n))
         needed[m:] = True
         cells = np.flatnonzero(needed)[:-_INDEX_PAD]
-        # lo becomes p = ndtr(x) at those cells, evaluated in the spent hi
-        p = np.take(x, cells, out=self.hi[: cells.size], mode="clip")
-        ndtr(p, out=p)
-        lo.put(cells, p)
-        np.less(draws, lo[:, None, :], out=bits, where=undecided)
+        # span becomes ceil(ndtr(x) * 2**32) - lo, in [0, span + 1], at
+        # those cells, evaluated in the spent p with lo as float64 in the
+        # spent x. Every cast is a copyto into a buffer: a ufunc or put
+        # that casts would allocate a small block of a new size in every
+        # range (see _INDEX_PAD).
+        c = cells.size
+        exact = np.take(x, cells, out=self.p[:c], mode="clip")
+        ndtr(exact, out=exact)
+        exact *= _SCALE
+        np.ceil(exact, out=exact)
+        threshold = np.take(lo, cells, out=self.threshold[:c], mode="clip")
+        low = x.reshape(-1)[:c]
+        np.copyto(low, threshold)
+        exact -= low
+        np.copyto(threshold, exact, casting="unsafe")
+        span.put(cells, threshold)
+        np.less(offset, span[:, None, :], out=bits, where=undecided)
 
 
 def read_signatures(
@@ -338,7 +410,7 @@ def read_signatures(
     d, t, n = population.num_devices, session.trials, population.cells_per_device
     blocks = _row_blocks(n)
     bits = np.empty((d, t, n), dtype=np.uint8)
-    step = max(1, _RANGE_VALUES // (t * 4 * blocks))
+    step = max(1, _RANGE_VALUES // (t * 8 * blocks))
     local = threading.local()
 
     def fill(lo: int):
@@ -354,9 +426,9 @@ def read_signatures(
         x = buffers.x[: r * n].reshape(r, n)
         np.add(population.mismatch[lo:hi], offsets, out=x)
         np.divide(x, sigma_eff, out=x)
-        u = buffers.u[: r * t * 4 * blocks]
-        _readout_generator(session.session_seed, lo * t * blocks).random(out=u)
-        buffers.resolve(x, u.reshape(r, t, 4 * blocks), bits[lo:hi])
+        words = keyed_philox(session.session_seed, _TAG_READOUT, lo * t * blocks)
+        u = words.random_raw(r * t * 4 * blocks).view(np.uint32)
+        buffers.resolve(x, u.reshape(r, t, 8 * blocks), bits[lo:hi])
 
     starts = range(0, d, step)
     threads = max(1, int(threads))

@@ -581,6 +581,23 @@ def test_cli_stage_chain(tmp_path, capsys):
     assert "sweep" in err  # config has no sweep points: stage-tagged failure
 
 
+def test_cli_readout_csv_equals_run_csv(tmp_path, capsys):
+    from pufsim.config import save
+
+    config = _config(num_devices=12, sessions=(
+        SessionConfig("enroll", 25.0, 1.0, trials=3, target_ber=0.02),
+        SessionConfig("hot", 85.0, 1.0, trials=11)))
+    config_path = tmp_path / "config.json"
+    save(config, config_path)
+    run_experiment(config, tmp_path / "run")
+    assert main(["readout", "--config", str(config_path),
+                 "--out", str(tmp_path / "readout")]) == 0
+    capsys.readouterr()
+    for name in ("enroll", "hot"):
+        csv = f"signatures_{name}.csv"
+        assert (tmp_path / "readout" / csv).read_bytes() == (tmp_path / "run" / csv).read_bytes()
+
+
 def test_cli_errors(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err

@@ -202,6 +202,33 @@ def test_robustness_sweep_nominal_is_exact_zero():
     assert results[0][1] == 0.0
 
 
+def test_robustness_sweep_seeds_are_full_64_bit_words(monkeypatch):
+    # the enrollment read takes key 0 and sweep point i key 1 + i, each one
+    # uint64 word of SeedSequence(base_seed, spawn_key=(key,))
+    import pufsim.metrics as metrics_module
+
+    seeds = []
+    read = metrics_module.read_signatures
+
+    def recording_read(population, session, threads=1):
+        seeds.append(session.session_seed)
+        return read(population, session, threads=threads)
+
+    monkeypatch.setattr(metrics_module, "read_signatures", recording_read)
+    pop = _flat_population(4, 16, 3)
+    cal = NoiseCalibration(
+        sigma_mismatch=0.25,
+        reference=EnvironmentCondition(25.0, 1.0),
+        temperature_anchors=((25.0, 0.0), (85.0, 0.16)),
+    )
+    envs = [EnvironmentCondition(25.0, 1.0), EnvironmentCondition(85.0, 1.0)]
+    robustness_sweep(pop, cal, envs, base_seed=11)
+    want = [int(np.random.SeedSequence(11, spawn_key=(key,))
+                .generate_state(1, dtype=np.uint64)[0]) for key in range(3)]
+    assert seeds == want
+    assert max(seeds) >= 2**32
+
+
 def test_robustness_sweep_tracks_target_ber():
     # The golden is the noiseless sign of each margin m, so a re-read bit
     # flips with probability q = Phi(-|m| / sigma_n) at its cell. Two

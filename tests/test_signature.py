@@ -19,6 +19,7 @@ from pufsim.population import (
     PopulationSpec,
     generate_population,
     inject_position_bias,
+    keyed_philox,
 )
 from pufsim import signature
 from pufsim.signature import (
@@ -89,27 +90,45 @@ def test_readout_deterministic_and_thread_invariant():
     assert not np.array_equal(a.bits, d.bits)
 
 
+def _brute_force_bits(pop, session):
+    """u32 < ndtr(x) * 2**32 for every draw, with the draws read straight
+    from the session's Philox words: row (device, trial) is the low then
+    high halves of the raw words from counter block (device * t + trial) *
+    ceil(n / 8), its first n uniforms kept."""
+    d, t, n = pop.num_devices, session.trials, pop.cells_per_device
+    cal = session.calibration
+    sigma = session.noise_sigma() * (
+        1.0 + cal.bias_noise_coupling * np.abs(pop.bias_offsets) / cal.sigma_mismatch)
+    x = (pop.mismatch + pop.bias_offsets) / sigma
+    width = 8 * -(-n // 8)
+    words = keyed_philox(session.session_seed, signature._TAG_READOUT)
+    u = words.random_raw(d * t * width // 2).view(np.uint32).reshape(d, t, width)
+    return (u[:, :, :n] < ndtr(x)[:, None, :] * 2.0**32).astype(np.uint8)
+
+
 def test_readout_invariant_to_range_size_and_threads(monkeypatch):
-    # n = 13 pads each row to 16 uniforms; coupling makes sigma_eff vary.
-    # BER 1e-4 puts most cells in saturated buckets, 0.45 most draws
-    # inside their bracket.
-    pop = generate_population(PopulationSpec(
-        num_devices=37, cells_per_device=13, sigma_mismatch=0.25,
-        weights=(0.0, 0.0, 1.0), placement=PlacementConfig("row", 13, 1, (0,) * 13, ()),
-        master_seed=5, bias_map={(0, 3): 0.1}))
+    # odd n leaves half of a row's last raw word as padding; coupling makes
+    # sigma_eff vary. BER 1e-4 puts most cells in saturated buckets, 0.45
+    # most draws inside their bracket.
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the pool's threads finely
     try:
-        for trials, ber in ((3, 0.1), (1, 1e-4), (5, 1e-4), (1, 0.45), (5, 0.45)):
-            session = _session(trials=trials, target_ber=ber, seed=61, coupling=2.0)
-            monkeypatch.undo()
-            want = read_signatures(pop, session).bits.tobytes()
-            # one device, five, all devices per range
-            for values in (1, trials * 16 * 5, 10**9):
-                monkeypatch.setattr(signature, "_RANGE_VALUES", values)
-                for threads in (1, 2, 3):
-                    got = read_signatures(pop, session, threads=threads).bits.tobytes()
-                    assert got == want, (trials, ber, values, threads)
+        for n in (13, 63, 65):
+            pop = generate_population(PopulationSpec(
+                num_devices=37, cells_per_device=n, sigma_mismatch=0.25,
+                weights=(0.0, 0.0, 1.0),
+                placement=PlacementConfig("row", n, 1, (0,) * n, ()),
+                master_seed=5, bias_map={(0, 3): 0.1}))
+            width = 8 * -(-n // 8)
+            for trials, ber in ((3, 0.1), (1, 1e-4), (5, 1e-4), (1, 0.45), (5, 0.45)):
+                session = _session(trials=trials, target_ber=ber, seed=61, coupling=2.0)
+                want = _brute_force_bits(pop, session).tobytes()
+                # one device, five, all devices per range
+                for values in (1, trials * width * 5, 10**9):
+                    monkeypatch.setattr(signature, "_RANGE_VALUES", values)
+                    for threads in (1, 2, 3):
+                        got = read_signatures(pop, session, threads=threads).bits.tobytes()
+                        assert got == want, (n, trials, ber, values, threads)
     finally:
         sys.setswitchinterval(switch)
 
@@ -119,19 +138,24 @@ def _grid_edges():
 
 
 def test_phi_table_brackets_ndtr_on_every_bucket():
-    lo, hi = signature._PHI_LO, signature._PHI_HI
-    assert np.all(np.diff(lo) >= 0) and np.all(np.diff(hi) >= 0)
+    lo = signature._LO32.astype(np.float64)
+    top = signature._HIM1.astype(np.float64) + 1  # exclusive upper bound
+    assert signature._LO32.dtype == signature._HIM1.dtype == np.uint32
+    assert np.all(np.diff(lo) >= 0) and np.all(np.diff(top) >= 0)
+    # a bracket is never empty and is narrower than 2**32, so a draw's
+    # offset from its low end fits in 32 bits
+    assert np.all(lo < top) and np.all(top - lo < 2.0**32)
     edges = _grid_edges()
     rng = np.random.default_rng(12)
     # bucket b holds [x_(b-1), x_b); both edges and 64 interior points each
     left, right = edges[:-1, None], edges[1:, None]
     x = np.hstack([left, right, left + rng.random((left.size, 64)) / signature._GRID_STEPS])
-    p = ndtr(x)
-    assert np.all(lo[1:-1, None] <= p) and np.all(p <= hi[1:-1, None])
+    scaled = ndtr(x) * 2.0**32
+    assert np.all(lo[1:-1, None] <= scaled) and np.all(scaled <= top[1:-1, None])
     below = np.concatenate([[-np.inf, -40.0, edges[0]], rng.uniform(-40, edges[0], 64)])
     above = np.concatenate([[np.inf, 40.0, edges[-1]], rng.uniform(edges[-1], 40, 64)])
-    assert np.all(ndtr(below) <= hi[0]) and lo[0] == -np.inf
-    assert np.all(ndtr(above) >= lo[-1]) and hi[-1] == np.inf
+    assert lo[0] == 0 and np.all(ndtr(below) * 2.0**32 <= top[0])
+    assert top[-1] == 2.0**32 and np.all(ndtr(above) * 2.0**32 >= lo[-1])
 
 
 def _adversarial_cells(rng):
@@ -151,15 +175,15 @@ def _adversarial_cells(rng):
 def test_bracketed_resolve_equals_ndtr_threshold(trials, n):
     rng = np.random.default_rng(1000 * trials + n)
     cells = _adversarial_cells(rng)
-    # uniforms on the 2**-53 grid, in [0, 1): zero, ndtr(x) rounded down
-    # and up to it, one step either side, and random; each cell meets every
-    # kind across its copies and trials
-    ulp = 2.0**-53
-    below = np.floor(ndtr(cells) / ulp) * ulp
+    # 32-bit draws: 0, 1, ndtr(x) * 2**32 rounded down, one below that and
+    # rounded up, 2**32 - 1, and random; each cell meets every kind across
+    # its copies and trials
+    scaled = ndtr(cells) * 2.0**32
     kinds = np.clip(np.stack([
-        np.zeros_like(cells), below, below + ulp, below - ulp, below + 2 * ulp,
-        np.floor(rng.random(cells.size) / ulp) * ulp,
-    ]), 0, 1 - ulp)
+        np.zeros_like(cells), np.ones_like(cells), np.floor(scaled) - 1,
+        np.floor(scaled), np.ceil(scaled), np.full_like(cells, 2.0**32 - 1),
+        rng.integers(0, 2**32, cells.size).astype(np.float64),
+    ]), 0, 2.0**32 - 1).astype(np.uint32)
     k = len(kinds)
     x = np.tile(cells, k)
     kind = np.repeat(np.arange(k), cells.size)
@@ -169,11 +193,12 @@ def test_bracketed_resolve_equals_ndtr_threshold(trials, n):
     kind = np.concatenate([kind, np.zeros(pad, int)]).reshape(rows, n)
     index = np.concatenate([np.tile(np.arange(cells.size), k),
                             np.zeros(pad, int)]).reshape(rows, n)
-    w = 4 * signature._row_blocks(n)
-    u = rng.random((rows, trials, w))  # padding draws must not matter
+    w = 8 * signature._row_blocks(n)
+    # padding draws must not matter
+    u = rng.integers(0, 2**32, (rows, trials, w), dtype=np.uint32)
     for trial in range(trials):
         u[:, trial, :n] = kinds[(kind + trial) % k, index]
-    want = (u[:, :, :n] < ndtr(x)[:, None, :]).astype(np.uint8)
+    want = (u[:, :, :n] < ndtr(x)[:, None, :] * 2.0**32).astype(np.uint8)
     out = np.empty((rows, trials, n), dtype=np.uint8)
     signature._RangeBuffers(rows + 3, trials, n).resolve(x, u, out)
     assert np.array_equal(out, want)
@@ -185,13 +210,19 @@ def test_noise_stream_is_the_row_slice():
     sigs = read_signatures(pop, session)
     sigma = session.noise_sigma()
     for dev, trial in ((0, 0), (0, 3), (5, 1), (8, 3)):
-        u = noise_stream(73, dev, trial, 4, 64).random(64)
+        u = noise_stream(73, dev, trial, 4, 64).random_raw(32).view(np.uint32)
         p = ndtr((pop.mismatch[dev] + pop.bias_offsets) / sigma)
-        assert np.array_equal(sigs.bits[dev, trial], (u < p).astype(np.uint8))
-    # the whole session is one contiguous draw of 16-block rows
-    block = np.random.Generator(np.random.Philox(key=[73, signature._TAG_READOUT]))
-    u = block.random(9 * 4 * 64).reshape(9, 4, 64)
-    assert np.array_equal(noise_stream(73, 5, 1, 4, 64).random(64), u[5, 1])
+        assert np.array_equal(sigs.bits[dev, trial], (u < p * 2.0**32).astype(np.uint8))
+    # the whole session is one contiguous draw of 8-block rows, two
+    # uniforms per raw word, low half first
+    words = np.random.Philox(key=[73, signature._TAG_READOUT]).random_raw(9 * 4 * 32)
+    u = words.view(np.uint32).reshape(9, 4, 64)
+    assert np.array_equal(u[5, 1, ::2], (words.reshape(9, 4, 32)[5, 1] & 0xFFFFFFFF))
+    assert np.array_equal(noise_stream(73, 5, 1, 4, 64).random_raw(32).view(np.uint32),
+                          u[5, 1])
+    # n = 13 pads each row to 16 uniforms
+    assert np.array_equal(noise_stream(73, 5, 1, 4, 13).random_raw(8),
+                          words.reshape(-1, 8)[5 * 4 + 1])
 
 
 def test_noiseless_readout_is_the_margin_sign():
@@ -217,7 +248,7 @@ def test_session_seed_must_fit_the_key():
 def test_readout_key_is_the_exact_session_seed():
     # paper-sim's enroll session; as a float64 it would be ...829952
     seed = 12609499769784830095
-    key = noise_stream(seed, 0, 0, 1, 64).bit_generator.state["state"]["key"]
+    key = noise_stream(seed, 0, 0, 1, 64).state["state"]["key"]
     assert [int(k) for k in key] == [seed, signature._TAG_READOUT]
     pop = _population(devices=4)
     for s in (2**63, seed, 2**64 - 2):
@@ -532,3 +563,23 @@ def test_csv_layout(tmp_path):
         for dev in range(11) for trial in range(3)
     )
     assert path.read_bytes() == want.encode()
+
+
+def _per_row_csv(bits):
+    """The CSV text written one formatted row at a time."""
+    d, t, _ = bits.shape
+    return b"device,trial,bits\n" + b"".join(
+        b"%d,%d,%s\n" % (dev, trial, (bits[dev, trial] + ord("0")).tobytes())
+        for dev in range(d) for trial in range(t))
+
+
+@pytest.mark.parametrize("t", [1, 10, 11, 12])
+@pytest.mark.parametrize("d", [1, 9, 10, 11, 101])
+def test_csv_matches_per_row_writer_at_digit_boundaries(tmp_path, d, t):
+    rng = np.random.default_rng(100 * d + t)
+    path = tmp_path / "sigs.csv"
+    for n in (1, 64, 1024):
+        bits = rng.integers(0, 2, size=(d, t, n), dtype=np.uint8)
+        SignatureSet(bits).to_csv(path)
+        assert path.read_bytes() == _per_row_csv(bits), n
+
