@@ -4,7 +4,9 @@
 session shape, with and without a position mask, and of the randomness
 battery: each test's batched core on an S x N block (shared intermediates
 built inside the timed call), `run_suite_block` on that block, and one
-single-sequence `run_suite` call. `--readout D T N` times
+single-sequence `run_suite` call; then the per-signature battery stage at
+board-repeat's shape, 1000 x 1016: `run_suite_block`, `aggregate_suite`
+on its table and `_write_nist_csv`. `--readout D T N` times
 `read_signatures` on a D-device, N-cell population of the paper-sim
 preset over a T-trial session at a 10% target bit-error rate, and at the
 paper-sim shape, 10000 x 1 x 64; at each shape it also prints the median
@@ -39,7 +41,7 @@ import numpy as np
 from pufsim import kernels, randomness
 from pufsim.config import preset
 from pufsim.entropy import EnvironmentCondition
-from pufsim.harness import unbiased_sequences
+from pufsim.harness import _write_nist_csv, unbiased_sequences
 from pufsim.metrics import mean_intra_hd
 from pufsim.population import generate_population
 from pufsim.signature import (
@@ -48,6 +50,7 @@ from pufsim.signature import (
 
 
 PAPER_SIM_SHAPE = (10000, 64)  # devices, bits
+PER_SIGNATURE_SHAPE = (1000, 1016)  # board-repeat's masked golden: rows, bits
 READOUT_BER = 0.1  # inside the paper-sim sweep's 6-16% band
 
 
@@ -155,9 +158,17 @@ def main() -> None:
     for name, core in randomness._CORES.items():
         if n >= randomness._MIN_LENGTH[name]:
             _time(f"{name} core {s}x{n}",
-                  lambda c=core: c(randomness._Block(block), 0.001, None, False))
+                  lambda c=core: c(randomness._Block(block), None, False))
     _time(f"run_suite_block {s}x{n}", randomness.run_suite_block, block)
     _time(f"run_suite 1x{n}", randomness.run_suite, block[0])
+    s, n = PER_SIGNATURE_SHAPE
+    block = rng.integers(0, 2, size=(s, n), dtype=np.uint8)
+    table = randomness.run_suite_block(block)
+    _time(f"run_suite_block {s}x{n}", randomness.run_suite_block, block)
+    _time(f"aggregate_suite {s}x{n}", randomness.aggregate_suite, table)
+    with tempfile.TemporaryDirectory() as tmp:
+        _time(f"_write_nist_csv {s}x{n}", _write_nist_csv,
+              os.path.join(tmp, "nist.csv"), table)
 
 
 if __name__ == "__main__":

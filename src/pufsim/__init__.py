@@ -49,6 +49,7 @@ from .metrics import (  # noqa: E402
 )
 from .randomness import (  # noqa: E402
     SuiteAggregate,
+    SuiteTable,
     TestResult,
     aggregate_suite,
     run_suite,
@@ -91,6 +92,7 @@ __all__ = [
     "mean_intra_hd",
     "robustness_sweep",
     "SuiteAggregate",
+    "SuiteTable",
     "TestResult",
     "aggregate_suite",
     "run_suite",

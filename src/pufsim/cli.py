@@ -39,10 +39,11 @@ from .harness import (
 from .metrics import compute_report
 from .population import generate_population
 from .randomness import (
+    TEST_NAMES,
+    SuiteTable,
     aggregate_suite,
     read_ascii_sequences,
     read_packed_sequences,
-    results_csv_rows,
     run_suite_block,
 )
 from .signature import (
@@ -186,20 +187,22 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _suite_by_length(sequences, alpha: float, tests) -> list:
+def _suite_by_length(sequences, alpha: float, tests) -> SuiteTable:
     """Battery results in input order for a (sequences, n) array, or for a
-    list of 1-D sequences run in one block per length."""
+    list of 1-D sequences run in one block per length. The per-length
+    tables are joined into one; a test a length does not run is NaN there."""
     if isinstance(sequences, np.ndarray):
         return run_suite_block(sequences, alpha=alpha, tests=tests)
-    groups: dict = {}
-    for i, seq in enumerate(sequences):
-        groups.setdefault(seq.size, []).append(i)
-    out = [None] * len(sequences)
-    for rows in groups.values():
-        block = np.stack([sequences[i] for i in rows])
-        for i, res in zip(rows, run_suite_block(block, alpha=alpha, tests=tests)):
-            out[i] = res
-    return out
+    p, statistics = np.full((2, len(sequences), len(TEST_NAMES)), np.nan)
+    for n in dict.fromkeys(seq.size for seq in sequences):
+        rows = [i for i, seq in enumerate(sequences) if seq.size == n]
+        part = run_suite_block(np.stack([sequences[i] for i in rows]),
+                               alpha=alpha, tests=tests)
+        cells = np.ix_(rows, [TEST_NAMES.index(t) for t in part.tests])
+        p[cells], statistics[cells] = part.p_values, part.statistics
+    ran = ~np.isnan(p).all(axis=0)  # the columns some length ran
+    return SuiteTable(tuple(t for t, r in zip(TEST_NAMES, ran) if r),
+                      p[:, ran], statistics[:, ran], alpha)
 
 
 def cmd_nist(args) -> int:
@@ -216,18 +219,18 @@ def cmd_nist(args) -> int:
     if args.concatenate:
         sequences = np.concatenate(sequences)[None]
     tests = tuple(args.tests) if args.tests else None
-    per_seq = _suite_by_length(sequences, args.alpha, tests)
-    for idx, name, p, passed in results_csv_rows(per_seq):
+    table = _suite_by_length(sequences, args.alpha, tests)
+    for idx, name, p, passed in table.cells():
         print(f"seq {idx:4d}  {name:24s}  p={p:.6g}  "
               f"{'pass' if passed else 'FAIL'}")
-    if len(per_seq) >= 2:
-        agg = aggregate_suite(per_seq, alpha=args.alpha)
+    if len(table) >= 2:
+        agg = aggregate_suite(table, alpha=args.alpha)
         print(f"aggregate over {agg.num_sequences} sequences:")
         for name, row in agg.rows.items():
-            print(f"  {name:24s}  passing {row['passing']}/{agg.num_sequences}"
+            print(f"  {name:24s}  passing {agg.passing_string(name)}"
                   f"  uniformity p={row['uniformity_p']:.6g}")
     path = os.path.join(root, "nist.csv")
-    _write_nist_csv(path, per_seq)
+    _write_nist_csv(path, table)
     print(f"wrote {path}")
     return 0
 

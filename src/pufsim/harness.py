@@ -42,7 +42,6 @@ from .randomness import (
     TEST_NAMES,
     aggregate_suite,
     rank_test,
-    results_csv_rows,
     run_suite_block,
 )
 from .signature import (
@@ -169,11 +168,11 @@ def _write_mask(path, mask: np.ndarray) -> None:
                        "mask": "".join("1" if b else "0" for b in mask)})
 
 
-def _write_nist_csv(path, per_seq) -> None:
+def _write_nist_csv(path, table) -> None:
     with write_atomic(path) as fh:
         fh.write("sequence,test,p_value,passed\n")
-        for idx, name, p, passed in results_csv_rows(per_seq):
-            fh.write(f"{idx},{name},{p!r},{int(passed)}\n")
+        fh.writelines(f"{idx},{name},{p!r},{int(passed)}\n"
+                      for idx, name, p, passed in table.cells())
 
 
 def _sha256(path) -> str:
@@ -274,17 +273,17 @@ def _randomness_payload(config: ExperimentConfig, golden: GoldenSignature, mask)
         bits = bits[:, mask.astype(bool)]
     concatenated = config.randomness_mode == "concatenated"
     sequences = bits.reshape(1, -1) if concatenated else bits
-    per_seq = run_suite_block(sequences, alpha=config.alpha, tests=config.nist_tests)
+    table = run_suite_block(sequences, alpha=config.alpha, tests=config.nist_tests)
     payload: dict = {
         "alpha": config.alpha,
         "mode": config.randomness_mode,
         "num_sequences": len(sequences),
     }
-    if len(per_seq) >= 2:
-        agg = aggregate_suite(per_seq, alpha=config.alpha)
+    if len(table) >= 2:
+        agg = aggregate_suite(table, alpha=config.alpha)
         payload["aggregate"] = {
             name: {
-                "passing": f"{row['passing']}/{agg.num_sequences}",
+                "passing": agg.passing_string(name),
                 "uniformity_p": row["uniformity_p"],
             }
             for name, row in agg.rows.items()
@@ -293,6 +292,7 @@ def _randomness_payload(config: ExperimentConfig, golden: GoldenSignature, mask)
     if (
         config.randomness_mode == "per-signature"
         and config.rank_concatenation
+        and (config.nist_tests is None or "rank" in config.nist_tests)
         and seq_len < 38912
         and bits.size >= 38912
     ):
@@ -303,7 +303,7 @@ def _randomness_payload(config: ExperimentConfig, golden: GoldenSignature, mask)
             "p_value": r.p_value,
             "passed": r.passed,
         }
-    return payload, per_seq
+    return payload, table
 
 
 def sweep_payload(config: ExperimentConfig, population, threads: int):
@@ -429,9 +429,9 @@ def run_experiment(
 
         stage = "randomness"
         t0 = time.perf_counter()
-        payload, per_seq = _randomness_payload(config, golden, mask)
+        payload, table = _randomness_payload(config, golden, mask)
         emit("nist", "nist.json", _write_json, payload)
-        emit("nist_csv", "nist.csv", _write_nist_csv, per_seq)
+        emit("nist_csv", "nist.csv", _write_nist_csv, table)
         manifest.timings[stage] = time.perf_counter() - t0
     except Exception as exc:  # noqa: BLE001 - every stage error becomes diagnostic
         finish("incomplete", {"stage": stage, "message": str(exc)})

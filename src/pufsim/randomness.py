@@ -23,10 +23,14 @@ Minimum-length preconditions reject short input unless fixture_mode is
 passed, which exists so the short published worked examples can serve as
 oracles.
 
-Every test has one batched core over a (sequences, n) block; a public
-`*_test(seq)` call is a batch of one, and `run_suite_block` runs the
-selected cores over bounded blocks of rows. Intermediates the tests share
-are built once per block:
+Every test has one batched core over a (sequences, n) block, returning
+per-row p-value and statistic arrays; `run_suite_block` is the cores' one
+caller. It runs the selected cores over bounded blocks of rows into one
+SuiteTable: a (rows, tests) array of p-values and one of statistics.
+`run_suite(seq)` is that table's row 0 as {test name: TestResult}, and
+each public `*_test(seq)` is run_suite on its one test. The aggregate,
+`nist.csv` and `pufsim nist` read the table's columns. Intermediates the
+tests share are built once per block:
 
 * the +-1 walk S_1..S_n, built as int32 (int64 when n >= 2**31, where
   int32 could overflow) and reduced at once to S_n and the extremes of
@@ -136,17 +140,6 @@ def _require_length(name: str, n: int, fixture_mode: bool):
         )
 
 
-def _result(name, p, alpha, statistic) -> TestResult:
-    p = float(min(max(p, 0.0), 1.0))
-    return TestResult(name, (p,), alpha, float(statistic))
-
-
-def _results(name, p, alpha, statistic) -> list:
-    """One TestResult per row from per-row p-value and statistic arrays."""
-    return [_result(name, pv, alpha, st)
-            for pv, st in zip(np.asarray(p).tolist(), np.asarray(statistic).tolist())]
-
-
 # Blocks of at most this many bits run on working arrays that each thread
 # keeps and reuses (about 2.5 MiB per thread at most); larger blocks
 # allocate theirs per call.
@@ -211,25 +204,17 @@ class _Block:
                 walk[:, -1].astype(np.int64))
 
 
-def _single(name: str, seq, fixture_mode: bool, core, *args) -> TestResult:
-    """One sequence through a batched core, as a batch of one."""
-    blk = _Block(as_bits(seq)[None])
-    _require_length(name, blk.n, fixture_mode)
-    return core(blk, *args)[0]
-
-
 # ---------------------------------------------------------------------------
-# the eight tests: a batched core over a _Block each, and the public
-# single-sequence form
+# the eight tests: a batched core over a _Block each, returning per-row
+# (p-value, statistic) arrays, and the public single-sequence form
 
-def _frequency(blk: _Block, alpha: float) -> list:
+def _frequency(blk: _Block) -> tuple:
     s = blk.walk_range[2]
-    p = erfc(np.abs(s) / math.sqrt(2 * blk.n))
-    return _results("frequency", p, alpha, s)
+    return erfc(np.abs(s) / math.sqrt(2 * blk.n)), s
 
 
 def frequency_test(seq, alpha: float = ALPHA_DEFAULT, fixture_mode: bool = False):
-    return _single("frequency", seq, fixture_mode, _frequency, alpha)
+    return run_suite(seq, alpha, ("frequency",), None, fixture_mode)["frequency"]
 
 
 def default_block_size(n: int) -> int:
@@ -238,8 +223,8 @@ def default_block_size(n: int) -> int:
     return max(20, -(-n // 100))
 
 
-def _block_frequency(blk: _Block, alpha: float, block_size: Optional[int],
-                     fixture_mode: bool) -> list:
+def _block_frequency(blk: _Block, block_size: Optional[int],
+                     fixture_mode: bool) -> tuple:
     m = block_size if block_size is not None else default_block_size(blk.n)
     if m < 1 or (m < 20 and not fixture_mode):
         raise InvalidArgumentError(f"block size {m} invalid; need at least 20")
@@ -248,8 +233,7 @@ def _block_frequency(blk: _Block, alpha: float, block_size: Optional[int],
         raise InvalidArgumentError("block size exceeds sequence length")
     pi = blk.bits[:, : nblocks * m].reshape(blk.rows, nblocks, m).mean(axis=2)
     chi2 = 4.0 * m * np.sum((pi - 0.5) ** 2, axis=1)
-    p = gammaincc(nblocks / 2.0, chi2 / 2.0)
-    return _results("block-frequency", p, alpha, chi2)
+    return gammaincc(nblocks / 2.0, chi2 / 2.0), chi2
 
 
 def block_frequency_test(
@@ -258,8 +242,8 @@ def block_frequency_test(
     alpha: float = ALPHA_DEFAULT,
     fixture_mode: bool = False,
 ):
-    return _single("block-frequency", seq, fixture_mode, _block_frequency,
-                   alpha, block_size, fixture_mode)
+    return run_suite(seq, alpha, ("block-frequency",), block_size,
+                     fixture_mode)["block-frequency"]
 
 
 @lru_cache(maxsize=4096)
@@ -280,15 +264,14 @@ def _cusum_p(n: int, z: int) -> float:
     return 1.0 - t1 + t2
 
 
-def _cumulative_sums(blk: _Block, alpha: float, mode: str) -> list:
+def _cumulative_sums(blk: _Block, mode: str) -> tuple:
     lo, hi, sn = blk.walk_range
     if mode == "forward":
         z = np.maximum(np.maximum(hi, sn), -np.minimum(lo, sn))
     else:
         # the backward walk's partial sums are S_n - S_j for j = 0..n-1
         z = np.maximum(sn - lo, hi - sn)
-    name = f"cumulative-sums-{mode}"
-    return [_result(name, _cusum_p(blk.n, zi), alpha, zi) for zi in z.tolist()]
+    return [_cusum_p(blk.n, zi) for zi in z.tolist()], z
 
 
 def cumulative_sums_test(
@@ -299,11 +282,11 @@ def cumulative_sums_test(
 ):
     if mode not in ("forward", "backward"):
         raise InvalidArgumentError(f"unknown scan mode {mode!r}")
-    return _single(f"cumulative-sums-{mode}", seq, fixture_mode,
-                   _cumulative_sums, alpha, mode)
+    name = f"cumulative-sums-{mode}"
+    return run_suite(seq, alpha, (name,), None, fixture_mode)[name]
 
 
-def _runs(blk: _Block, alpha: float) -> list:
+def _runs(blk: _Block) -> tuple:
     n = blk.n
     pi = (blk.walk_range[2] + n) // 2 / n
     # rows failing the prerequisite frequency condition score p = 0; below
@@ -318,11 +301,11 @@ def _runs(blk: _Block, alpha: float) -> list:
         p[ok] = erfc(np.abs(vk - 2.0 * n * pk * (1 - pk))
                      / (2.0 * math.sqrt(2.0 * n) * pk * (1 - pk)))
         v[ok] = vk
-    return _results("runs", p, alpha, v)
+    return p, v
 
 
 def runs_test(seq, alpha: float = ALPHA_DEFAULT, fixture_mode: bool = False):
-    return _single("runs", seq, fixture_mode, _runs, alpha)
+    return run_suite(seq, alpha, ("runs",), None, fixture_mode)["runs"]
 
 
 @lru_cache(maxsize=None)
@@ -364,7 +347,7 @@ def _class_counts(classes: np.ndarray, k: int) -> np.ndarray:
     return np.bincount((classes + offset).ravel(), minlength=rows * k).reshape(rows, k)
 
 
-def _longest_run(blk: _Block, alpha: float) -> list:
+def _longest_run(blk: _Block) -> tuple:
     if blk.n < 128:
         raise InsufficientLengthError("longest-run needs at least 128 bits")
     m, lo, hi = _longest_run_tier(blk.n)
@@ -376,12 +359,11 @@ def _longest_run(blk: _Block, alpha: float) -> list:
     expected = nblocks * probs
     chi2 = np.sum((counts - expected) ** 2 / expected, axis=1)
     k = hi - lo  # degrees of freedom: class count - 1
-    p = gammaincc(k / 2.0, chi2 / 2.0)
-    return _results("longest-run", p, alpha, chi2)
+    return gammaincc(k / 2.0, chi2 / 2.0), chi2
 
 
 def longest_run_test(seq, alpha: float = ALPHA_DEFAULT, fixture_mode: bool = False):
-    return _single("longest-run", seq, fixture_mode, _longest_run, alpha)
+    return run_suite(seq, alpha, ("longest-run",), None, fixture_mode)["longest-run"]
 
 
 @lru_cache(maxsize=1)
@@ -399,7 +381,7 @@ def _rank_class_probs() -> tuple:
     return full, minus1, 1.0 - full - minus1
 
 
-def _rank(blk: _Block, alpha: float) -> list:
+def _rank(blk: _Block) -> tuple:
     nmat = blk.n // 1024
     if nmat < 1:
         raise InsufficientLengthError("rank needs at least one 32x32 matrix")
@@ -411,15 +393,14 @@ def _rank(blk: _Block, alpha: float) -> list:
     counts = _class_counts(np.minimum(32 - ranks, 2), 3)
     expected = nmat * np.array(_rank_class_probs())
     chi2 = np.sum((counts - expected) ** 2 / expected, axis=1)
-    p = gammaincc(1.0, chi2 / 2.0)
-    return _results("rank", p, alpha, chi2)
+    return gammaincc(1.0, chi2 / 2.0), chi2
 
 
 def rank_test(seq, alpha: float = ALPHA_DEFAULT, fixture_mode: bool = False):
-    return _single("rank", seq, fixture_mode, _rank, alpha)
+    return run_suite(seq, alpha, ("rank",), None, fixture_mode)["rank"]
 
 
-def _dft(blk: _Block, alpha: float) -> list:
+def _dft(blk: _Block) -> tuple:
     n = blk.n
     x = blk.work("dft", np.float64, blk.bits.shape)
     np.multiply(blk.bits, 2.0, out=x)
@@ -436,27 +417,26 @@ def _dft(blk: _Block, alpha: float) -> list:
     n0 = 0.95 * n / 2.0
     n1 = np.count_nonzero(magnitudes < threshold, axis=1)
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
-    p = erfc(np.abs(d) / math.sqrt(2.0))
-    return _results("dft", p, alpha, d)
+    return erfc(np.abs(d) / math.sqrt(2.0)), d
 
 
 def dft_test(seq, alpha: float = ALPHA_DEFAULT, fixture_mode: bool = False):
-    return _single("dft", seq, fixture_mode, _dft, alpha)
+    return run_suite(seq, alpha, ("dft",), None, fixture_mode)["dft"]
 
 
 # ---------------------------------------------------------------------------
 # suite plumbing
 
-# each test's core, called as core(block, alpha, block_size, fixture_mode)
+# each test's core, called as core(block, block_size, fixture_mode)
 _CORES = {
-    "frequency": lambda blk, a, m, fx: _frequency(blk, a),
+    "frequency": lambda blk, m, fx: _frequency(blk),
     "block-frequency": _block_frequency,
-    "cumulative-sums-forward": lambda blk, a, m, fx: _cumulative_sums(blk, a, "forward"),
-    "cumulative-sums-backward": lambda blk, a, m, fx: _cumulative_sums(blk, a, "backward"),
-    "runs": lambda blk, a, m, fx: _runs(blk, a),
-    "longest-run": lambda blk, a, m, fx: _longest_run(blk, a),
-    "rank": lambda blk, a, m, fx: _rank(blk, a),
-    "dft": lambda blk, a, m, fx: _dft(blk, a),
+    "cumulative-sums-forward": lambda blk, m, fx: _cumulative_sums(blk, "forward"),
+    "cumulative-sums-backward": lambda blk, m, fx: _cumulative_sums(blk, "backward"),
+    "runs": lambda blk, m, fx: _runs(blk),
+    "longest-run": lambda blk, m, fx: _longest_run(blk),
+    "rank": lambda blk, m, fx: _rank(blk),
+    "dft": lambda blk, m, fx: _dft(blk),
 }
 
 # bits per block of rows; bounds the per-block walk and spectrum buffers
@@ -469,15 +449,47 @@ def check_test_names(tests: Sequence[str]) -> None:
         raise InvalidArgumentError(f"unknown tests: {sorted(unknown)}")
 
 
+@dataclass(frozen=True, eq=False)  # == on arrays has no single truth value
+class SuiteTable:
+    """Battery results of a block of sequences: (rows, tests) float64
+    arrays of p-values, clipped to [0, 1], and statistics, the columns
+    following `tests` in TEST_NAMES order. A NaN p-value marks a test that
+    did not run on that row (only where tables of different sequence
+    lengths were joined)."""
+
+    tests: tuple
+    p_values: np.ndarray
+    statistics: np.ndarray
+    alpha: float
+
+    def __len__(self) -> int:
+        return len(self.p_values)
+
+    def row(self, i: int) -> dict:
+        """{test name: TestResult} of row i, over the tests it ran."""
+        return {name: TestResult(name, (p,), self.alpha, st)
+                for name, p, st in zip(self.tests, self.p_values[i].tolist(),
+                                       self.statistics[i].tolist())
+                if not math.isnan(p)}
+
+    def cells(self):
+        """(row, test, p-value, passed) of every test run, row by row."""
+        passed = (self.p_values >= self.alpha).tolist()
+        for i, (ps, oks) in enumerate(zip(self.p_values.tolist(), passed)):
+            for name, p, ok in zip(self.tests, ps, oks):
+                if not math.isnan(p):
+                    yield i, name, p, ok
+
+
 def run_suite_block(
     block,
     alpha: float = ALPHA_DEFAULT,
     tests: Optional[Sequence[str]] = None,
     block_size: Optional[int] = None,
     fixture_mode: bool = False,
-) -> list:
+) -> SuiteTable:
     """Run the battery on every row of a (sequences, n) 0/1 block; returns
-    one {test name: TestResult} dict per row, keys in TEST_NAMES order.
+    one SuiteTable with a row per sequence and a column per test run.
 
     With tests=None, every test whose minimum length fits n is run. Naming
     a test explicitly makes its length requirement a hard error instead.
@@ -495,15 +507,16 @@ def run_suite_block(
         selected = [t for t in TEST_NAMES if t in tests]
         for name in selected:
             _require_length(name, n, fixture_mode)
+    shape = (bits.shape[0], len(selected))
+    p, statistics = np.empty(shape), np.empty(shape)
     step = max(1, _BLOCK_BITS // max(n, 1))
-    out = []
     for r0 in range(0, bits.shape[0], step):
         blk = _Block(bits[r0 : r0 + step])
-        columns = [_CORES[name](blk, alpha, block_size, fixture_mode)
-                   for name in selected]
-        out.extend({name: col[i] for name, col in zip(selected, columns)}
-                   for i in range(blk.rows))
-    return out
+        for j, name in enumerate(selected):
+            p[r0 : r0 + blk.rows, j], statistics[r0 : r0 + blk.rows, j] = (
+                _CORES[name](blk, block_size, fixture_mode))
+    np.clip(p, 0.0, 1.0, out=p)
+    return SuiteTable(tuple(selected), p, statistics, alpha)
 
 
 def run_suite(
@@ -518,7 +531,7 @@ def run_suite(
     The single-row form of run_suite_block, with the same test selection.
     """
     return run_suite_block(as_bits(seq)[None], alpha, tests, block_size,
-                           fixture_mode)[0]
+                           fixture_mode).row(0)
 
 
 @dataclass(frozen=True)
@@ -544,24 +557,25 @@ def uniformity_p(p_values: Sequence[float]) -> float:
     return float(gammaincc(4.5, chi2 / 2.0))
 
 
-def aggregate_suite(per_sequence: Sequence[dict], alpha: float = ALPHA_DEFAULT):
-    """Aggregate run_suite outputs for N sequences.
+def aggregate_suite(results, alpha: float = ALPHA_DEFAULT) -> SuiteAggregate:
+    """Aggregate the battery results of N sequences: a SuiteTable, or a
+    list of run_suite dicts.
 
-    For every test present in all sequences: k = number of sequences with
-    all p-values >= alpha, plus the uniformity of the (first) p-values.
+    For every test run on all sequences: k = number of sequences whose
+    p-value is >= alpha, plus the uniformity of the p-values.
     """
-    if len(per_sequence) < 2:
+    if isinstance(results, SuiteTable):
+        tests, p = results.tests, results.p_values
+    else:
+        tests = [t for t in TEST_NAMES if all(t in r for r in results)]
+        p = np.array([[r[t].p_value for t in tests] for r in results],
+                     dtype=np.float64).reshape(len(results), len(tests))
+    if len(p) < 2:
         raise InvalidArgumentError("aggregation needs at least 2 sequences")
-    names = [t for t in TEST_NAMES if all(t in r for r in per_sequence)]
-    rows = {}
-    for name in names:
-        results = [r[name] for r in per_sequence]
-        passing = sum(1 for r in results if all(p >= alpha for p in r.p_values))
-        rows[name] = {
-            "passing": passing,
-            "uniformity_p": uniformity_p([r.p_values[0] for r in results]),
-        }
-    return SuiteAggregate(num_sequences=len(per_sequence), alpha=alpha, rows=rows)
+    rows = {name: {"passing": int(np.count_nonzero(col >= alpha)),
+                   "uniformity_p": uniformity_p(col)}
+            for name, col in zip(tests, p.T) if not np.isnan(col).any()}
+    return SuiteAggregate(num_sequences=len(p), alpha=alpha, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -592,13 +606,3 @@ def read_packed_sequences(path, nbits: int) -> np.ndarray:
     packed = np.frombuffer(raw, dtype=np.uint8).reshape(-1, per_seq)
     return kernels.unpack_bits(packed, nbits)
 
-
-def results_csv_rows(per_sequence: Sequence[dict]):
-    """Flatten per-sequence results to (sequence id, test, p, passed)."""
-    for idx, results in enumerate(per_sequence):
-        for name in TEST_NAMES:
-            if name not in results:
-                continue
-            r = results[name]
-            for p in r.p_values:
-                yield idx, name, p, r.passed

@@ -230,6 +230,18 @@ def test_randomness_modes(tmp_path):
     assert "aggregate" not in payload
 
 
+def test_rank_concatenated_follows_nist_tests(tmp_path):
+    # "rank_concatenated" is a rank verdict, so a test list without rank
+    # (the empty list runs no test at all) gives none
+    for tests, has_rank in ((None, True), ((), False), (("frequency",), False)):
+        config = _config(num_devices=80, cells_per_device=512, nist_tests=tests,
+                         randomness_mode="per-signature", masking_enabled=False)
+        out = tmp_path / str(len(tests or "all"))
+        run_experiment(config, out_dir=str(out))
+        payload = json.loads((out / "nist.json").read_text())
+        assert ("rank_concatenated" in payload) == has_rank, tests
+
+
 def test_randomness_block_size_does_not_change_results(tmp_path, monkeypatch):
     from pufsim import randomness
 
@@ -246,9 +258,8 @@ def test_randomness_block_size_does_not_change_results(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_cli_nist_ascii_mixed_lengths(tmp_path):
-    from pufsim.harness import _write_nist_csv
-    from pufsim.randomness import run_suite
+def test_cli_nist_ascii_mixed_lengths(tmp_path, capsys):
+    from pufsim.randomness import aggregate_suite, run_suite
 
     rng = np.random.default_rng(3)
     seqs = [rng.integers(0, 2, size=n, dtype=np.uint8)
@@ -257,8 +268,19 @@ def test_cli_nist_ascii_mixed_lengths(tmp_path):
     path.write_text("".join("".join(map(str, s)) + "\n" for s in seqs))
     out = tmp_path / "out"
     assert main(["nist", str(path), "--format", "ascii", "--out", str(out)]) == 0
-    _write_nist_csv(tmp_path / "want.csv", [run_suite(s) for s in seqs])
-    assert (out / "nist.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    # every row holds exactly what run_suite gives its sequence alone, in
+    # input order; the aggregate covers the tests every length ran
+    singles = [run_suite(s) for s in seqs]
+    want = "sequence,test,p_value,passed\n" + "".join(
+        f"{i},{name},{r.p_value!r},{int(r.passed)}\n"
+        for i, res in enumerate(singles) for name, r in res.items())
+    assert (out / "nist.csv").read_text() == want
+    stdout = capsys.readouterr().out
+    assert sum(line.startswith("seq ") for line in stdout.splitlines()) == want.count("\n") - 1
+    agg = aggregate_suite(singles)
+    assert "longest-run" in agg.rows and "dft" not in agg.rows  # dft: 1100 only
+    for name in agg.rows:
+        assert f"  {name:24s}  passing {agg.passing_string(name)}  " in stdout
 
 
 def test_compare_runs(tmp_path):

@@ -147,11 +147,14 @@ def test_cumulative_sums_statistics_match_reversed_walk(n):
         block = np.concatenate([rng.integers(0, 2, size=(30, n), dtype=np.uint8),
                                 np.zeros((1, n), np.uint8), np.ones((1, n), np.uint8)])
     names = ("cumulative-sums-forward", "cumulative-sums-backward")
-    results = run_suite_block(block, tests=names, fixture_mode=True)
-    for bits, res in zip(block, results):
+    table = run_suite_block(block, tests=names, fixture_mode=True)
+    assert table.tests == names and table.statistics.shape == (len(block), 2)
+    for i, bits in enumerate(block):
         x = 2 * bits.astype(np.int64) - 1
         want_f = int(np.max(np.abs(np.cumsum(x))))
         want_b = int(np.max(np.abs(np.cumsum(x[::-1]))))
+        assert table.statistics[i].tolist() == [want_f, want_b]
+        res = table.row(i)
         assert res[names[0]].statistic == want_f
         assert res[names[1]].statistic == want_b
         assert cumulative_sums_test(bits, "backward", fixture_mode=True) == res[names[1]]
@@ -256,18 +259,33 @@ def test_run_suite_block_rows_equal_run_suite(n):
         np.zeros((1, n), np.uint8),
         np.ones((1, n), np.uint8),
     ])
-    results = run_suite_block(block)
-    assert len(results) == len(block)
-    for bits, res in zip(block, results):
+    table = run_suite_block(block)
+    assert len(table) == len(block)
+    assert table.p_values.shape == table.statistics.shape == (len(block), len(table.tests))
+    assert table.tests == tuple(t for t in TEST_NAMES if t in table.tests)
+    rows = [table.row(i) for i in range(len(block))]
+    for bits, res in zip(block, rows):
         single = run_suite(bits)
-        assert tuple(res) == tuple(single)
-        assert tuple(res) == tuple(t for t in TEST_NAMES if t in res)
+        assert tuple(res) == tuple(single) == table.tests
         assert all(_same_result(res[t], single[t]) for t in res)
-    # keys follow TEST_NAMES whatever order the tests are named in
+    # cells() walks the same results row by row, in column order
+    assert list(table.cells()) == [(i, t, r.p_value, r.passed)
+                                   for i, res in enumerate(rows)
+                                   for t, r in res.items()]
+    # the table and perfbench's list of run_suite dicts aggregate alike,
+    # failing rows included
+    agg = aggregate_suite(table)
+    assert min(row["passing"] for row in agg.rows.values()) < len(block)
+    assert agg == aggregate_suite(rows)
+    # columns follow TEST_NAMES whatever order the tests are named in
     named = run_suite_block(block[:2], tests=("runs", "frequency"))
-    assert [tuple(r) for r in named] == [("frequency", "runs")] * 2
-    assert run_suite_block(block[:0]) == []
-    assert run_suite_block(block[:3], tests=()) == [{}, {}, {}]
+    assert named.tests == ("frequency", "runs") and named.p_values.shape == (2, 2)
+    assert [tuple(named.row(i)) for i in range(2)] == [("frequency", "runs")] * 2
+    empty = run_suite_block(block[:0])
+    assert len(empty) == 0 and empty.p_values.shape == (0, len(empty.tests))
+    none = run_suite_block(block[:3], tests=())
+    assert none.tests == () and none.p_values.shape == none.statistics.shape == (3, 0)
+    assert [none.row(i) for i in range(3)] == [{}, {}, {}]
     with pytest.raises(InvalidArgumentError):
         run_suite_block(block[0])
     with pytest.raises(InvalidArgumentError):
@@ -284,29 +302,34 @@ def _working_array_blocks():
             for shape in ((1, 100_000), (258, 1016), (1, 640_000), (3, 131072))]
 
 
-def _suite_reprs(blocks, order):
-    return {i: repr(run_suite_block(blocks[i])) for i in order}
+def _suite_bytes(table):
+    # the exact arrays: a repr would elide more than 1000 cells with "..."
+    return table.tests, table.p_values.tobytes(), table.statistics.tobytes()
+
+
+def _suite_results(blocks, order):
+    return {i: _suite_bytes(run_suite_block(blocks[i])) for i in order}
 
 
 def test_working_arrays_do_not_depend_on_call_order(monkeypatch):
     blocks = _working_array_blocks()
     with monkeypatch.context() as m:
         m.setattr(randomness, "_RETAIN_BITS", 0)  # every array per call
-        reference = _suite_reprs(blocks, range(4))
+        reference = _suite_results(blocks, range(4))
     for order in ((0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1), (1, 3, 0, 2)):
-        assert _suite_reprs(blocks, order) == reference
+        assert _suite_results(blocks, order) == reference
 
 
 def test_working_arrays_are_per_thread():
     blocks = _working_array_blocks()
-    serial = _suite_reprs(blocks, range(4))
+    serial = _suite_results(blocks, range(4))
     orders = [(0, 1, 2, 3, 0, 3), (3, 0, 2, 1, 3, 0), (0, 3, 0, 3, 1, 2)]
     found = [None] * len(orders)
     start = threading.Barrier(len(orders))
 
     def work(k):
         start.wait(timeout=60)
-        found[k] = [(i, repr(run_suite_block(blocks[i]))) for i in orders[k]]
+        found[k] = [(i, _suite_bytes(run_suite_block(blocks[i]))) for i in orders[k]]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
