@@ -1,17 +1,17 @@
 """Command-line front end.
 
 Subcommands mirror the pipeline stages (generate, readout, enroll, mask,
-metrics, nist, sweep) plus the end-to-end run and a run comparison. Every
-stage writes artifacts in the same formats the pipeline uses, so a file
-produced by one subcommand feeds the next. Failures exit nonzero with a
-stage-tagged diagnostic on stderr.
+metrics, nist, sweep) plus the end-to-end run and a run comparison. Each
+stage subcommand calls the harness stage function that `run` chains, so it
+writes the same files in the same formats, and a file produced by one
+subcommand feeds the next. Failures exit nonzero with a stage-tagged
+diagnostic on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -23,34 +23,29 @@ from .config import load as load_config
 from .config import preset as load_preset
 from .errors import StageError
 from .harness import (
-    _human_report,
-    _write_json,
-    _write_mask,
-    _write_nist_csv,
+    battery_stage,
     compare_runs,
-    default_output_dir,
-    load_population,
-    run_experiment,
-    save_golden,
-    save_population,
+    enroll_stage,
+    generate_stage,
     load_golden,
-    sweep_payload,
+    load_mask,
+    load_population,
+    mask_stage,
+    metrics_stage,
+    output_root,
+    readout_stage,
+    run_experiment,
+    sweep_stage,
+    writer,
 )
-from .metrics import compute_report
 from .population import generate_population
 from .randomness import (
-    TEST_NAMES,
-    SuiteTable,
+    _MIN_LENGTH,
     aggregate_suite,
     read_ascii_sequences,
     read_packed_sequences,
-    run_suite_block,
 )
-from .signature import (
-    SignatureSet,
-    eliminate_biased_positions,
-    enroll_golden,
-)
+from .signature import SignatureSet, enroll_golden
 
 
 def _add_common(p: argparse.ArgumentParser, need_config: bool = True):
@@ -71,7 +66,8 @@ def _add_common(p: argparse.ArgumentParser, need_config: bool = True):
         "--out",
         metavar="DIR",
         default=None,
-        help="output directory (default: $PUFSIM_OUT_DIR or pufsim-out)",
+        help="output directory (default: the config's output_dir, "
+        "$PUFSIM_OUT_DIR or pufsim-out)",
     )
 
 
@@ -91,29 +87,11 @@ def _resolve_config(args) -> ExperimentConfig:
     return config
 
 
-def _out_dir(args) -> str:
-    root = args.out or default_output_dir()
-    os.makedirs(root, exist_ok=True)
-    return root
-
-
-def _load_mask(path, n: int) -> np.ndarray:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise StageError("mask", f"{path}: not JSON ({exc})") from exc
-    text = payload.get("mask") if isinstance(payload, dict) else None
-    if not isinstance(text, str):
-        raise StageError("mask", f"{path}: not a mask file (no \"mask\" string)")
-    if set(text) - {"0", "1"}:
-        raise StageError("mask", f"{path}: mask may contain only '0' and '1'")
-    mask = np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
-    if mask.size != n:
-        raise StageError(
-            "mask", f"{path}: mask length {mask.size} != signature length {n}"
-        )
-    return mask
+def _writer(args, config=None):
+    """An emit into the command's output root, and the {artifact name: path}
+    it has written."""
+    paths = {}
+    return writer(output_root(args.out, config), paths.__setitem__), paths
 
 
 # ---------------------------------------------------------------------------
@@ -121,92 +99,56 @@ def _load_mask(path, n: int) -> np.ndarray:
 
 def cmd_generate(args) -> int:
     config = _resolve_config(args)
-    root = _out_dir(args)
-    population = generate_population(config.build_population_spec())
-    path = os.path.join(root, "population.bin")
-    save_population(path, population)
-    print(f"wrote {path} ({population.num_devices} devices x "
+    emit, paths = _writer(args, config)
+    population = generate_stage(emit, config)
+    print(f"wrote {paths['population']} ({population.num_devices} devices x "
           f"{population.cells_per_device} cells)")
     return 0
 
 
-def cmd_readout(args) -> int:
-    from .harness import _session_readout
-
-    config = _resolve_config(args)
-    root = _out_dir(args)
+def _population(args, config):
     if args.population:
-        population = load_population(args.population)
-    else:
-        population = generate_population(config.build_population_spec())
-    names = args.session or [s.name for s in config.sessions]
-    threads = config.threads
-    for name in names:
-        idx, session_cfg = config.get_session(name)
-        sigs = _session_readout(config, population, session_cfg, idx, threads)
-        path = os.path.join(root, f"signatures_{name}.bin")
-        sigs.to_binary(path)
-        sigs.to_csv(os.path.join(root, f"signatures_{name}.csv"))
-        print(f"wrote {path} ({sigs.num_devices} devices x {sigs.trials} trials "
-              f"x {sigs.n} bits)")
+        return load_population(args.population)
+    return generate_population(config.build_population_spec())
+
+
+def cmd_readout(args) -> int:
+    config = _resolve_config(args)
+    emit, paths = _writer(args, config)
+    population = _population(args, config)
+    for name in args.session or [s.name for s in config.sessions]:
+        sigs = readout_stage(emit, config, population, [name])[name]
+        print(f"wrote {paths[f'signatures_{name}']} ({sigs.num_devices} devices "
+              f"x {sigs.trials} trials x {sigs.n} bits)")
     return 0
 
 
 def cmd_enroll(args) -> int:
-    root = _out_dir(args)
-    sigs = SignatureSet.from_binary(args.signatures)
-    golden = enroll_golden(sigs)
-    path = os.path.join(root, "golden.bin")
-    save_golden(path, golden)
-    print(f"wrote {path} (mean stability {golden.stability.mean():.6g})")
+    emit, paths = _writer(args)
+    golden = enroll_stage(emit, SignatureSet.from_binary(args.signatures))
+    print(f"wrote {paths['golden']} (mean stability {golden.stability.mean():.6g})")
     return 0
 
 
 def cmd_mask(args) -> int:
-    root = _out_dir(args)
-    sigs = SignatureSet.from_binary(args.signatures)
-    mask = eliminate_biased_positions(
-        sigs,
-        bias_threshold=args.bias_threshold,
-        stability_threshold=args.stability_threshold,
-    )
-    path = os.path.join(root, "mask.json")
-    _write_mask(path, mask)
-    print(f"wrote {path} (kept {int(mask.sum())} of {mask.size} positions)")
+    emit, paths = _writer(args)
+    mask = mask_stage(emit, SignatureSet.from_binary(args.signatures),
+                      args.bias_threshold, args.stability_threshold)
+    print(f"wrote {paths['mask']} (kept {int(mask.sum())} of {mask.size} positions)")
     return 0
 
 
 def cmd_metrics(args) -> int:
-    root = _out_dir(args)
+    emit, _ = _writer(args)
     sigs = SignatureSet.from_binary(args.signatures)
     golden = load_golden(args.golden) if args.golden else enroll_golden(sigs)
-    mask = _load_mask(args.mask, sigs.n) if args.mask else sigs.mask
-    payload = {"sessions": {"input": compute_report(sigs, golden, mask=mask)}}
-    _write_json(os.path.join(root, "metrics.json"), payload)
-    sys.stdout.write(_human_report(payload))
+    mask = load_mask(args.mask, sigs.n) if args.mask else sigs.mask
+    sys.stdout.write(metrics_stage(emit, {"input": sigs}, golden, mask))
     return 0
 
 
-def _suite_by_length(sequences, alpha: float, tests) -> SuiteTable:
-    """Battery results in input order for a (sequences, n) array, or for a
-    list of 1-D sequences run in one block per length. The per-length
-    tables are joined into one; a test a length does not run is NaN there."""
-    if isinstance(sequences, np.ndarray):
-        return run_suite_block(sequences, alpha=alpha, tests=tests)
-    p, statistics = np.full((2, len(sequences), len(TEST_NAMES)), np.nan)
-    for n in dict.fromkeys(seq.size for seq in sequences):
-        rows = [i for i, seq in enumerate(sequences) if seq.size == n]
-        part = run_suite_block(np.stack([sequences[i] for i in rows]),
-                               alpha=alpha, tests=tests)
-        cells = np.ix_(rows, [TEST_NAMES.index(t) for t in part.tests])
-        p[cells], statistics[cells] = part.p_values, part.statistics
-    ran = ~np.isnan(p).all(axis=0)  # the columns some length ran
-    return SuiteTable(tuple(t for t, r in zip(TEST_NAMES, ran) if r),
-                      p[:, ran], statistics[:, ran], alpha)
-
-
 def cmd_nist(args) -> int:
-    root = _out_dir(args)
+    emit, paths = _writer(args)
     if args.format == "ascii":
         sequences = read_ascii_sequences(args.input)
     elif args.format == "packed":
@@ -219,7 +161,11 @@ def cmd_nist(args) -> int:
     if args.concatenate:
         sequences = np.concatenate(sequences)[None]
     tests = tuple(args.tests) if args.tests else None
-    table = _suite_by_length(sequences, args.alpha, tests)
+    longest, need = max(map(len, sequences), default=0), min(_MIN_LENGTH.values())
+    if tests is None and longest < need:
+        raise StageError("randomness", f"no test fits: the longest sequence has "
+                         f"{longest} bits, and every test needs at least {need}")
+    table = battery_stage(emit, sequences, args.alpha, tests)
     for idx, name, p, passed in table.cells():
         print(f"seq {idx:4d}  {name:24s}  p={p:.6g}  "
               f"{'pass' if passed else 'FAIL'}")
@@ -229,24 +175,17 @@ def cmd_nist(args) -> int:
         for name, row in agg.rows.items():
             print(f"  {name:24s}  passing {agg.passing_string(name)}"
                   f"  uniformity p={row['uniformity_p']:.6g}")
-    path = os.path.join(root, "nist.csv")
-    _write_nist_csv(path, table)
-    print(f"wrote {path}")
+    print(f"wrote {paths['nist_csv']}")
     return 0
 
 
 def cmd_sweep(args) -> int:
     config = _resolve_config(args)
-    root = _out_dir(args)
-    if args.population:
-        population = load_population(args.population)
-    else:
-        population = generate_population(config.build_population_spec())
-    payload = sweep_payload(config, population, config.threads)
-    if payload is None:
+    emit, _ = _writer(args, config)
+    rows = sweep_stage(emit, config, _population(args, config))
+    if rows is None:
         raise StageError("sweep", "config defines no sweep points")
-    _write_json(os.path.join(root, "sweep.json"), payload)
-    for row in payload:
+    for row in rows:
         print(f"T={row['temperature_celsius']:g}C V={row['supply_voltage_volts']:g}V"
               f"  intra-HD {row['mean_intra_hd_percent']:.6g}%")
     return 0
@@ -254,12 +193,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_run(args) -> int:
     config = _resolve_config(args)
-    manifest, path = run_experiment(
-        config,
-        out_dir=args.out,
-        threads=config.threads,
-        seed=None,
-    )
+    manifest, path = run_experiment(config, out_dir=args.out)
     print(f"wrote {path} (status {manifest.status}, "
           f"{len(manifest.artifacts)} artifacts)")
     return 0
@@ -309,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("signatures", help="signature set (.bin)")
     p.add_argument("--golden", metavar="PATH", help="golden snapshot")
     p.add_argument("--mask", metavar="PATH",
-                   help="mask.json to apply (default: the file's own mask, if any)")
+                   help="mask file to apply (default: the file's own mask, if any)")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("nist", help="run the randomness battery")

@@ -1,6 +1,14 @@
 """End-to-end experiment orchestration: generate, readout, enroll, mask,
 metrics, sweep, randomness battery, and the run manifest.
 
+Each stage is one function here (`generate_stage` through
+`randomness_stage`, plus `battery_stage` for any batch of sequences) that
+writes its artifacts through an emit(name, filename, write, *args) writer,
+so every artifact's file name, format and write path live in this module.
+`run_experiment` chains the stages with a writer that records each file
+in the manifest; the stage subcommands of `pufsim.cli` call the same
+functions one at a time with a writer that does not.
+
 Every stage writes its artifacts before the next stage starts, and each
 file is written under a temporary name and then renamed into place, so a
 late failure never corrupts earlier outputs, not even within a file; the
@@ -17,14 +25,15 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .artifacts import read_container, write_atomic, write_container
-from .config import ExperimentConfig, SessionConfig, config_digest
+from .config import ExperimentConfig, config_digest
 from .config import save as save_config
 from .entropy import EnvironmentCondition
 from .errors import InvalidArgumentError, InvalidSpecError, StageError
@@ -40,6 +49,7 @@ from .population import (
 )
 from .randomness import (
     TEST_NAMES,
+    SuiteTable,
     aggregate_suite,
     rank_test,
     run_suite_block,
@@ -62,10 +72,6 @@ _POP_HEADER = "<HI"  # version, meta length
 _GOLD_MAGIC = b"PUFG"
 _GOLD_VERSION = 2
 _GOLD_HEADER = "<HHIII"  # as signatures: version, flags (0), devices, trials, n
-
-
-def default_output_dir() -> str:
-    return os.environ.get(OUTPUT_DIR_ENV, "pufsim-out")
 
 
 def _sig6(value):
@@ -168,6 +174,26 @@ def _write_mask(path, mask: np.ndarray) -> None:
                        "mask": "".join("1" if b else "0" for b in mask)})
 
 
+def load_mask(path, n: int) -> np.ndarray:
+    """The 0/1 mask of a mask.json, checked against signature length n."""
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise StageError("mask", f"{path}: not JSON ({exc})") from exc
+    text = payload.get("mask") if isinstance(payload, dict) else None
+    if not isinstance(text, str):
+        raise StageError("mask", f"{path}: not a mask file (no \"mask\" string)")
+    if set(text) - {"0", "1"}:
+        raise StageError("mask", f"{path}: mask may contain only '0' and '1'")
+    mask = np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
+    if mask.size != n:
+        raise StageError(
+            "mask", f"{path}: mask length {mask.size} != signature length {n}"
+        )
+    return mask
+
+
 def _write_nist_csv(path, table) -> None:
     with write_atomic(path) as fh:
         fh.write("sequence,test,p_value,passed\n")
@@ -217,37 +243,88 @@ def load_manifest(path) -> dict:
 
 # ---------------------------------------------------------------------------
 # pipeline stages
+#
+# Each stage computes its result, writes its artifacts through
+# emit(name, filename, write, *args) and returns the result the next stage
+# needs. run_experiment chains them with an emit that also records each file
+# in the manifest; the CLI's stage subcommands call them one at a time.
 
-def _session_readout(
-    config: ExperimentConfig,
-    population: DevicePopulation,
-    session_cfg: SessionConfig,
-    index: int,
-    threads: int,
-) -> SignatureSet:
-    session = ReadoutSession(
-        env=session_cfg.env(),
-        trials=session_cfg.trials,
-        session_seed=config.session_seed(index),
-        calibration=config.build_calibration(),
-        target_ber=session_cfg.target_ber,
-    )
-    return read_signatures(population, session, threads=threads)
+def output_root(out: Optional[str] = None,
+                config: Optional[ExperimentConfig] = None) -> str:
+    """The directory a command writes into, created if missing: `out`, else
+    the config's output_dir, else $PUFSIM_OUT_DIR, else ./pufsim-out."""
+    root = (out or (config and config.output_dir)
+            or os.environ.get(OUTPUT_DIR_ENV, "pufsim-out"))
+    os.makedirs(root, exist_ok=True)
+    return root
 
 
-def _metrics_payload(config, sessions_sigs, golden, mask):
-    return {
-        "sessions": {
-            name: compute_report(
-                sigs,
-                golden,
-                golden.bits if name == config.enroll_session else None,
-                mask,
-                config.histogram_bucket_percent,
-            )
-            for name, sigs in sessions_sigs.items()
-        }
-    }
+def writer(root: str, record):
+    """An emit that writes each artifact as write(path, *args) at
+    root/filename, then calls record(name, path)."""
+    def emit(name: str, filename: str, write, *args) -> None:
+        path = os.path.join(root, filename)
+        write(path, *args)
+        record(name, path)
+    return emit
+
+
+def generate_stage(emit, config: ExperimentConfig) -> DevicePopulation:
+    population = generate_population(config.build_population_spec())
+    emit("population", "population.bin", save_population, population)
+    return population
+
+
+def readout_stage(emit, config: ExperimentConfig, population: DevicePopulation,
+                  names=None) -> dict:
+    """Read the named sessions (default: every session, in config order)
+    and write each as signatures_<name>.bin and .csv; returns
+    {name: SignatureSet}."""
+    calibration = config.build_calibration()
+    sessions = {}
+    for name in names or [s.name for s in config.sessions]:
+        index, session_cfg = config.get_session(name)
+        session = ReadoutSession(session_cfg.env(), session_cfg.trials,
+                                 config.session_seed(index), calibration,
+                                 session_cfg.target_ber)
+        sigs = sessions[name] = read_signatures(population, session,
+                                                threads=config.threads)
+        emit(f"signatures_{name}", f"signatures_{name}.bin", sigs.to_binary)
+        emit(f"signatures_{name}_csv", f"signatures_{name}.csv", sigs.to_csv)
+    return sessions
+
+
+def enroll_stage(emit, sigs: SignatureSet) -> GoldenSignature:
+    golden = enroll_golden(sigs)
+    emit("golden", "golden.bin", save_golden, golden)
+    return golden
+
+
+def mask_stage(emit, sigs: SignatureSet, bias_threshold: float,
+               stability_threshold: float, golden=None) -> np.ndarray:
+    mask = eliminate_biased_positions(sigs, bias_threshold, stability_threshold,
+                                      golden)
+    emit("mask", "mask.json", _write_mask, mask)
+    return mask
+
+
+def metrics_stage(emit, sessions: dict, golden: GoldenSignature, mask,
+                  enroll_session: Optional[str] = None,
+                  bucket_width: float = 1.0) -> str:
+    """metrics.json, one compute_report entry per {name: SignatureSet},
+    and report.txt; returns the report text. The inter-HD of
+    `enroll_session` describes the golden bits, every other session's its
+    trial-0 rows."""
+    payload = {"sessions": {
+        name: compute_report(sigs, golden,
+                             golden.bits if name == enroll_session else None,
+                             mask, bucket_width)
+        for name, sigs in sessions.items()
+    }}
+    report = _human_report(payload)
+    emit("metrics", "metrics.json", _write_json, payload)
+    emit("report", "report.txt", _write_text, report)
+    return report
 
 
 def _human_report(payload: dict) -> str:
@@ -267,13 +344,65 @@ def _human_report(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _randomness_payload(config: ExperimentConfig, golden: GoldenSignature, mask):
+def sweep_stage(emit, config: ExperimentConfig,
+                population: DevicePopulation) -> Optional[list]:
+    """Mean intra-HD at each configured temperature and voltage point,
+    written as sweep.json; None, and nothing written, when the config names
+    no sweep point."""
+    calibration = config.build_calibration()
+    envs = [
+        EnvironmentCondition(t, config.reference_voltage)
+        for t in config.sweep_temperatures
+    ] + [
+        EnvironmentCondition(config.reference_temperature, v)
+        for v in config.sweep_voltages
+    ]
+    if not envs:
+        return None
+    results = robustness_sweep(population, calibration, envs,
+                               trials=config.sweep_trials,
+                               base_seed=config.session_seed(10_000),
+                               threads=config.threads)
+    rows = [{"temperature_celsius": env.temperature_celsius,
+             "supply_voltage_volts": env.supply_voltage_volts,
+             "mean_intra_hd_percent": value} for env, value in results]
+    emit("sweep", "sweep.json", _write_json, rows)
+    return rows
+
+
+def battery_stage(emit, sequences, alpha: float, tests) -> SuiteTable:
+    """Battery results in input order, written as nist.csv, for a
+    (sequences, n) array or for a list of 1-D sequences run in one block
+    per length. The per-length tables are joined into one; a test a length
+    does not run is NaN there."""
+    if isinstance(sequences, np.ndarray):
+        table = run_suite_block(sequences, alpha=alpha, tests=tests)
+    else:
+        p, statistics = np.full((2, len(sequences), len(TEST_NAMES)), np.nan)
+        for n in dict.fromkeys(seq.size for seq in sequences):
+            rows = [i for i, seq in enumerate(sequences) if seq.size == n]
+            part = run_suite_block(np.stack([sequences[i] for i in rows]),
+                                   alpha=alpha, tests=tests)
+            cells = np.ix_(rows, [TEST_NAMES.index(t) for t in part.tests])
+            p[cells], statistics[cells] = part.p_values, part.statistics
+        ran = ~np.isnan(p).all(axis=0)  # the columns some length ran
+        table = SuiteTable(tuple(t for t, r in zip(TEST_NAMES, ran) if r),
+                           p[:, ran], statistics[:, ran], alpha)
+    emit("nist_csv", "nist.csv", _write_nist_csv, table)
+    return table
+
+
+def randomness_stage(emit, config: ExperimentConfig, golden: GoldenSignature,
+                     mask) -> None:
+    """The battery over the kept golden bits, per signature or
+    concatenated: nist.csv, and nist.json with the settings, the aggregate
+    over two or more sequences and the concatenated rank verdict."""
     bits = golden.bits
     if mask is not None:
         bits = bits[:, mask.astype(bool)]
     concatenated = config.randomness_mode == "concatenated"
     sequences = bits.reshape(1, -1) if concatenated else bits
-    table = run_suite_block(sequences, alpha=config.alpha, tests=config.nist_tests)
+    table = battery_stage(emit, sequences, config.alpha, config.nist_tests)
     payload: dict = {
         "alpha": config.alpha,
         "mode": config.randomness_mode,
@@ -303,62 +432,24 @@ def _randomness_payload(config: ExperimentConfig, golden: GoldenSignature, mask)
             "p_value": r.p_value,
             "passed": r.passed,
         }
-    return payload, table
+    emit("nist", "nist.json", _write_json, payload)
 
 
-def sweep_payload(config: ExperimentConfig, population, threads: int):
-    """Robustness sweep over the configured temperature and voltage axes;
-    None when the config names no sweep points."""
-    calibration = config.build_calibration()
-    envs = [
-        EnvironmentCondition(t, config.reference_voltage)
-        for t in config.sweep_temperatures
-    ] + [
-        EnvironmentCondition(config.reference_temperature, v)
-        for v in config.sweep_voltages
-    ]
-    if not envs:
-        return None
-    results = robustness_sweep(
-        population,
-        calibration,
-        envs,
-        trials=config.sweep_trials,
-        base_seed=config.session_seed(10_000),
-        threads=threads,
-    )
-    return [
-        {
-            "temperature_celsius": env.temperature_celsius,
-            "supply_voltage_volts": env.supply_voltage_volts,
-            "mean_intra_hd_percent": value,
-        }
-        for env, value in results
-    ]
-
-
-def run_experiment(
-    config: ExperimentConfig,
-    out_dir: Optional[str] = None,
-    threads: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> tuple:
+def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> tuple:
     """Execute the full pipeline; returns (manifest, manifest_path).
 
     Raises StageError after persisting an incomplete manifest when any
     stage fails; earlier artifacts are left intact.
     """
-    if seed is not None:
-        config = replace(config, master_seed=int(seed)).validate()
-    threads = threads if threads is not None else config.threads
-    root = out_dir or config.output_dir or default_output_dir()
-    os.makedirs(root, exist_ok=True)
+    root = output_root(out_dir, config)
     manifest = RunManifest(
         config_digest=config_digest(config),
         tool_version=__version__,
         master_seed=config.master_seed,
     )
     manifest_path = os.path.join(root, "manifest.json")
+    emit = writer(root, lambda name, path: manifest.add(name, path, root))
+    stage = "configure"
 
     def finish(status, error=None):
         manifest.status = status
@@ -366,73 +457,36 @@ def run_experiment(
         _write_json(manifest_path, manifest.to_dict())
         return manifest, manifest_path
 
-    def emit(name: str, filename: str, write, *args) -> None:
-        """Write one artifact as write(path, *args) and record it."""
-        path = os.path.join(root, filename)
-        write(path, *args)
-        manifest.add(name, path, root)
+    @contextmanager
+    def timed(name: str):
+        """Tag failures with the stage and record its wall time."""
+        nonlocal stage
+        stage = name
+        t0 = time.perf_counter()
+        yield
+        manifest.timings[name] = time.perf_counter() - t0
 
-    stage = "configure"
     try:
         emit("config", "config.json", lambda path: save_config(config, path))
-
-        stage = "generate"
-        t0 = time.perf_counter()
-        population = generate_population(config.build_population_spec())
-        emit("population", "population.bin", save_population, population)
-        manifest.timings[stage] = time.perf_counter() - t0
-
-        stage = "readout"
-        t0 = time.perf_counter()
-        sessions_sigs = {}
-        for idx, session_cfg in enumerate(config.sessions):
-            name = f"signatures_{session_cfg.name}"
-            sigs = _session_readout(config, population, session_cfg, idx, threads)
-            sessions_sigs[session_cfg.name] = sigs
-            emit(name, f"{name}.bin", sigs.to_binary)
-            emit(f"{name}_csv", f"{name}.csv", sigs.to_csv)
-        manifest.timings[stage] = time.perf_counter() - t0
-
-        stage = "enroll"
-        t0 = time.perf_counter()
-        enroll_sigs = sessions_sigs[config.enroll_session]
-        golden = enroll_golden(enroll_sigs)
-        emit("golden", "golden.bin", save_golden, golden)
-        manifest.timings[stage] = time.perf_counter() - t0
-
+        with timed("generate"):
+            population = generate_stage(emit, config)
+        with timed("readout"):
+            sessions = readout_stage(emit, config, population)
+        with timed("enroll"):
+            enroll_sigs = sessions[config.enroll_session]
+            golden = enroll_stage(emit, enroll_sigs)
         mask = None
         if config.masking_enabled and config.num_devices >= 2:
-            stage = "mask"
-            t0 = time.perf_counter()
-            mask = eliminate_biased_positions(
-                enroll_sigs,
-                bias_threshold=config.bias_threshold,
-                stability_threshold=config.stability_threshold,
-                golden=golden,
-            )
-            emit("mask", "mask.json", _write_mask, mask)
-            manifest.timings[stage] = time.perf_counter() - t0
-
-        stage = "metrics"
-        t0 = time.perf_counter()
-        payload = _metrics_payload(config, sessions_sigs, golden, mask)
-        emit("metrics", "metrics.json", _write_json, payload)
-        emit("report", "report.txt", _write_text, _human_report(payload))
-        manifest.timings[stage] = time.perf_counter() - t0
-
-        stage = "sweep"
-        t0 = time.perf_counter()
-        sweep = sweep_payload(config, population, threads)
-        if sweep is not None:
-            emit("sweep", "sweep.json", _write_json, sweep)
-        manifest.timings[stage] = time.perf_counter() - t0
-
-        stage = "randomness"
-        t0 = time.perf_counter()
-        payload, table = _randomness_payload(config, golden, mask)
-        emit("nist", "nist.json", _write_json, payload)
-        emit("nist_csv", "nist.csv", _write_nist_csv, table)
-        manifest.timings[stage] = time.perf_counter() - t0
+            with timed("mask"):
+                mask = mask_stage(emit, enroll_sigs, config.bias_threshold,
+                                  config.stability_threshold, golden)
+        with timed("metrics"):
+            metrics_stage(emit, sessions, golden, mask, config.enroll_session,
+                          config.histogram_bucket_percent)
+        with timed("sweep"):
+            sweep_stage(emit, config, population)
+        with timed("randomness"):
+            randomness_stage(emit, config, golden, mask)
     except Exception as exc:  # noqa: BLE001 - every stage error becomes diagnostic
         finish("incomplete", {"stage": stage, "message": str(exc)})
         raise StageError(stage, str(exc)) from exc

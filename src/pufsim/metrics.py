@@ -167,11 +167,10 @@ def robustness_sweep(
     envs: Sequence[EnvironmentCondition],
     trials: int = 1,
     base_seed: int = 0,
-    nominal_env: Optional[EnvironmentCondition] = None,
     threads: int = 1,
 ):
-    """Mean intra-HD at each environment against a golden enrolled at the
-    nominal environment (defaults to the calibration reference).
+    """Mean intra-HD at each environment against a golden enrolled with
+    one trial at the calibration's reference environment.
 
     Reproducible: the enrollment seed and each sweep point's session seed
     are full 64-bit words of SeedSequence(base_seed, spawn_key=(key,)),
@@ -184,8 +183,7 @@ def robustness_sweep(
                                  calibration=calibration)
         return read_signatures(population, session, threads=threads)
 
-    nominal = nominal_env if nominal_env is not None else calibration.reference
-    golden = enroll_golden(read(nominal, 1, 0))
+    golden = enroll_golden(read(calibration.reference, 1, 0))
     return [(env, mean_intra_hd(read(env, trials, 1 + idx), golden))
             for idx, env in enumerate(envs)]
 

@@ -46,3 +46,28 @@ def test_tracer_rebinds_and_restores_every_hooked_name():
         current = vars(module)
         changed = [k for k, v in saved.items() if current.get(k) is not v]
         assert not changed, (module.__name__, changed)
+
+
+def test_traced_run_records_every_layer(tmp_path, capsys):
+    # a pipeline stage that bound a callee early, in a closure or a default
+    # argument, would slip past the rebinding and zero that layer's numbers
+    from pufsim import cli
+    from pufsim.config import ExperimentConfig, SessionConfig, save
+
+    config = ExperimentConfig(
+        num_devices=20, cells_per_device=128, master_seed=7,
+        temperature_anchors=((25.0, 0.0), (85.0, 0.05)),
+        sessions=(SessionConfig("enroll", 25.0, 1.0, trials=3, target_ber=0.02),),
+        sweep_temperatures=(45.0,), nist_tests=("frequency", "runs"),
+    ).validate()
+    save(config, tmp_path / "config.json")
+    with _load_spans().Tracer().installed() as tracer:
+        assert cli.main(["run", "--config", str(tmp_path / "config.json"),
+                         "--out", str(tmp_path / "run")]) == 0
+    layers = {
+        "harness.save_population", "harness.save_golden", "harness.manifest_add",
+        "signature.read", "signature.to_binary", "signature.to_csv",
+        "signature.enroll", "signature.mask",
+        "metrics.compute_report", "metrics.robustness_sweep",
+    }
+    assert layers - set(tracer.by_name()) == set()

@@ -80,14 +80,17 @@ def test_reruns_are_content_identical(tmp_path):
 
 
 def test_thread_count_does_not_change_artifacts(tmp_path):
-    m1, _ = run_experiment(_config(), out_dir=str(tmp_path / "t1"), threads=1)
-    m4, _ = run_experiment(_config(), out_dir=str(tmp_path / "t4"), threads=4)
-    assert _artifact_hashes(m1) == _artifact_hashes(m4)
+    m1, _ = run_experiment(_config(threads=1), out_dir=str(tmp_path / "t1"))
+    m4, _ = run_experiment(_config(threads=4), out_dir=str(tmp_path / "t4"))
+    h1, h4 = _artifact_hashes(m1), _artifact_hashes(m4)
+    # the recorded config differs in its threads field, and nothing else may
+    assert h1.pop("config") != h4.pop("config")
+    assert h1 == h4
 
 
 def test_seed_override_changes_outputs(tmp_path):
     m1, _ = run_experiment(_config(), out_dir=str(tmp_path / "a"))
-    m2, _ = run_experiment(_config(), out_dir=str(tmp_path / "b"), seed=8)
+    m2, _ = run_experiment(_config(master_seed=8), out_dir=str(tmp_path / "b"))
     h1, h2 = _artifact_hashes(m1), _artifact_hashes(m2)
     assert h1["population"] != h2["population"]
     assert m2.master_seed == 8
@@ -285,7 +288,7 @@ def test_cli_nist_ascii_mixed_lengths(tmp_path, capsys):
 
 def test_compare_runs(tmp_path):
     _, a = run_experiment(_config(), out_dir=str(tmp_path / "a"))
-    _, b = run_experiment(_config(), out_dir=str(tmp_path / "b"), seed=99)
+    _, b = run_experiment(_config(master_seed=99), out_dir=str(tmp_path / "b"))
     deltas = compare_runs(a, b)
     entry = deltas["sessions"]["enroll"]
     assert "inter_hd_percent_delta" in entry
@@ -603,21 +606,51 @@ def test_cli_stage_chain(tmp_path, capsys):
     assert "sweep" in err  # config has no sweep points: stage-tagged failure
 
 
-def test_cli_readout_csv_equals_run_csv(tmp_path, capsys):
+def test_cli_stage_chain_writes_run_bytes(tmp_path, capsys):
+    # one enrollment trial makes the golden bits the trial-0 rows, so
+    # `pufsim metrics` rebuilds run's enrollment entry; 12 devices and 11
+    # trials put two-digit indices in the signature CSV
     from pufsim.config import save
 
-    config = _config(num_devices=12, sessions=(
-        SessionConfig("enroll", 25.0, 1.0, trials=3, target_ber=0.02),
+    config = _config(num_devices=12, sweep_temperatures=(45.0,), sessions=(
+        SessionConfig("enroll", 25.0, 1.0, trials=1, target_ber=0.02),
         SessionConfig("hot", 85.0, 1.0, trials=11)))
     config_path = tmp_path / "config.json"
     save(config, config_path)
-    run_experiment(config, tmp_path / "run")
-    assert main(["readout", "--config", str(config_path),
-                 "--out", str(tmp_path / "readout")]) == 0
-    capsys.readouterr()
-    for name in ("enroll", "hot"):
-        csv = f"signatures_{name}.csv"
-        assert (tmp_path / "readout" / csv).read_bytes() == (tmp_path / "run" / csv).read_bytes()
+    run, chain = tmp_path / "run", tmp_path / "chain"
+    run_experiment(config, run)
+    sel = ["--config", str(config_path), "--out", str(chain)]
+    pop, sig = str(chain / "population.bin"), str(chain / "signatures_enroll.bin")
+    for argv in (["generate", *sel], ["readout", *sel, "--population", pop],
+                 ["enroll", sig, "--out", str(chain)],
+                 ["mask", sig, "--out", str(chain)],
+                 ["metrics", sig, "--out", str(chain),
+                  "--golden", str(chain / "golden.bin"),
+                  "--mask", str(chain / "mask.json")],
+                 ["sweep", *sel, "--population", pop]):
+        assert main(argv) == 0, argv
+    stdout = capsys.readouterr().out
+    names = ["population.bin", "golden.bin", "mask.json", "sweep.json"] + [
+        f"signatures_{s}.{ext}" for s in ("enroll", "hot") for ext in ("bin", "csv")]
+    for name in names:
+        assert (chain / name).read_bytes() == (run / name).read_bytes(), name
+    want = json.loads((run / "metrics.json").read_text())["sessions"]["enroll"]
+    got = json.loads((chain / "metrics.json").read_text())["sessions"]["input"]
+    assert got == want and "masked" in got
+    report = (chain / "report.txt").read_text()
+    assert report.startswith("signature quality report") and report in stdout
+
+
+def test_cli_nist_fails_when_no_test_fits(tmp_path, capsys):
+    path = tmp_path / "short.txt"
+    path.write_text("0101011\n01\n")
+    out = tmp_path / "out"
+    assert main(["nist", str(path), "--format", "ascii", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error [randomness] ")
+    assert "7 bits" in captured.err and "at least 100" in captured.err
+    assert "aggregate" not in captured.out
+    assert not (out / "nist.csv").exists()
 
 
 def test_cli_errors(tmp_path, capsys):
@@ -631,14 +664,30 @@ def test_cli_errors(tmp_path, capsys):
 
 
 def test_cli_output_dir_env(tmp_path, monkeypatch, capsys):
-    config_path = tmp_path / "config.json"
+    # every subcommand writes under --out, else the config's output_dir,
+    # else $PUFSIM_OUT_DIR
     from pufsim.config import save
 
+    config_path = tmp_path / "config.json"
     save(_config(), config_path)
     target = tmp_path / "from-env"
     monkeypatch.setenv("PUFSIM_OUT_DIR", str(target))
     assert main(["generate", "--config", str(config_path)]) == 0
     assert (target / "population.bin").exists()
+
+    cfgdir = tmp_path / "cfgdir"
+    save(_config(output_dir=str(cfgdir), sweep_temperatures=(45.0,)), config_path)
+    for command in ("generate", "readout", "sweep"):
+        assert main([command, "--config", str(config_path)]) == 0, command
+    assert sorted(p.name for p in cfgdir.iterdir()) == [
+        "population.bin", "signatures_enroll.bin", "signatures_enroll.csv",
+        "sweep.json"]
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert (cfgdir / "manifest.json").exists()
+    flag = tmp_path / "flag"
+    assert main(["generate", "--config", str(config_path), "--out", str(flag)]) == 0
+    assert (flag / "population.bin").exists()
+    assert sorted(p.name for p in target.iterdir()) == ["population.bin"]
 
 
 def test_cli_threads_flag_matches_single_thread(tmp_path):
