@@ -1,0 +1,88 @@
+"""Artifact digests of the preset ladder, compared with a committed record.
+
+A rung is one `pufsim run` through `pufsim.cli.main`: the presets
+paper-sim, paper-fpga and d1..d4, and the perfbench sim-population and
+board-repeat configs (benchmark seed 1), stored under tests/data. Every
+rung runs at `--threads 1`, and board-repeat also at `--threads 2`.
+
+tests/data/ladder_digests.json holds, per run, every artifact's name,
+sha256 and size as the run's manifest lists them (manifest.json is not an
+artifact), and the python, numpy and scipy versions it was made with. A
+version mismatch does not skip the comparison; a failure names both
+version sets. A change that moves an output rewrites the record, and the
+two workload configs from perfbench/workloads.py, in the same commit:
+
+    PYTHONPATH=src python tests/test_ladder_digests.py
+"""
+
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from pufsim.cli import main
+from pufsim.config import PRESET_NAMES
+
+DATA = Path(__file__).resolve().parent / "data"
+RECORD = DATA / "ladder_digests.json"
+WORKLOADS = ("sim-population", "board-repeat")
+WORKLOAD_SEED = 1  # perfbench/run.py's default --seed
+RUNS = [(rung, "1") for rung in PRESET_NAMES + WORKLOADS] + [("board-repeat", "2")]
+
+
+def _versions() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
+
+
+def _digests(rung: str, threads: str, out: Path) -> dict:
+    """{artifact name: {"sha256", "bytes"}} of one run into out."""
+    source = (["--preset", rung] if rung in PRESET_NAMES
+              else ["--config", str(DATA / f"{rung}.json")])
+    assert main(["run", *source, "--out", str(out), "--threads", threads]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    return {a["name"]: {"sha256": a["sha256"], "bytes": a["bytes"]}
+            for a in manifest["artifacts"]}
+
+
+@pytest.mark.parametrize("rung,threads", RUNS)
+def test_ladder_artifacts_match_record(rung, threads, tmp_path):
+    record = json.loads(RECORD.read_text())
+    want = record["runs"][f"{rung} --threads {threads}"]
+    got = _digests(rung, threads, tmp_path)
+    moved = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    assert not moved, (
+        f"{rung} at --threads {threads}: artifacts {moved} differ from "
+        f"{RECORD.name}, recorded with {record['versions']}, run with {_versions()}")
+
+
+def test_record_thread_values_differ_only_in_config():
+    # config.json records the threads field; no other output may depend on it
+    runs = json.loads(RECORD.read_text())["runs"]
+    one = dict(runs["board-repeat --threads 1"])
+    two = dict(runs["board-repeat --threads 2"])
+    assert one.pop("config") != two.pop("config")
+    assert one == two
+
+
+def rewrite() -> None:
+    sys.path.insert(0, str(DATA.parents[1] / "perfbench"))
+    from workloads import write_config
+
+    for workload in WORKLOADS:
+        write_config(workload, WORKLOAD_SEED, str(DATA / f"{workload}.json"))
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = {f"{rung} --threads {threads}":
+                _digests(rung, threads, Path(tmp) / f"{rung}-{threads}")
+                for rung, threads in RUNS}
+    RECORD.write_text(json.dumps({"versions": _versions(), "runs": runs},
+                                 indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    rewrite()
