@@ -85,6 +85,8 @@ class ExperimentConfig:
     sweep_trials: int = 1
     # execution
     output_dir: Optional[str] = None
+    # accepted and validated for saved configs and scripts that set it; the
+    # readout is serial and no stage reads it
     threads: int = 1
 
     def __post_init__(self):

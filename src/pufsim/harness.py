@@ -13,9 +13,10 @@ Every stage writes its artifacts before the next stage starts, and each
 file is written under a temporary name and then renamed into place, so a
 late failure never corrupts earlier outputs, not even within a file; the
 manifest then carries an "incomplete" status plus the failing stage. All
-stage seeds derive from the config's master seed, which makes outputs
-independent of the thread count; machine-readable files keep full
-precision while the human report rounds to 6 significant digits.
+stage seeds derive from the config's master seed, and the readout draws
+each device range from a counter-addressed stream, so outputs depend on
+the config alone; machine-readable files keep full precision while the
+human report rounds to 6 significant digits.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .population import (
     keyed_philox,
 )
 from .randomness import (
+    _MIN_LENGTH,
     TEST_NAMES,
     SuiteTable,
     aggregate_suite,
@@ -287,8 +289,7 @@ def readout_stage(emit, config: ExperimentConfig, population: DevicePopulation,
         session = ReadoutSession(session_cfg.env(), session_cfg.trials,
                                  config.session_seed(index), calibration,
                                  session_cfg.target_ber)
-        sigs = sessions[name] = read_signatures(population, session,
-                                                threads=config.threads)
+        sigs = sessions[name] = read_signatures(population, session)
         emit(f"signatures_{name}", f"signatures_{name}.bin", sigs.to_binary)
         emit(f"signatures_{name}_csv", f"signatures_{name}.csv", sigs.to_csv)
     return sessions
@@ -361,8 +362,7 @@ def sweep_stage(emit, config: ExperimentConfig,
         return None
     results = robustness_sweep(population, calibration, envs,
                                trials=config.sweep_trials,
-                               base_seed=config.session_seed(10_000),
-                               threads=config.threads)
+                               base_seed=config.session_seed(10_000))
     rows = [{"temperature_celsius": env.temperature_celsius,
              "supply_voltage_volts": env.supply_voltage_volts,
              "mean_intra_hd_percent": value} for env, value in results]
@@ -374,7 +374,12 @@ def battery_stage(emit, sequences, alpha: float, tests) -> SuiteTable:
     """Battery results in input order, written as nist.csv, for a
     (sequences, n) array or for a list of 1-D sequences run in one block
     per length. The per-length tables are joined into one; a test a length
-    does not run is NaN there."""
+    does not run is NaN there. Without `tests`, a batch whose longest
+    sequence is too short for every test is refused."""
+    longest, need = max(map(len, sequences), default=0), min(_MIN_LENGTH.values())
+    if tests is None and longest < need:
+        raise StageError("randomness", f"no test fits: the longest sequence has "
+                         f"{longest} bits, and every test needs at least {need}")
     if isinstance(sequences, np.ndarray):
         table = run_suite_block(sequences, alpha=alpha, tests=tests)
     else:
@@ -488,8 +493,9 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> t
         with timed("randomness"):
             randomness_stage(emit, config, golden, mask)
     except Exception as exc:  # noqa: BLE001 - every stage error becomes diagnostic
-        finish("incomplete", {"stage": stage, "message": str(exc)})
-        raise StageError(stage, str(exc)) from exc
+        message = exc.message if isinstance(exc, StageError) else str(exc)
+        finish("incomplete", {"stage": stage, "message": message})
+        raise StageError(stage, message) from exc
 
     return finish("complete")
 

@@ -167,7 +167,6 @@ def robustness_sweep(
     envs: Sequence[EnvironmentCondition],
     trials: int = 1,
     base_seed: int = 0,
-    threads: int = 1,
 ):
     """Mean intra-HD at each environment against a golden enrolled with
     one trial at the calibration's reference environment.
@@ -181,7 +180,7 @@ def robustness_sweep(
         seed = ss.generate_state(1, dtype=np.uint64)[0]
         session = ReadoutSession(env, trials=n_trials, session_seed=int(seed),
                                  calibration=calibration)
-        return read_signatures(population, session, threads=threads)
+        return read_signatures(population, session)
 
     golden = enroll_golden(read(calibration.reference, 1, 0))
     return [(env, mean_intra_hd(read(env, trials, 1 + idx), golden))

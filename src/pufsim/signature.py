@@ -40,14 +40,11 @@ padded to whole 4-output counter blocks (8 uniforms), so row (device,
 trial) of a session with t trials and n positions starts at counter block
 (device * t + trial) * ceil(n / 8). Any device range is then one
 contiguous draw that starts at a computed counter, which makes the bits
-independent of how the devices are split into ranges and of the thread
-count.
+independent of how the devices are split into ranges, by construction.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -317,10 +314,10 @@ def count_dtype(trials: int) -> np.dtype:
 
 
 class _RangeBuffers:
-    """Working arrays of one readout thread, sized for its largest device
-    range of r devices x t trials x n positions and reused for every range
-    it reads, so that a range allocates only its raw draws and the index
-    array of its exactly resolved cells."""
+    """Working arrays of one readout, sized for its largest device range
+    of r devices x t trials x n positions and reused for every range, so
+    that a range allocates only its raw draws and the index array of its
+    exactly resolved cells."""
 
     def __init__(self, r: int, t: int, n: int):
         cells = r * n
@@ -393,14 +390,13 @@ class _RangeBuffers:
         np.less(offset, span[:, None, :], out=bits, where=undecided)
 
 
-def read_signatures(
-    population: DevicePopulation, session: ReadoutSession, threads: int = 1
-) -> SignatureSet:
+def read_signatures(population: DevicePopulation,
+                    session: ReadoutSession) -> SignatureSet:
     """Run the session over the population and assemble all signatures.
 
-    Devices are read in ranges of about _RANGE_VALUES uniforms, each from
-    its own counter offset, so the bits are identical for every range size
-    and thread count.
+    Devices are read in ranges of about _RANGE_VALUES uniforms, each drawn
+    from its own counter offset, so the bits are identical for every range
+    size.
     """
     sigma_n = session.noise_sigma()
     sigma_m = session.calibration.sigma_mismatch
@@ -411,33 +407,20 @@ def read_signatures(
     blocks = _row_blocks(n)
     bits = np.empty((d, t, n), dtype=np.uint8)
     step = max(1, _RANGE_VALUES // (t * 8 * blocks))
-    local = threading.local()
-
-    def fill(lo: int):
+    buffers = _RangeBuffers(min(step, d), t, n) if sigma_n else None
+    for lo in range(0, d, step):
         hi = min(lo + step, d)
         r = hi - lo
         if sigma_n == 0:
             # strict inequality: an exact zero margin resolves to 0
             bits[lo:hi] = (population.mismatch[lo:hi] + offsets > 0)[:, None, :]
-            return
-        buffers = getattr(local, "buffers", None)
-        if buffers is None:
-            buffers = local.buffers = _RangeBuffers(min(step, d), t, n)
+            continue
         x = buffers.x[: r * n].reshape(r, n)
         np.add(population.mismatch[lo:hi], offsets, out=x)
         np.divide(x, sigma_eff, out=x)
         words = keyed_philox(session.session_seed, _TAG_READOUT, lo * t * blocks)
         u = words.random_raw(r * t * 4 * blocks).view(np.uint32)
         buffers.resolve(x, u.reshape(r, t, 8 * blocks), bits[lo:hi])
-
-    starts = range(0, d, step)
-    threads = max(1, int(threads))
-    if threads == 1:
-        for lo in starts:
-            fill(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, starts))
     return SignatureSet(bits)
 
 

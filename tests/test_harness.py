@@ -653,6 +653,25 @@ def test_cli_nist_fails_when_no_test_fits(tmp_path, capsys):
     assert not (out / "nist.csv").exists()
 
 
+def test_cli_run_fails_when_no_test_fits(tmp_path, capsys):
+    # the default config's per-signature sequences are at most 64 bits long
+    from pufsim.config import save
+
+    config_path = tmp_path / "config.json"
+    save(ExperimentConfig(num_devices=20).validate(), config_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "incomplete"
+    assert manifest["error"]["stage"] == "randomness"
+    message = manifest["error"]["message"]
+    assert message.startswith("no test fits: the longest sequence has ")
+    assert message.endswith(" bits, and every test needs at least 100")
+    assert err == f"error [randomness] {message}\n"
+    assert not (out / "nist.csv").exists()
+
+
 def test_cli_errors(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err

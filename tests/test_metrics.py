@@ -210,9 +210,9 @@ def test_robustness_sweep_seeds_are_full_64_bit_words(monkeypatch):
     seeds = []
     read = metrics_module.read_signatures
 
-    def recording_read(population, session, threads=1):
+    def recording_read(population, session):
         seeds.append(session.session_seed)
-        return read(population, session, threads=threads)
+        return read(population, session)
 
     monkeypatch.setattr(metrics_module, "read_signatures", recording_read)
     pop = _flat_population(4, 16, 3)
