@@ -29,6 +29,8 @@ Run:  python3 benchmarks/bench_kernels.py --devices 2000 --bits 1024
 """
 
 import argparse
+import contextlib
+import io
 import os
 import resource
 import statistics
@@ -38,10 +40,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from pufsim import kernels, randomness
+from pufsim import cli, kernels, randomness
 from pufsim.config import preset
 from pufsim.entropy import EnvironmentCondition
-from pufsim.harness import _write_nist_csv, unbiased_sequences
+from pufsim.harness import _write_nist_csv, load_manifest, unbiased_sequences
 from pufsim.metrics import mean_intra_hd
 from pufsim.population import generate_population
 from pufsim.signature import (
@@ -52,6 +54,7 @@ from pufsim.signature import (
 PAPER_SIM_SHAPE = (10000, 64)  # devices, bits
 PER_SIGNATURE_SHAPE = (1000, 1016)  # board-repeat's masked golden: rows, bits
 READOUT_BER = 0.1  # inside the paper-sim sweep's 6-16% band
+STAGES = ("generate", "readout", "enroll", "mask", "metrics", "sweep", "randomness")
 
 
 def _time(label: str, fn, *args, repeat: int = 3) -> None:
@@ -102,6 +105,20 @@ def _battery_loop(s: int, n: int, seed: int) -> None:
           f"(median of {s})")
 
 
+def _pipeline_rss(config: str, k: int) -> None:
+    for run in range(1, k + 1):
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["run", "--config", config, "--out", tmp])
+            if code != 0:
+                raise SystemExit(f"pufsim run exited {code}")
+            timings = load_manifest(os.path.join(tmp, "manifest.json"))["timings"]
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        stages = " ".join(f"{name} {timings[name] * 1e3:.1f}"
+                          for name in STAGES if name in timings)
+        print(f"run {run}: peak RSS {peak:7.2f} MiB; stage ms: {stages}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--devices", type=int, default=2000)
@@ -121,11 +138,17 @@ def main() -> None:
     parser.add_argument("--battery-loop", type=int, nargs=2, metavar=("S", "N"),
                         help="time only the generator loop of S N-bit sequences "
                              "through run_suite")
+    parser.add_argument("--pipeline-rss", nargs=2, metavar=("CONFIG", "K"),
+                        help="run only `pufsim run --config CONFIG` K times and "
+                             "print the peak RSS and stage times after each")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     if args.battery_loop:
         _battery_loop(*args.battery_loop, args.seed)
+        return
+    if args.pipeline_rss:
+        _pipeline_rss(args.pipeline_rss[0], int(args.pipeline_rss[1]))
         return
 
     for name, d in (("paper-sim", 10000), ("d2", 1000)):

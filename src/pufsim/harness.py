@@ -89,7 +89,8 @@ def _sig6(value):
 # artifact persistence
 
 def _mismatch_digest(population: DevicePopulation) -> str:
-    return hashlib.sha256(population.mismatch.tobytes()).hexdigest()
+    # hashed through the array's buffer: no copy unless it is not C-contiguous
+    return hashlib.sha256(np.ascontiguousarray(population.mismatch)).hexdigest()
 
 
 def save_population(path, population: DevicePopulation) -> None:
@@ -443,6 +444,13 @@ def randomness_stage(emit, config: ExperimentConfig, golden: GoldenSignature,
 def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> tuple:
     """Execute the full pipeline; returns (manifest, manifest_path).
 
+    Each large input is released as soon as its last stage has run: the
+    session signature sets after metrics, the population after the sweep.
+    The randomness battery, whose spectral test works on the whole
+    concatenated stream, runs with only the config, the golden signature
+    and the mask alive, so its working set does not stack on the
+    population's d x n float64 array.
+
     Raises StageError after persisting an incomplete manifest when any
     stage fails; earlier artifacts are left intact.
     """
@@ -488,8 +496,10 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> t
         with timed("metrics"):
             metrics_stage(emit, sessions, golden, mask, config.enroll_session,
                           config.histogram_bucket_percent)
+        del sessions, enroll_sigs
         with timed("sweep"):
             sweep_stage(emit, config, population)
+        del population
         with timed("randomness"):
             randomness_stage(emit, config, golden, mask)
     except Exception as exc:  # noqa: BLE001 - every stage error becomes diagnostic

@@ -1,14 +1,17 @@
 """End-to-end pipeline: artifact persistence, manifests, determinism,
 failure isolation, run comparison, and the command-line surface."""
 
+import hashlib
 import io
 import json
 import os
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
+from pufsim import harness
 from pufsim.cli import main
 from pufsim.config import ExperimentConfig, SessionConfig, preset
 from pufsim.errors import InvalidArgumentError, InvalidSpecError, StageError
@@ -24,6 +27,7 @@ from pufsim.harness import (
 from pufsim.metrics import hd_histogram_from_counts, inter_hd_details
 from pufsim.population import (
     _TAG_LOCAL,
+    DevicePopulation,
     PlacementConfig,
     PopulationSpec,
     builtin_placement,
@@ -109,6 +113,37 @@ def test_failing_stage_preserves_earlier_artifacts(tmp_path):
     assert (tmp_path / "metrics.json").exists()
     json.loads((tmp_path / "metrics.json").read_text())
     assert not (tmp_path / "sweep.json").exists()
+
+
+def test_population_and_readouts_released_before_battery(tmp_path, monkeypatch):
+    # the battery must not stack its working set on the population or the
+    # session signature sets: no reference to them may outlive their last
+    # stage (no gc.collect, so a reference cycle would also fail this)
+    refs = []
+    alive_at_battery = []
+
+    def watch(stage, track):
+        def wrapped(*args, **kw):
+            result = stage(*args, **kw)
+            refs.extend(weakref.ref(obj) for obj in track(result))
+            return result
+        return wrapped
+
+    battery = harness.randomness_stage
+
+    def randomness_stage(*args, **kw):
+        alive_at_battery.extend(ref() is not None for ref in refs)
+        return battery(*args, **kw)
+
+    monkeypatch.setattr(harness, "generate_stage",
+                        watch(harness.generate_stage, lambda pop: [pop]))
+    monkeypatch.setattr(harness, "readout_stage",
+                        watch(harness.readout_stage, dict.values))
+    monkeypatch.setattr(harness, "randomness_stage", randomness_stage)
+    manifest, _ = run_experiment(preset("paper-fpga"), out_dir=str(tmp_path))
+    assert manifest.status == "complete"
+    assert len(refs) == 3  # the population, then the enroll and repeat sessions
+    assert alive_at_battery == [False] * 3
 
 
 def test_readout_stage_failure_tagged(tmp_path):
@@ -317,6 +352,18 @@ def test_population_snapshot_round_trip(tmp_path):
     assert back.spec == population.spec
     assert np.array_equal(back.mismatch, population.mismatch)
     assert np.array_equal(back.bias_offsets, population.bias_offsets)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_mismatch_digest_equals_the_copied_bytes_digest(order):
+    # the digest hashes the array in place; a Fortran-ordered mismatch must
+    # still hash its C-order bytes, as tobytes() gives them
+    population = generate_population(_config().build_population_spec())
+    if order == "F":
+        population = DevicePopulation(population.spec,
+                                      np.asfortranarray(population.mismatch))
+    want = hashlib.sha256(population.mismatch.tobytes()).hexdigest()
+    assert harness._mismatch_digest(population) == want
 
 
 def test_population_snapshot_keeps_injected_bias(tmp_path):
