@@ -19,10 +19,10 @@ pages of the (D, T, N) output array that a call may fault in, and times
 
 `--battery-loop S N` runs only the criterion-8 loop instead: S N-bit
 `unbiased_sequences`, each through one `run_suite` call, and prints the
-generation ms per sequence, the `run_suite` ms per call and the median of
-the minor page faults (`ru_minflt`) each `run_suite` call took. It runs
-alone so that the faults count the loop's own heap, not the one the other
-timings leave.
+generation ms per sequence, the `run_suite` ms per call and the medians
+of the minor page faults (`ru_minflt`) each generated sequence and each
+`run_suite` call took. It runs alone so that the faults count the loop's
+own heap, not the one the other timings leave.
 
 Run:  python3 benchmarks/bench_kernels.py --devices 2000 --bits 1024
       python3 benchmarks/bench_kernels.py --battery-loop 250 100000
@@ -89,20 +89,27 @@ def _time_readout(d: int, t: int, n: int, seed: int) -> None:
 
 def _battery_loop(s: int, n: int, seed: int) -> None:
     gen_s = suite_s = 0.0
-    faults = []
-    t = time.perf_counter()
-    for seq in unbiased_sequences(s, n, seed):
-        t0 = time.perf_counter()
-        gen_s += t0 - t
+    gen_faults, suite_faults = [], []
+    sequences = unbiased_sequences(s, n, seed)
+    for _ in range(s):
         f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
+        seq = next(sequences)
+        t1 = time.perf_counter()
+        f1 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         randomness.run_suite(seq)
-        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
-        t = time.perf_counter()
-        suite_s += t - t0
+        t2 = time.perf_counter()
+        f2 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        gen_s += t1 - t0
+        suite_s += t2 - t1
+        gen_faults.append(f1 - f0)
+        suite_faults.append(f2 - f1)
     print(f"{'generation per sequence':40s} {gen_s / s * 1e3:9.2f} ms")
     print(f"{'run_suite per call':40s} {suite_s / s * 1e3:9.2f} ms")
-    print(f"{'run_suite minor faults per call':40s} {statistics.median(faults):9.0f} "
-          f"(median of {s})")
+    print(f"{'generation minor faults per sequence':40s} "
+          f"{statistics.median(gen_faults):9.0f} (median of {s})")
+    print(f"{'run_suite minor faults per call':40s} "
+          f"{statistics.median(suite_faults):9.0f} (median of {s})")
 
 
 def _pipeline_rss(config: str, k: int) -> None:

@@ -238,15 +238,9 @@ def _check_schema_version(version: str):
 # serialization
 
 def to_dict(config: ExperimentConfig) -> dict:
-    d = asdict(config)
-    d["sessions"] = [asdict(s) for s in config.sessions]
-    d["weights"] = list(config.weights)
-    d["temperature_anchors"] = [list(a) for a in config.temperature_anchors]
-    d["voltage_anchors"] = [list(a) for a in config.voltage_anchors]
-    d["sweep_temperatures"] = list(config.sweep_temperatures)
-    d["sweep_voltages"] = list(config.sweep_voltages)
-    d["nist_tests"] = None if config.nist_tests is None else list(config.nist_tests)
-    return d
+    """The config's fields as plain data; tuples stay tuples, which json
+    writes as lists."""
+    return asdict(config)
 
 
 def from_dict(data: dict) -> ExperimentConfig:

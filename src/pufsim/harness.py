@@ -575,11 +575,6 @@ def compare_runs(manifest_path_a: str, manifest_path_b: str) -> dict:
 # ---------------------------------------------------------------------------
 # simulator-backed bit sequences for the battery
 
-# raw words per draw of the battery's generator: 64 KiB, under glibc's
-# 128 KiB mmap threshold, so no draw maps and unmaps fresh pages
-_SEQUENCE_CHUNK = 8192
-
-
 def unbiased_sequences(num_sequences: int, nbits: int, master_seed: int):
     """Yield noiseless power-up bit sequences of unbiased simulated
     devices (pure local mismatch), one device per sequence.
@@ -593,8 +588,9 @@ def unbiased_sequences(num_sequences: int, nbits: int, master_seed: int):
     draws its local component from the same words, so the sequences are
     `iter_device_mismatch(spec) > 0` of a pure-local spec of nbits cells.
 
-    One generator serves the whole call and draws each sequence's words in
-    chunks of at most 8192, so no draw allocates more than 64 KiB.
+    One generator serves the whole call, and each sequence is one draw of
+    its whole row of words; the heap lift in pufsim.randomness keeps a
+    1e5-bit row's draw on pages already faulted in.
     """
     if num_sequences <= 0 or nbits <= 0:
         raise InvalidSpecError("population sizes must be positive")
@@ -603,10 +599,6 @@ def unbiased_sequences(num_sequences: int, nbits: int, master_seed: int):
     bitgen = keyed_philox(int(master_seed), _TAG_LOCAL)
     row_words = 4 * -(-nbits // 4)  # whole counter blocks per device
     for _ in range(num_sequences):
-        seq = np.empty(nbits, dtype=np.uint8)
-        for lo in range(0, row_words, _SEQUENCE_CHUNK):
-            hi = min(lo + _SEQUENCE_CHUNK, row_words)
-            words = bitgen.random_raw(hi - lo)
-            words >>= 63
-            seq[lo:hi] = words[: nbits - lo]
-        yield seq
+        words = bitgen.random_raw(row_words)
+        words >>= 63
+        yield words[:nbits].astype(np.uint8)

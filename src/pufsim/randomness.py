@@ -42,23 +42,17 @@ tests share are built once per block:
   max(0, S_1..S_{n-1}) - S_n). A cumulative-sums p-value depends only on
   (n, z) and is cached by that pair.
 
-The walk, the spectral test's +-1 input, its rfft spectrum and the
-magnitudes (written over the spent input) go into working arrays. For a
-block of at most 2**17 bits (one 1e5-bit sequence, say) those are arrays
-each thread keeps and reuses from call to call, grown to fit and never
-beyond 2**17 bits' worth, about 2.5 MiB per thread in all; so a
-sequence-at-a-time battery does not allocate and free about 2 MB of
-temporaries per sequence, and the first use in a thread lifts glibc's
-heap-trim bound above the scratch numpy's rfft allocates for itself (see
-_Block.work), so neither is faulted in again per sequence. Larger blocks
-allocate theirs per call, so their size bounds no retained memory.
-Results do not depend on which path a block takes.
+The walk, the spectral test's +-1 input and its rfft spectrum are
+allocated per block, and the magnitudes are written over the spent input.
+Importing this module lifts glibc's heap-trim bound once (see the
+statement before _Block), so a sequence-at-a-time battery reuses the
+same heap pages for those arrays and for the scratch numpy's rfft
+allocates for itself, instead of faulting them in again per sequence.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
@@ -140,20 +134,16 @@ def _require_length(name: str, n: int, fixture_mode: bool):
         )
 
 
-# Blocks of at most this many bits run on working arrays that each thread
-# keeps and reuses (about 2.5 MiB per thread at most); larger blocks
-# allocate theirs per call.
-_RETAIN_BITS = 1 << 17
-
-
-class _WorkArrays(threading.local):
-    """This thread's retained working arrays, flat, by name."""
-
-    def __init__(self):
-        self.arrays = {}
-
-
-_WORK = _WorkArrays()
+# numpy's rfft allocates its own scratch inside every call, about 16 bytes
+# per bit, and the block's working arrays come and go with every block.
+# glibc serves a request above its mmap threshold (128 KiB at start) with
+# mmap, and hands freed memory at the top of its heap back to the system
+# once that exceeds its trim threshold, so both would be faulted in again
+# on every call. Freeing one untouched mmap-ed block raises the mmap
+# threshold to its size and the trim threshold to twice that; 16 bytes per
+# bit of a 2**17-bit block (one 1e5-bit sequence, say) puts both above
+# what such a block allocates. This is the one place the heap policy lives.
+np.empty(16 << 17, dtype=np.uint8)
 
 
 class _Block:
@@ -164,38 +154,12 @@ class _Block:
         self.bits = bits
         self.rows, self.n = bits.shape
 
-    def work(self, name: str, dtype, shape: tuple) -> np.ndarray:
-        """An uninitialised working array of `shape`: a view of this
-        thread's retained array `name` (grown to fit) when the block holds
-        at most _RETAIN_BITS bits, a new array otherwise. The caller must
-        be done with it before it asks for `name` again."""
-        if self.bits.size > _RETAIN_BITS:
-            return np.empty(shape, dtype)
-        size = math.prod(shape)
-        arrays = _WORK.arrays
-        buf = arrays.get(name)
-        if buf is None or buf.size < size:
-            if not arrays:
-                # numpy's rfft allocates its own scratch inside every call,
-                # about 16 bytes per bit. glibc hands freed memory at the top
-                # of its heap back to the system once it exceeds twice the
-                # largest mmap-ed block freed so far, so unless a block near
-                # that size was freed before, the scratch is returned and
-                # faulted in again on every call. Freeing one untouched
-                # block of 16 bytes per retained bit lifts that bound above
-                # the scratch of any block that runs on retained arrays.
-                np.empty(16 * _RETAIN_BITS, dtype=np.uint8)
-            buf = arrays[name] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
-
     @cached_property
     def walk_range(self) -> tuple:
         """(min(0, S_1..S_{n-1}), max(0, S_1..S_{n-1}), S_n) per row of
-        the +-1 walk S_1..S_n. The walk itself is not kept: a large
-        block's is freed before the spectrum's arrays are allocated, and a
-        small block's retained array is free for the next block."""
-        walk = self.work("walk", np.int32 if self.n < 2**31 else np.int64,
-                         self.bits.shape)
+        the +-1 walk S_1..S_n. The walk itself is not kept, so it is freed
+        before the spectrum's arrays are allocated."""
+        walk = np.empty(self.bits.shape, np.int32 if self.n < 2**31 else np.int64)
         np.multiply(self.bits, 2, out=walk)
         walk -= 1
         np.cumsum(walk, axis=1, out=walk)
@@ -402,13 +366,11 @@ def rank_test(seq, alpha: float = ALPHA_DEFAULT, fixture_mode: bool = False):
 
 def _dft(blk: _Block) -> tuple:
     n = blk.n
-    x = blk.work("dft", np.float64, blk.bits.shape)
-    np.multiply(blk.bits, 2.0, out=x)
+    x = np.multiply(blk.bits, 2.0)
     x -= 1.0
-    spectrum = blk.work("spectrum", np.complex128, (blk.rows, n // 2 + 1))
-    np.fft.rfft(x, axis=-1, out=spectrum)
+    spectrum = np.fft.rfft(x, axis=-1)
     # the input is spent, so the magnitudes take its array
-    magnitudes = blk.work("dft", np.float64, spectrum.shape)
+    magnitudes = x.reshape(-1)[: spectrum.size].reshape(spectrum.shape)
     np.abs(spectrum, out=magnitudes)
     # bins 1..n/2-1: DC excluded (bin 0 is the bit-count imbalance, the
     # frequency test's statistic); expected count stays 0.95 * n/2
