@@ -17,6 +17,12 @@ pages of the (D, T, N) output array that a call may fault in, and times
 (10000 x 64, pure local) and at the board-repeat shape (the d2 preset at
 1000 x 1024, weights (0, 0.3, sqrt(0.91))).
 
+`--pipeline-rss CONFIG K` runs only `pufsim run --config CONFIG` K times
+in one process and prints, after each run, the process's peak RSS, the
+per-stage wall times from the manifest and the peak RSS (`ru_maxrss`)
+when each stage returned, read by wrapping the `harness.*_stage`
+functions, so the stage that sets the peak shows.
+
 `--battery-loop S N` runs only the criterion-8 loop instead: S N-bit
 `unbiased_sequences`, each through one `run_suite` call, and prints the
 generation ms per sequence, the `run_suite` ms per call and the medians
@@ -26,6 +32,7 @@ own heap, not the one the other timings leave.
 
 Run:  python3 benchmarks/bench_kernels.py --devices 2000 --bits 1024
       python3 benchmarks/bench_kernels.py --battery-loop 250 100000
+      python3 benchmarks/bench_kernels.py --pipeline-rss tests/data/board-repeat.json 3
 """
 
 import argparse
@@ -40,7 +47,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from pufsim import cli, kernels, randomness
+from pufsim import cli, harness, kernels, randomness
 from pufsim.config import preset
 from pufsim.entropy import EnvironmentCondition
 from pufsim.harness import _write_nist_csv, load_manifest, unbiased_sequences
@@ -113,7 +120,20 @@ def _battery_loop(s: int, n: int, seed: int) -> None:
 
 
 def _pipeline_rss(config: str, k: int) -> None:
+    after = {}  # ru_maxrss in MiB when each stage of the current run returned
+
+    def recorded(name, stage):
+        def wrapped(*args, **kw):
+            result = stage(*args, **kw)
+            after[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            return result
+        return wrapped
+
+    for name in STAGES:
+        attr = f"{name}_stage"
+        setattr(harness, attr, recorded(name, getattr(harness, attr)))
     for run in range(1, k + 1):
+        after.clear()
         with tempfile.TemporaryDirectory() as tmp:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(["run", "--config", config, "--out", tmp])
@@ -123,7 +143,9 @@ def _pipeline_rss(config: str, k: int) -> None:
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         stages = " ".join(f"{name} {timings[name] * 1e3:.1f}"
                           for name in STAGES if name in timings)
-        print(f"run {run}: peak RSS {peak:7.2f} MiB; stage ms: {stages}")
+        rss = " ".join(f"{name} {after[name]:.1f}" for name in STAGES if name in after)
+        print(f"run {run}: peak RSS {peak:7.2f} MiB; stage ms: {stages}; "
+              f"peak RSS MiB after: {rss}")
 
 
 def main() -> None:

@@ -16,7 +16,7 @@ Distance totals are exact integers until the final division, so results
 are independent of pair ordering or partitioning. The inter-HD total comes
 in closed form from per-position one-counts; intra-HD and the pairwise
 distance histogram XOR and popcount 64-bit words from `kernels.pack_bits`.
-Masked positions are zeroed before packing and excluded from n.
+Masked positions are zeroed in the packed words and excluded from n.
 """
 
 from __future__ import annotations
@@ -63,9 +63,10 @@ def _check_mask(mask: Optional[np.ndarray], n: int):
 
 def _masked_pack(bits: np.ndarray, mask: Optional[np.ndarray]):
     mask, n_eff = _check_mask(mask, bits.shape[-1])
+    packed = kernels.pack_bits(bits)
     if mask is not None:
-        bits = bits * mask  # zeroed positions drop out of every XOR
-    return kernels.pack_bits(bits), n_eff
+        packed &= kernels.pack_bits(mask)  # zeroed positions drop out of every XOR
+    return packed, n_eff
 
 
 def _intra_total(reads: np.ndarray, ref: np.ndarray, mask: Optional[np.ndarray]):

@@ -320,11 +320,11 @@ class _RegionTables:
         return own[:, self.slot_of_cell]
 
 
-def _combine(spec: PopulationSpec, parts, shape) -> np.ndarray:
+def _combine(spec: PopulationSpec, parts, shape, out=None) -> np.ndarray:
     """sigma * (w_g * global + w_r * regional + w_l * local) over the
-    components of nonzero weight, broadcast to shape. The parts are scaled
-    and summed in place, in that order: only the global part is narrower
-    than shape, and it comes first.
+    components of nonzero weight, broadcast to shape, written into `out`
+    when given. The parts are scaled and summed in place, in that order:
+    only the global part is narrower than shape, and it comes first.
 
     Dropping a zero-weight term leaves every sum unchanged, and each
     element goes through the same operations whether it is computed for
@@ -334,7 +334,7 @@ def _combine(spec: PopulationSpec, parts, shape) -> np.ndarray:
         if w:
             part *= w
             total = part if total is None else np.add(total, part, out=part)
-    return spec.sigma_mismatch * np.broadcast_to(total, shape)
+    return np.multiply(spec.sigma_mismatch, np.broadcast_to(total, shape), out=out)
 
 
 def _draw_range(
@@ -364,11 +364,19 @@ def generate_population(spec: PopulationSpec) -> DevicePopulation:
 
     Identical specs (including seed) produce bit-identical populations;
     distinct master seeds produce statistically independent ones.
-    Components of zero weight get no array at all.
+    Components of zero weight are not drawn. Devices are drawn and
+    combined in chunks of about _DRAW_WORDS cells, straight into the
+    (d, n) output, so the working memory beyond it stays bounded.
     """
     d, n = spec.num_devices, spec.cells_per_device
-    parts = _draw_range(spec, _RegionTables(spec.placement), 0, d)
-    return DevicePopulation(spec, _combine(spec, parts, (d, n)))
+    tables = _RegionTables(spec.placement)
+    mismatch = np.empty((d, n))
+    step = max(1, _DRAW_WORDS // n)
+    for lo in range(0, d, step):
+        hi = min(lo + step, d)
+        _combine(spec, _draw_range(spec, tables, lo, hi), (hi - lo, n),
+                 out=mismatch[lo:hi])
+    return DevicePopulation(spec, mismatch)
 
 
 def iter_device_mismatch(spec: PopulationSpec) -> Iterator[np.ndarray]:

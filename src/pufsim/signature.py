@@ -64,8 +64,9 @@ from .population import DevicePopulation, keyed_philox
 
 _TAG_READOUT = 5
 
-# uniforms drawn per device range (256 KiB of raw words); bounds the
-# readout's working memory, whatever the population size
+# uniforms drawn per device range (256 KiB of raw words), and stability
+# values per row chunk of the mask's column mean; bounds the working
+# memory of both, whatever the population size
 _RANGE_VALUES = 1 << 16
 
 # text assembled per write of the signature CSV, unless one device's rows
@@ -433,7 +434,9 @@ def enroll_golden(sigs: SignatureSet) -> GoldenSignature:
     golden = (counts > half).view(np.uint8)
     if t % 2 == 0:
         golden |= (counts == half) & sigs.bits[:, 0, :]
-    agree = np.where(golden, counts, t - counts)
+    # a golden 1 has counts >= t - counts and a golden 0 counts <= t -
+    # counts, with equality only at a tie, so the larger is the agreement
+    agree = np.maximum(counts, t - counts)
     golden.setflags(write=False)
     agree.setflags(write=False)
     return GoldenSignature(bits=golden, counts=agree, trials=t)
@@ -444,6 +447,26 @@ def check_mask_thresholds(bias_threshold: float, stability_threshold: float) -> 
         raise InvalidArgumentError("bias_threshold must be in (0, 0.5]")
     if not (0.5 < stability_threshold <= 1.0):
         raise InvalidArgumentError("stability_threshold must be in (0.5, 1.0]")
+
+
+def _mean_stability(golden: GoldenSignature) -> np.ndarray:
+    """golden.stability.mean(axis=0) for C-contiguous counts, bit for bit,
+    from row chunks of about _RANGE_VALUES values instead of the (d, n)
+    float64 stability array.
+
+    numpy reduces axis 0 of a C-contiguous array of two or more columns
+    one row after another, so a running sum that each chunk continues
+    adds the same values in the same order. A single column is summed
+    pairwise, so it is taken in one chunk.
+    """
+    counts, t = golden.counts, golden.trials
+    d, n = counts.shape
+    step = d if n == 1 else max(1, _RANGE_VALUES // n)
+    total = np.add.reduce(counts[:step] / t, axis=0, keepdims=True)
+    for lo in range(step, d, step):
+        np.add.reduce(np.concatenate([total, counts[lo:lo + step] / t]),
+                      axis=0, out=total[0])
+    return total[0] / d
 
 
 def eliminate_biased_positions(
@@ -462,7 +485,7 @@ def eliminate_biased_positions(
     if golden is None:
         golden = enroll_golden(sigs)
     mean_bit = golden.bits.mean(axis=0)
-    mean_stab = golden.stability.mean(axis=0)
+    mean_stab = _mean_stability(golden)
     eliminate = (np.abs(mean_bit - 0.5) > bias_threshold) | (
         mean_stab < stability_threshold
     )

@@ -6,7 +6,9 @@ import io
 import json
 import os
 import struct
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from pufsim import harness
 from pufsim.cli import main
 from pufsim.config import ExperimentConfig, SessionConfig, preset
+from pufsim.config import load as load_config
 from pufsim.errors import InvalidArgumentError, InvalidSpecError, StageError
 from pufsim.harness import (
     compare_runs,
@@ -42,6 +45,8 @@ from pufsim.signature import (
     enroll_golden,
     read_signatures,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _config(**kw):
@@ -144,6 +149,38 @@ def test_population_and_readouts_released_before_battery(tmp_path, monkeypatch):
     assert manifest.status == "complete"
     assert len(refs) == 3  # the population, then the enroll and repeat sessions
     assert alive_at_battery == [False] * 3
+
+
+def test_stage_transients_are_bounded(tmp_path, monkeypatch):
+    # on board-repeat, generate allocates its output plus bounded chunks,
+    # and mask and metrics build no whole-population temporary: each
+    # stage's peak above the memory live on entry stays under a bound
+    peaks, outputs = {}, {}
+
+    def traced(name):
+        stage = getattr(harness, name)
+
+        def wrapped(*args, **kw):
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            outputs[name] = stage(*args, **kw)
+            peaks[name] = tracemalloc.get_traced_memory()[1] - live
+            return outputs[name]
+        return wrapped
+
+    for name in ("generate_stage", "mask_stage", "metrics_stage"):
+        monkeypatch.setattr(harness, name, traced(name))
+    config = load_config(DATA / "board-repeat.json")
+    tracemalloc.start()
+    try:
+        manifest, _ = run_experiment(config, out_dir=str(tmp_path))
+    finally:
+        tracemalloc.stop()
+    assert manifest.status == "complete"
+    mib = 2**20
+    assert peaks["generate_stage"] <= outputs["generate_stage"].mismatch.nbytes + 2 * mib
+    assert peaks["mask_stage"] <= 2 * mib
+    assert peaks["metrics_stage"] <= 3 * mib
 
 
 def test_readout_stage_failure_tagged(tmp_path):

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from pufsim import kernels
 from pufsim.entropy import EnvironmentCondition, NoiseCalibration, noise_sigma_at
 from pufsim.errors import InvalidArgumentError
 from pufsim.metrics import (
+    _masked_pack,
     compute_report,
     hd_histogram,
     hd_histogram_from_counts,
@@ -151,6 +153,20 @@ def test_mean_intra_hd_matches_brute_force(n, t, masked):
         assert intra_hd(golden.bits[dev], bits[dev], mask) == (
             100.0 * int(diff[dev].sum()) / (t * int(keep.sum()))
         )
+
+
+@pytest.mark.parametrize("lead", [(), (6,), (6, 3)])
+@pytest.mark.parametrize("n", [13, 64, 1016, 1024])
+def test_masked_pack_equals_packing_the_masked_bits(n, lead):
+    rng = np.random.default_rng(n + len(lead))
+    bits = rng.integers(0, 2, size=lead + (n,), dtype=np.uint8)
+    mask = rng.integers(0, 2, size=n, dtype=np.uint8)
+    mask[0] = 1
+    packed, n_eff = _masked_pack(bits, mask)
+    assert n_eff == int(mask.sum())
+    assert packed.dtype == np.uint64 and packed.shape == lead + (-(-n // 64),)
+    assert np.array_equal(packed, kernels.pack_bits(bits * mask))
+    assert np.array_equal(_masked_pack(bits, None)[0], kernels.pack_bits(bits))
 
 
 def test_hd_histogram_buckets():

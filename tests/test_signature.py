@@ -438,6 +438,23 @@ def test_eliminate_empty_result_raises():
         eliminate_biased_positions(sigs)
 
 
+@pytest.mark.parametrize("d, n, t", [(97, 1, 3), (97, 2, 5), (200, 64, 4),
+                                     (61, 1024, 255), (10, 37, 256)])
+def test_mean_stability_equals_stability_column_mean(monkeypatch, d, n, t):
+    # the chunked column mean is the full array's, bit for bit; chunks of
+    # 3 rows (1 at n = 1024) leave a remainder, and a single column is one
+    # chunk because numpy sums it pairwise
+    monkeypatch.setattr(signature, "_RANGE_VALUES", 3 * n if n < 1024 else 7)
+    rng = np.random.default_rng(d * n + t)
+    for _ in range(20):
+        counts = rng.integers(-(-t // 2), t + 1, size=(d, n))
+        golden = signature.GoldenSignature(
+            np.zeros((d, n), dtype=np.uint8),
+            counts.astype(signature.count_dtype(t)), t)
+        assert np.array_equal(signature._mean_stability(golden),
+                              golden.stability.mean(axis=0))
+
+
 def test_eliminate_argument_domains():
     sigs = _column_set([(1, 0, 1, 0)])
     with pytest.raises(InvalidArgumentError):
