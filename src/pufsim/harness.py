@@ -47,6 +47,7 @@ from .population import (
     PopulationSpec,
     generate_population,
     keyed_philox,
+    row_width,
 )
 from .randomness import (
     _MIN_LENGTH,
@@ -579,14 +580,12 @@ def unbiased_sequences(num_sequences: int, nbits: int, master_seed: int):
     """Yield noiseless power-up bit sequences of unbiased simulated
     devices (pure local mismatch), one device per sequence.
 
-    Bit i of device d is the top bit of raw 64-bit word i of
-    `keyed_philox(master_seed, local tag)` from counter block
-    d * ceil(nbits / 4), the readout's addressing. That is the sign of the
-    cell's mismatch sigma * ndtri(u) with u on the open 52-bit grid
-    u = ((word >> 12) + 1/2) * 2**-52: ndtri(u) > 0 exactly when
-    word >> 12 >= 2**51, that is when the top bit is set. The population
-    draws its local component from the same words, so the sequences are
-    `iter_device_mismatch(spec) > 0` of a pure-local spec of nbits cells.
+    Sequence d is row d of the local stream of `master_seed` with nbits
+    words per row (see `pufsim.population`), bit i the top bit of word i:
+    the sign of cell i's mismatch sigma * ndtri(u), u = ((word >> 12) +
+    1/2) * 2**-52, since ndtri(u) > 0 exactly when word >> 12 >= 2**51. So
+    the sequences are `iter_device_mismatch(spec) > 0` of a pure-local
+    spec of nbits cells.
 
     One generator serves the whole call, and each sequence is one draw of
     its whole row of words; the heap lift in pufsim.randomness keeps a
@@ -597,8 +596,8 @@ def unbiased_sequences(num_sequences: int, nbits: int, master_seed: int):
     if not (0 <= int(master_seed) < 2**64):
         raise InvalidSpecError("master_seed must fit in 64 unsigned bits")
     bitgen = keyed_philox(int(master_seed), _TAG_LOCAL)
-    row_words = 4 * -(-nbits // 4)  # whole counter blocks per device
+    width = row_width(nbits)
     for _ in range(num_sequences):
-        words = bitgen.random_raw(row_words)
+        words = bitgen.random_raw(width)
         words >>= 63
         yield words[:nbits].astype(np.uint8)

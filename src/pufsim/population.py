@@ -15,17 +15,18 @@ the adjacency component. The built-in placements use disjoint region pairs,
 so "adjacent" and "same component" coincide and two adjacent regions
 correlate at exactly w_r^2 / 2 while unrelated regions stay uncorrelated.
 
-Randomness derivation. Each mismatch component has one keyed Philox
-counter generator, key = (master_seed, component tag), in the manner of
-Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3" (SC'11).
-A component of k draws per device gives each device ceil(k / 4) whole
-4-word counter blocks, so device d starts at counter block d * ceil(k / 4),
-the readout's addressing. Its draws are the first k raw 64-bit words
-there, each turned into a standard normal by inverse transform on the open
-52-bit grid, ndtri(((word >> 12) + 1/2) * 2**-52), which never reaches 0
-or 1. Any device range is one contiguous draw, so results are
-reproducible bit-for-bit regardless of generation order, device range or
-device count. Components with zero weight are not drawn.
+Randomness derivation. Every counter-addressed draw (the mismatch, the
+readout noise, the battery's simulated sequences) is a row of a keyed
+Philox stream, key = (seed, stream tag), in the manner of Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3" (SC'11); the tags are listed
+below. A stream of k raw 64-bit words per row pads each row to whole
+counter blocks, `row_width(k)` = 4 * ceil(k / 4) words, so any row range
+is one contiguous draw from a computed counter (`keyed_philox`,
+`stream_rows`), the same for every draw order and range size. Mismatch
+component `tag` has row d for device d, and its k draws are the row's
+first k words, each turned into a standard normal by inverse transform on
+the open 52-bit grid, ndtri(((word >> 12) + 1/2) * 2**-52), which never
+reaches 0 or 1. Components with zero weight are not drawn.
 
 A population is thus a pure function of its `PopulationSpec`. It keeps
 only the combined mismatch and the bias offsets derived from
@@ -46,47 +47,56 @@ from scipy.special import ndtri
 from .errors import InvalidArgumentError, InvalidSpecError
 from .kernels import read_only
 
+# stream tags, keyed by the master seed (1-4) or a session seed (5)
 _TAG_GLOBAL = 1
 _TAG_REGIONAL = 2
 _TAG_CLUSTER = 3
 _TAG_LOCAL = 4
+_TAG_READOUT = 5
 
 BUILTIN_PLACEMENTS = ("d1", "d2", "d3", "d4")
 
 
-# raw words per draw of a component (256 KiB); bounds the draw's working
-# memory, whatever the population size
+# raw words per chunk of devices that a component draws (256 KiB); bounds
+# the draw's working memory, whatever the population size
 _DRAW_WORDS = 1 << 15
 
 
-def keyed_philox(seed: int, tag: int, block: int = 0) -> np.random.Philox:
-    """Philox bit generator keyed by (seed, tag), advanced to counter
-    block `block`: its next four raw 64-bit words are that block's. Row r
-    of a stream with k words per row starts at block r * ceil(k / 4).
+def row_width(k: int) -> int:
+    """Raw 64-bit words per row of a stream of k words per row: whole
+    4-word counter blocks, 4 * ceil(k / 4)."""
+    return -(-k // 4) * 4
+
+
+def keyed_philox(seed: int, tag: int, row: int = 0, k: int = 4) -> np.random.Philox:
+    """Philox bit generator keyed by (seed, tag), positioned at the first
+    counter block of row `row` of a stream of k words per row.
 
     The key is a uint64 array: in a plain list, a seed of 2**63 or more
     would pass through float64 and lose its low bits.
     """
-    return np.random.Philox(key=np.array([seed, tag], dtype=np.uint64)).advance(block)
+    bitgen = np.random.Philox(key=np.array([seed, tag], dtype=np.uint64))
+    return bitgen.advance(row * row_width(k) // 4)
+
+
+def stream_rows(seed: int, tag: int, first: int, rows: int, k: int) -> np.ndarray:
+    """Rows first .. first + rows - 1 of stream (seed, tag) of k words per
+    row, as a (rows, row_width(k)) uint64 array; the words past k in a row
+    are padding."""
+    width = row_width(k)
+    return keyed_philox(seed, tag, first, k).random_raw(rows * width).reshape(rows, width)
 
 
 def _normals(seed: int, tag: int, first: int, rows: int, k: int) -> np.ndarray:
     """The (rows, k) standard normals of devices first .. first + rows - 1
-    of component `tag`: the first k raw words of each device's ceil(k / 4)
-    counter blocks, through ndtri(((word >> 12) + 1/2) * 2**-52). Words
-    are drawn in chunks of whole devices, at most _DRAW_WORDS of them
-    unless one device needs more."""
+    of component `tag`: the first k words of each device's row, through
+    ndtri(((word >> 12) + 1/2) * 2**-52)."""
     out = np.empty((rows, k))
-    blocks = -(-k // 4)
-    bitgen = keyed_philox(seed, tag, first * blocks)
-    step = max(1, _DRAW_WORDS // (4 * blocks))
-    for lo in range(0, rows, step):
-        chunk = out[lo:lo + step]
-        words = bitgen.random_raw(len(chunk) * 4 * blocks)
-        words >>= 12
-        np.add(words.reshape(len(chunk), 4 * blocks)[:, :k], 0.5, out=chunk)
-        chunk *= 2.0**-52
-        ndtri(chunk, out=chunk)
+    words = stream_rows(seed, tag, first, rows, k)
+    words >>= 12
+    np.add(words[:, :k], 0.5, out=out)
+    out *= 2.0**-52
+    ndtri(out, out=out)
     return out
 
 
@@ -359,6 +369,18 @@ def _draw_range(
     return g, regional, local
 
 
+def _mismatch_chunks(spec: PopulationSpec, out=None) -> Iterator[np.ndarray]:
+    """Yield the combined mismatch of each chunk of about _DRAW_WORDS cells
+    in device order, written into the chunk's rows of `out` when given."""
+    d, n = spec.num_devices, spec.cells_per_device
+    tables = _RegionTables(spec.placement)
+    step = max(1, _DRAW_WORDS // n)
+    for lo in range(0, d, step):
+        hi = min(lo + step, d)
+        yield _combine(spec, _draw_range(spec, tables, lo, hi), (hi - lo, n),
+                       out=None if out is None else out[lo:hi])
+
+
 def generate_population(spec: PopulationSpec) -> DevicePopulation:
     """Generate the full population described by spec.
 
@@ -368,25 +390,17 @@ def generate_population(spec: PopulationSpec) -> DevicePopulation:
     combined in chunks of about _DRAW_WORDS cells, straight into the
     (d, n) output, so the working memory beyond it stays bounded.
     """
-    d, n = spec.num_devices, spec.cells_per_device
-    tables = _RegionTables(spec.placement)
-    mismatch = np.empty((d, n))
-    step = max(1, _DRAW_WORDS // n)
-    for lo in range(0, d, step):
-        hi = min(lo + step, d)
-        _combine(spec, _draw_range(spec, tables, lo, hi), (hi - lo, n),
-                 out=mismatch[lo:hi])
+    mismatch = np.empty((spec.num_devices, spec.cells_per_device))
+    for _ in _mismatch_chunks(spec, out=mismatch):
+        pass
     return DevicePopulation(spec, mismatch)
 
 
 def iter_device_mismatch(spec: PopulationSpec) -> Iterator[np.ndarray]:
     """Yield each device's combined mismatch vector without materializing
-    the population; identical values to generate_population(spec).mismatch.
-    """
-    tables = _RegionTables(spec.placement)
-    shape = (1, spec.cells_per_device)
-    for dev in range(spec.num_devices):
-        yield _combine(spec, _draw_range(spec, tables, dev, dev + 1), shape)[0]
+    the population: the rows of generate_population's chunks."""
+    for chunk in _mismatch_chunks(spec):
+        yield from chunk
 
 
 def inject_position_bias(

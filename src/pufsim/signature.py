@@ -31,16 +31,11 @@ bits are exactly those of evaluating p for every cell. A noiseless session
 (sigma = 0) has p = (margin > 0) and draws nothing, so it reproduces the
 sign of the margin exactly and an exact zero margin resolves to 0.
 
-Randomness derivation. A session has one keyed Philox counter generator,
-key = (session_seed, readout tag) built by `population.keyed_philox` as
-exact 64-bit words, in the manner of Salmon et al.,
-"Parallel Random Numbers: As Easy as 1, 2, 3" (SC'11). Each raw 64-bit
-output holds two uniforms, its low 32-bit half first, and each row is
-padded to whole 4-output counter blocks (8 uniforms), so row (device,
-trial) of a session with t trials and n positions starts at counter block
-(device * t + trial) * ceil(n / 8). Any device range is then one
-contiguous draw that starts at a computed counter, which makes the bits
-independent of how the devices are split into ranges, by construction.
+Randomness derivation. The draws of a session with t trials over n
+positions are the readout stream of its session seed, with ceil(n / 2)
+words per row (see `pufsim.population`): row (device, trial) is stream row
+device * t + trial. Each raw 64-bit word holds two uniforms, its low
+32-bit half first.
 """
 
 from __future__ import annotations
@@ -60,9 +55,9 @@ from .entropy import (
 )
 from .errors import EmptySignatureError, InvalidArgumentError
 from .kernels import check_bits, read_only, unpack_bits
-from .population import DevicePopulation, keyed_philox
-
-_TAG_READOUT = 5
+from .population import (
+    _TAG_READOUT, DevicePopulation, keyed_philox, row_width, stream_rows,
+)
 
 # uniforms drawn per device range (256 KiB of raw words), and stability
 # values per row chunk of the mask's column mean; bounds the working
@@ -104,12 +99,6 @@ _VERSION = 1
 _HEADER = "<HHIII"
 
 
-def _row_blocks(n: int) -> int:
-    """4-output Philox counter blocks (8 uniforms) per readout row of n
-    positions."""
-    return (n + 7) // 8
-
-
 def noise_stream(
     session_seed: int, device: int, trial: int, trials: int, n: int
 ) -> np.random.Philox:
@@ -121,9 +110,7 @@ def noise_stream(
     as the per-row form of the addressing that the tests check range draws
     against, and because perfbench/spans.py rebinds it by name.
     """
-    return keyed_philox(
-        session_seed, _TAG_READOUT, (device * trials + trial) * _row_blocks(n)
-    )
+    return keyed_philox(session_seed, _TAG_READOUT, device * trials + trial, -(-n // 2))
 
 
 def check_trials(trials: int) -> None:
@@ -405,9 +392,9 @@ def read_signatures(population: DevicePopulation,
     offsets = population.bias_offsets
     sigma_eff = sigma_n * (1.0 + coupling * np.abs(offsets) / sigma_m)
     d, t, n = population.num_devices, session.trials, population.cells_per_device
-    blocks = _row_blocks(n)
+    words = -(-n // 2)  # per row: two uniforms per word
     bits = np.empty((d, t, n), dtype=np.uint8)
-    step = max(1, _RANGE_VALUES // (t * 8 * blocks))
+    step = max(1, _RANGE_VALUES // (t * 2 * row_width(words)))
     buffers = _RangeBuffers(min(step, d), t, n) if sigma_n else None
     for lo in range(0, d, step):
         hi = min(lo + step, d)
@@ -419,9 +406,8 @@ def read_signatures(population: DevicePopulation,
         x = buffers.x[: r * n].reshape(r, n)
         np.add(population.mismatch[lo:hi], offsets, out=x)
         np.divide(x, sigma_eff, out=x)
-        words = keyed_philox(session.session_seed, _TAG_READOUT, lo * t * blocks)
-        u = words.random_raw(r * t * 4 * blocks).view(np.uint32)
-        buffers.resolve(x, u.reshape(r, t, 8 * blocks), bits[lo:hi])
+        u = stream_rows(session.session_seed, _TAG_READOUT, lo * t, r * t, words)
+        buffers.resolve(x, u.view(np.uint32).reshape(r, t, -1), bits[lo:hi])
     return SignatureSet(bits)
 
 

@@ -8,7 +8,9 @@ the shared cluster draw); unrelated cells are independent. Statistical
 assertions use 3-standard-error bands around these values.
 """
 
+import ast
 import math
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -128,10 +130,44 @@ def test_iter_matches_generate(monkeypatch):
                     w_g * c.global_component + w_r * c.regional_component
                     + w_l * c.local_component)
             drawn.append((spec, pop.mismatch))
-    # one counter block per draw: every component spans many draws
+    # one device per chunk: every component spans many draws
     monkeypatch.setattr(population, "_DRAW_WORDS", 4)
     for spec, mismatch in drawn:
         np.testing.assert_array_equal(generate_population(spec).mismatch, mismatch)
+
+
+def _stream_calls(tree):
+    """(line, enclosing function, callee) of every call that builds,
+    moves or reads a Philox bit generator."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = getattr(callee, "attr", getattr(callee, "id", None))
+            if name in ("Philox", "advance", "jumped", "random_raw"):
+                found.append((node.lineno, func, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_population_addresses_streams():
+    # counter offsets and row widths live in population.keyed_philox and
+    # stream_rows; unbiased_sequences only reads its one generator onward
+    stray = []
+    for path in sorted(pathlib.Path(population.__file__).parent.glob("*.py")):
+        for line, func, name in _stream_calls(ast.parse(path.read_text())):
+            if path.name == "population.py" or (
+                    path.name == "harness.py" and func == "unbiased_sequences"
+                    and name == "random_raw"):
+                continue
+            stray.append(f"{path.name}:{line} {name} in {func}")
+    assert stray == []
 
 
 def test_population_leaves_caller_mismatch_writable():

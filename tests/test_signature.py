@@ -184,8 +184,9 @@ def test_bracketed_resolve_equals_ndtr_threshold(trials, n):
     kind = np.concatenate([kind, np.zeros(pad, int)]).reshape(rows, n)
     index = np.concatenate([np.tile(np.arange(cells.size), k),
                             np.zeros(pad, int)]).reshape(rows, n)
-    w = 8 * signature._row_blocks(n)
-    # padding draws must not matter
+    # rows padded to whole counter blocks of 8 uniforms; padding draws
+    # must not matter
+    w = 8 * -(-n // 8)
     u = rng.integers(0, 2**32, (rows, trials, w), dtype=np.uint32)
     for trial in range(trials):
         u[:, trial, :n] = kinds[(kind + trial) % k, index]
