@@ -154,7 +154,7 @@ def cmd_nist(args) -> int:
     else:
         sigs = SignatureSet.from_binary(args.input)
         sequences = sigs.bits[:, 0, sigs.kept_positions()]
-    if args.concatenate:
+    if args.concatenate and len(sequences):
         sequences = np.concatenate(sequences)[None]
     tests = tuple(args.tests) if args.tests else None
     table = battery_stage(emit, sequences, args.alpha, tests)

@@ -244,6 +244,8 @@ def to_dict(config: ExperimentConfig) -> dict:
 
 
 def from_dict(data: dict) -> ExperimentConfig:
+    if not isinstance(data, dict):
+        raise InvalidSpecError(f"a config is a JSON object, not {type(data).__name__}")
     data = dict(data)
     _check_schema_version(data.get("schema_version", "0"))
     known = set(ExperimentConfig.__dataclass_fields__)
@@ -268,8 +270,16 @@ def parse(text: str) -> ExperimentConfig:
 
 
 def load(path) -> ExperimentConfig:
+    """The config in the JSON file at path; a malformed file raises
+    InvalidSpecError naming the path."""
     with open(path) as fh:
-        return parse(fh.read())
+        text = fh.read()
+    try:
+        return parse(text)
+    except KeyError as exc:
+        raise InvalidSpecError(f"{path}: config lacks key {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise InvalidSpecError(f"{path}: {exc}") from exc
 
 
 def save(config: ExperimentConfig, path) -> None:

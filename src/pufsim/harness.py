@@ -148,9 +148,13 @@ def save_golden(path, golden: GoldenSignature) -> None:
 
 
 def load_golden(path) -> GoldenSignature:
-    (_, _, d, t, n), payload = read_container(
+    (_, flags, d, t, n), payload = read_container(
         path, _GOLD_MAGIC, _GOLD_VERSION, _GOLD_HEADER, _golden_size
     )
+    if flags:
+        raise InvalidArgumentError(f"{path}: unknown flags {flags:#x}")
+    if not d or not n:
+        raise InvalidArgumentError(f"{path}: empty golden of {d} devices x {n} bits")
     nbytes = (n + 7) // 8
     packed = np.frombuffer(payload, dtype=np.uint8, count=d * nbytes)
     counts = (np.frombuffer(payload, count_dtype(t), offset=d * nbytes).reshape(d, n)
@@ -376,9 +380,11 @@ def battery_stage(emit, sequences, alpha: float, tests) -> SuiteTable:
     """Battery results in input order, written as nist.csv, for a
     (sequences, n) array or for a list of 1-D sequences run in one block
     per length. The per-length tables are joined into one; a test a length
-    does not run is NaN there. Without `tests`, a batch whose longest
-    sequence is too short for every test is refused."""
-    longest, need = max(map(len, sequences), default=0), min(_MIN_LENGTH.values())
+    does not run is NaN there. An empty batch is refused, and so, without
+    `tests`, is a batch whose longest sequence is too short for every test."""
+    if len(sequences) == 0:
+        raise StageError("randomness", "no sequences to test")
+    longest, need = max(map(len, sequences)), min(_MIN_LENGTH.values())
     if tests is None and longest < need:
         raise StageError("randomness", f"no test fits: the longest sequence has "
                          f"{longest} bits, and every test needs at least {need}")

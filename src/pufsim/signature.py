@@ -158,6 +158,8 @@ class SignatureSet:
         bits = check_bits(bits)
         if bits.ndim != 3:
             raise InvalidArgumentError("bits must be (devices, trials, positions)")
+        if 0 in bits.shape:
+            raise InvalidArgumentError(f"empty signature set of shape {bits.shape}")
         self.bits = read_only(bits)
         self.mask = None
         if mask is not None:
@@ -210,10 +212,15 @@ class SignatureSet:
             path, _MAGIC, _VERSION, _HEADER,
             lambda _, flags, d, t, n: ((flags & 1) + d * t) * ((n + 7) // 8),
         )
+        if flags & ~1:
+            raise InvalidArgumentError(f"{path}: unknown flags {flags:#x}")
         has_mask = flags & 1
         packed = np.frombuffer(payload, dtype=np.uint8)
         rows = unpack_bits(packed.reshape(has_mask + d * t, (n + 7) // 8), n)
-        return cls(rows[has_mask:].reshape(d, t, n), rows[0] if has_mask else None)
+        try:
+            return cls(rows[has_mask:].reshape(d, t, n), rows[0] if has_mask else None)
+        except (InvalidArgumentError, EmptySignatureError) as exc:
+            raise InvalidArgumentError(f"{path}: {exc}") from None
 
     def to_csv(self, path) -> None:
         """One row per (device, trial); bits as a 0/1 character string.

@@ -240,3 +240,37 @@ def test_preset_shapes():
         assert w_g**2 + w_r**2 + w_l**2 == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InvalidArgumentError):
         preset("d9")
+
+
+def _rename_trials(data):
+    data["sessions"][0]["trail"] = data["sessions"][0].pop("trials")
+    return data
+
+
+# one fault each in d1's config
+_CONFIG_FAULTS = {
+    "session-key": _rename_trials,
+    "placement-key": lambda data: {
+        **data, "placement": {"grid_height": 32, "region_of": [0] * 1024}},
+    "str-devices": lambda data: {**data, "num_devices": "10"},
+    "short-position": lambda data: {**data, "bias": {"positions": [[0]], "offset": 0.1}},
+    "sessions-int": lambda data: {**data, "sessions": 5},
+    "top-level-list": lambda data: [data],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_CONFIG_FAULTS))
+def test_load_names_the_file_of_a_malformed_config(tmp_path, fault):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_CONFIG_FAULTS[fault](json.loads(serialize(preset("d1"))))))
+    with pytest.raises(InvalidSpecError) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_load_names_the_file_of_invalid_json(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("{not json")
+    with pytest.raises(InvalidSpecError) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}: ")

@@ -531,6 +531,17 @@ def test_golden_snapshot_rejects_impossible_counts(tmp_path):
         assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize("flags, d, t, n", [(7, 2, 3, 8), (0, 0, 3, 8), (0, 2, 3, 0)])
+def test_golden_snapshot_rejects_empty_and_unknown_flag_headers(tmp_path, flags, d, t, n):
+    # payloads of exactly the declared size, with valid counts
+    path = tmp_path / "golden.bin"
+    payload = b"\x00" * (d * ((n + 7) // 8)) + b"\x03" * (d * n)
+    path.write_bytes(b"PUFG" + struct.pack("<HHIII", 2, flags, d, t, n) + payload)
+    with pytest.raises(InvalidArgumentError) as err:
+        load_golden(path)
+    assert str(path) in str(err.value)
+
+
 def test_snapshot_magic_rejected(tmp_path):
     path = tmp_path / "x.bin"
     path.write_bytes(b"JUNKJUNKJUNK")
@@ -734,6 +745,20 @@ def test_cli_nist_fails_when_no_test_fits(tmp_path, capsys):
     assert captured.err.startswith("error [randomness] ")
     assert "7 bits" in captured.err and "at least 100" in captured.err
     assert "aggregate" not in captured.out
+    assert not (out / "nist.csv").exists()
+
+
+@pytest.mark.parametrize("join", [[], ["--concatenate"]], ids=["", "concatenate"])
+@pytest.mark.parametrize("fmt, content", [("packed", b""), ("ascii", b"\n \n\n")],
+                         ids=["packed", "ascii"])
+def test_cli_nist_fails_on_zero_sequences(tmp_path, capsys, fmt, content, join):
+    # an explicit test list must not let an empty batch through
+    path = tmp_path / "empty"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["nist", str(path), "--format", fmt, "--bits", "128",
+                 "--tests", "frequency", "--out", str(out), *join]) == 1
+    assert capsys.readouterr().err == "error [randomness] no sequences to test\n"
     assert not (out / "nist.csv").exists()
 
 

@@ -6,6 +6,7 @@ round-trips) are exact.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -555,6 +556,21 @@ def test_binary_rejects_bad_length(tmp_path):
             SignatureSet.from_binary(path)
         assert str(path) in str(err.value)
         assert why in str(err.value) and f"found {len(bad)}" in str(err.value)
+
+
+@pytest.mark.parametrize("flags, d, t, n", [
+    (0, 3, 1, 0), (0, 0, 1, 16), (0, 3, 0, 16), (2, 2, 1, 16), (3, 2, 1, 16),
+    (1, 2, 1, 16),
+])
+def test_binary_rejects_empty_and_unknown_flag_headers(tmp_path, flags, d, t, n):
+    # each header declares its payload size exactly, so only the check of
+    # the dimensions, of the flags or of the all-zero mask can refuse it
+    path = tmp_path / "sigs.bin"
+    payload = b"\x00" * (((flags & 1) + d * t) * ((n + 7) // 8))
+    path.write_bytes(b"PUFS" + struct.pack("<HHIII", 1, flags, d, t, n) + payload)
+    with pytest.raises(InvalidArgumentError) as err:
+        SignatureSet.from_binary(path)
+    assert str(path) in str(err.value)
 
 
 def test_csv_layout(tmp_path):
