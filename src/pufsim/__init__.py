@@ -29,6 +29,7 @@ from .population import (  # noqa: E402
     inject_position_bias,
     iter_device_mismatch,
     regional_overlap_score,
+    unbiased_sequences,
 )
 from .signature import (  # noqa: E402
     GoldenSignature,
@@ -56,7 +57,7 @@ from .randomness import (  # noqa: E402
     run_suite_block,
 )
 from .config import ExperimentConfig, SessionConfig, preset  # noqa: E402
-from .harness import compare_runs, run_experiment, unbiased_sequences  # noqa: E402
+from .harness import compare_runs, run_experiment  # noqa: E402
 
 __all__ = [
     "__version__",

@@ -21,7 +21,7 @@ from . import __version__
 from .config import PRESET_NAMES, ExperimentConfig
 from .config import load as load_config
 from .config import preset as load_preset
-from .errors import StageError
+from .errors import InvalidArgumentError, StageError
 from .harness import (
     battery_stage,
     compare_runs,
@@ -40,7 +40,7 @@ from .harness import (
 )
 from .population import generate_population
 from .randomness import aggregate_suite, read_ascii_sequences, read_packed_sequences
-from .signature import SignatureSet, enroll_golden
+from .signature import SignatureSet, check_golden, enroll_golden
 
 
 def _add_common(p: argparse.ArgumentParser, need_config: bool = True):
@@ -122,7 +122,8 @@ def cmd_readout(args) -> int:
 def cmd_enroll(args) -> int:
     emit, paths = _writer(args)
     golden = enroll_stage(emit, SignatureSet.from_binary(args.signatures))
-    print(f"wrote {paths['golden']} (mean stability {golden.stability.mean():.6g})")
+    stability = golden.counts.sum(dtype=np.int64) / (golden.trials * golden.counts.size)
+    print(f"wrote {paths['golden']} (mean stability {stability:.6g})")
     return 0
 
 
@@ -137,7 +138,14 @@ def cmd_mask(args) -> int:
 def cmd_metrics(args) -> int:
     emit, _ = _writer(args)
     sigs = SignatureSet.from_binary(args.signatures)
-    golden = load_golden(args.golden) if args.golden else enroll_golden(sigs)
+    if args.golden:
+        golden = load_golden(args.golden)
+        try:
+            check_golden(sigs, golden)
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"{args.golden}: {exc}") from None
+    else:
+        golden = enroll_golden(sigs)
     mask = load_mask(args.mask, sigs.n) if args.mask else sigs.mask
     sys.stdout.write(metrics_stage(emit, {"input": sigs}, golden, mask))
     return 0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .artifacts import write_atomic
 from .entropy import EnvironmentCondition, NoiseCalibration
-from .errors import InvalidArgumentError, InvalidSpecError
+from .errors import ExtrapolationRefusedError, InvalidArgumentError, InvalidSpecError
 from .metrics import check_bucket_width
 from .population import (
     BUILTIN_PLACEMENTS,
@@ -162,6 +162,25 @@ class ExperimentConfig:
             bias_noise_coupling=self.bias_noise_coupling,
         )
 
+    def sweep_envs(self) -> list:
+        """The sweep's points: each sweep temperature at the reference
+        voltage, then each sweep voltage at the reference temperature. A
+        point outside the model range or the calibration's anchor hull is
+        refused by name."""
+        calibration = self.build_calibration()
+        points = ([(t, self.reference_voltage) for t in self.sweep_temperatures]
+                  + [(self.reference_temperature, v) for v in self.sweep_voltages])
+        envs = []
+        for celsius, volts in points:
+            try:
+                env = EnvironmentCondition(celsius, volts)
+                calibration.target_ber_at(env)
+            except (ExtrapolationRefusedError, InvalidArgumentError) as exc:
+                raise InvalidSpecError(
+                    f"sweep point {celsius:g} C, {volts:g} V: {exc}") from None
+            envs.append(env)
+        return envs
+
     def session_seed(self, index: int) -> int:
         ss = np.random.SeedSequence(self.master_seed, spawn_key=(_TAG_SESSION, index))
         return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -198,6 +217,7 @@ class ExperimentConfig:
         _stage_bound("histogram_bucket_percent", check_bucket_width,
                      self.histogram_bucket_percent)
         _stage_bound("sweep_trials", check_trials, self.sweep_trials)
+        self.sweep_envs()
         _stage_bound("nist_tests", check_test_names, self.nist_tests or ())
         if self.masking_enabled:
             _stage_bound("masking", check_mask_thresholds,

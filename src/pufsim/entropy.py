@@ -22,6 +22,7 @@ looked up from piecewise-linear anchor tables.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -148,13 +149,12 @@ class NoiseCalibration:
             raise ExtrapolationRefusedError(
                 f"{axis_name} {value} outside anchor hull [{xs[0]}, {xs[-1]}]"
             )
-        for (x0, b0), (x1, b1) in zip(anchors, anchors[1:]):
-            if x0 <= value <= x1:
-                if x1 == x0:
-                    return b0
-                t = (value - x0) / (x1 - x0)
-                return b0 + t * (b1 - b0)
-        return anchors[-1][1]  # value == last anchor
+        i = bisect.bisect_left(xs, value)  # xs[i - 1] < value <= xs[i]
+        if value == xs[i]:
+            return anchors[i][1]  # b0 + 1 * (b1 - b0) can miss b1 in the last bit
+        (x0, b0), (x1, b1) = anchors[i - 1], anchors[i]
+        t = (value - x0) / (x1 - x0)
+        return b0 + t * (b1 - b0)
 
     def target_ber_at(self, env: EnvironmentCondition) -> float:
         """Interpolated target bit-error rate at env; exact on anchors."""

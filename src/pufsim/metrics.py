@@ -34,6 +34,7 @@ from .signature import (
     ReadoutSession,
     SignatureSet,
     apply_mask,
+    check_golden,
     enroll_golden,
     read_signatures,
 )
@@ -121,7 +122,9 @@ def intra_hd(reference, rereads, mask: Optional[np.ndarray] = None) -> float:
 
 def mean_intra_hd(sigs: SignatureSet, golden: GoldenSignature) -> float:
     """Population mean of per-device intra-HD against the golden bits,
-    honoring the signature set's mask."""
+    honoring the signature set's mask. The golden must cover the same
+    devices and positions."""
+    check_golden(sigs, golden)
     d, t, _ = sigs.bits.shape
     total, n_eff = _intra_total(sigs.bits, golden.bits[:, None, :], sigs.mask)
     return 100.0 * total / (d * t * n_eff)

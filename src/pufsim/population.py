@@ -403,6 +403,30 @@ def iter_device_mismatch(spec: PopulationSpec) -> Iterator[np.ndarray]:
         yield from chunk
 
 
+def unbiased_sequences(num_sequences: int, nbits: int, master_seed: int):
+    """Yield noiseless power-up bit sequences of unbiased simulated
+    devices (pure local mismatch), one device per sequence.
+
+    Sequence d is row d of the local stream of `master_seed` with nbits
+    words per row, bit i the top bit of word i: the sign of cell i's
+    mismatch sigma * ndtri(u), u = ((word >> 12) + 1/2) * 2**-52, since
+    ndtri(u) > 0 exactly when word >> 12 >= 2**51. So the sequences are
+    `iter_device_mismatch(spec) > 0` of a pure-local spec of nbits cells.
+
+    Each sequence is one draw of its whole row of words; the heap lift in
+    pufsim.randomness keeps a 1e5-bit row's draw on pages already faulted
+    in.
+    """
+    if num_sequences <= 0 or nbits <= 0:
+        raise InvalidSpecError("population sizes must be positive")
+    if not (0 <= int(master_seed) < 2**64):
+        raise InvalidSpecError("master_seed must fit in 64 unsigned bits")
+    for device in range(num_sequences):
+        words = stream_rows(int(master_seed), _TAG_LOCAL, device, 1, nbits)[0]
+        words >>= 63
+        yield words[:nbits].astype(np.uint8)
+
+
 def inject_position_bias(
     population: DevicePopulation, bias_map: dict
 ) -> DevicePopulation:

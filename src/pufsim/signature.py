@@ -59,9 +59,8 @@ from .population import (
     _TAG_READOUT, DevicePopulation, keyed_philox, row_width, stream_rows,
 )
 
-# uniforms drawn per device range (256 KiB of raw words), and stability
-# values per row chunk of the mask's column mean; bounds the working
-# memory of both, whatever the population size
+# uniforms drawn per device range (256 KiB of raw words); bounds the
+# readout's working memory, whatever the population size
 _RANGE_VALUES = 1 << 16
 
 # text assembled per write of the signature CSV, unless one device's rows
@@ -303,6 +302,15 @@ class GoldenSignature:
         return self.counts / self.trials
 
 
+def check_golden(sigs: SignatureSet, golden: GoldenSignature) -> None:
+    """Refuse a golden whose (devices, n) is not the signature set's."""
+    if golden.bits.shape != (sigs.num_devices, sigs.n):
+        raise InvalidArgumentError(
+            f"golden of (devices, n) = {golden.bits.shape} does not match the "
+            f"signatures' {(sigs.num_devices, sigs.n)}"
+        )
+
+
 def count_dtype(trials: int) -> np.dtype:
     """Smallest little-endian unsigned dtype that holds `trials`."""
     return np.min_scalar_type(trials).newbyteorder("<")
@@ -442,26 +450,6 @@ def check_mask_thresholds(bias_threshold: float, stability_threshold: float) -> 
         raise InvalidArgumentError("stability_threshold must be in (0.5, 1.0]")
 
 
-def _mean_stability(golden: GoldenSignature) -> np.ndarray:
-    """golden.stability.mean(axis=0) for C-contiguous counts, bit for bit,
-    from row chunks of about _RANGE_VALUES values instead of the (d, n)
-    float64 stability array.
-
-    numpy reduces axis 0 of a C-contiguous array of two or more columns
-    one row after another, so a running sum that each chunk continues
-    adds the same values in the same order. A single column is summed
-    pairwise, so it is taken in one chunk.
-    """
-    counts, t = golden.counts, golden.trials
-    d, n = counts.shape
-    step = d if n == 1 else max(1, _RANGE_VALUES // n)
-    total = np.add.reduce(counts[:step] / t, axis=0, keepdims=True)
-    for lo in range(step, d, step):
-        np.add.reduce(np.concatenate([total, counts[lo:lo + step] / t]),
-                      axis=0, out=total[0])
-    return total[0] / d
-
-
 def eliminate_biased_positions(
     sigs: SignatureSet,
     bias_threshold: float = 0.3,
@@ -477,8 +465,11 @@ def eliminate_biased_positions(
     check_mask_thresholds(bias_threshold, stability_threshold)
     if golden is None:
         golden = enroll_golden(sigs)
+    check_golden(sigs, golden)
     mean_bit = golden.bits.mean(axis=0)
-    mean_stab = _mean_stability(golden)
+    # one exact integer sum per column and one correctly rounded division
+    mean_stab = (golden.counts.sum(axis=0, dtype=np.int64)
+                 / (golden.trials * sigs.num_devices))
     eliminate = (np.abs(mean_bit - 0.5) > bias_threshold) | (
         mean_stab < stability_threshold
     )

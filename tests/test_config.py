@@ -111,6 +111,16 @@ def test_environment_outside_hull_rejected_at_validate():
     ).validate()
 
 
+@pytest.mark.parametrize("field, value, point", [
+    ("sweep_temperatures", 100.0, "sweep point 100 C, 1 V"),  # outside the hull
+    ("sweep_voltages", -1.0, "sweep point 25 C, -1 V"),       # outside the model
+], ids=["temperature", "voltage"])
+def test_sweep_points_checked_at_validate(field, value, point):
+    config = ExperimentConfig(temperature_anchors=((25.0, 0.0),), **{field: (value,)})
+    with pytest.raises(InvalidSpecError, match=point):
+        config.validate()
+
+
 def test_bad_scalar_fields():
     with pytest.raises(InvalidSpecError):
         ExperimentConfig(num_devices=0).validate()

@@ -114,10 +114,16 @@ def _cal(**kw):
 
 
 def test_anchor_values_are_exact():
+    # an anchor at a segment's end is not read as b0 + 1 * (b1 - b0): that
+    # gives 0.012300000000000005 at 20 C and 0.022999999999999993 at 2.5 V
     cal = _cal()
     for celsius, ber in TEMP_TABLE:
-        env = EnvironmentCondition(celsius, 1.0)
-        assert cal.target_ber_at(env) == pytest.approx(ber, abs=1e-15)
+        assert cal.target_ber_at(EnvironmentCondition(celsius, 1.0)) == ber
+    volts = ((2.0, 0.12), (2.5, 0.023), (3.0, 0.026), (3.3, 0.0))
+    cal = NoiseCalibration(sigma_mismatch=0.25, reference=EnvironmentCondition(25.0, 3.3),
+                           voltage_anchors=volts)
+    for voltage, ber in volts:
+        assert cal.target_ber_at(EnvironmentCondition(25.0, voltage)) == ber
 
 
 def test_interpolation_between_anchors():

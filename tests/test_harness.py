@@ -8,6 +8,7 @@ import os
 import struct
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -106,8 +107,9 @@ def test_seed_override_changes_outputs(tmp_path):
 
 
 def test_failing_stage_preserves_earlier_artifacts(tmp_path):
-    # sweep point outside the anchor hull: refused at the sweep stage
-    config = _config(sweep_temperatures=(100.0,))
+    # sweep point outside the anchor hull; validate() would catch this up
+    # front, so skip it to exercise the sweep stage's own refusal
+    config = replace(_config(), sweep_temperatures=(100.0,))
     with pytest.raises(StageError) as err:
         run_experiment(config, out_dir=str(tmp_path))
     assert err.value.stage == "sweep"
@@ -265,6 +267,21 @@ def test_cli_metrics_unmasked_entry_ignores_file_mask(tmp_path, capsys):
     # the file's own mask stands in for --mask
     assert carried["masked"]["effective_length"] == 8
     assert carried["masked"]["intra_hd_percent"] == 100.0 * 24 / 144
+
+
+@pytest.mark.parametrize("devices, n", [(1, 64), (10, 60), (7, 64)])
+def test_cli_metrics_refuses_a_golden_of_another_shape(tmp_path, capsys, devices, n):
+    rng = np.random.default_rng(devices * n)
+    SignatureSet(rng.integers(0, 2, size=(10, 2, 64), dtype=np.uint8)).to_binary(
+        tmp_path / "sigs.bin")
+    path = tmp_path / "golden.bin"
+    save_golden(path, enroll_golden(SignatureSet(
+        rng.integers(0, 2, size=(devices, 1, n), dtype=np.uint8))))
+    assert main(["metrics", str(tmp_path / "sigs.bin"), "--golden", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and f"({devices}, {n})" in err and "(10, 64)" in err
+    assert not (tmp_path / "out" / "metrics.json").exists()
 
 
 def test_cli_mask_rejects_non_binary(tmp_path, capsys):

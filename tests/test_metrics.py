@@ -28,7 +28,12 @@ from pufsim.metrics import (
     robustness_sweep,
 )
 from pufsim.population import PlacementConfig, PopulationSpec, generate_population
-from pufsim.signature import SignatureSet, apply_mask, enroll_golden
+from pufsim.signature import (
+    SignatureSet,
+    apply_mask,
+    eliminate_biased_positions,
+    enroll_golden,
+)
 
 
 def test_inter_hd_hand_oracle():
@@ -167,6 +172,22 @@ def test_masked_pack_equals_packing_the_masked_bits(n, lead):
     assert packed.dtype == np.uint64 and packed.shape == lead + (-(-n // 64),)
     assert np.array_equal(packed, kernels.pack_bits(bits * mask))
     assert np.array_equal(_masked_pack(bits, None)[0], kernels.pack_bits(bits))
+
+
+@pytest.mark.parametrize("devices, n", [(1, 64), (10, 60), (7, 64)])
+def test_golden_of_another_shape_is_refused(devices, n):
+    # a 1-device golden used to be broadcast over all ten devices, a 60-bit
+    # one scored without error, and a 7-device one hit numpy's broadcast
+    rng = np.random.default_rng(devices * n)
+    sigs = SignatureSet(rng.integers(0, 2, size=(10, 3, 64), dtype=np.uint8))
+    golden = enroll_golden(SignatureSet(
+        rng.integers(0, 2, size=(devices, 3, n), dtype=np.uint8)))
+    for call in (lambda: mean_intra_hd(sigs, golden),
+                 lambda: compute_report(sigs, golden),
+                 lambda: eliminate_biased_positions(sigs, golden=golden)):
+        with pytest.raises(InvalidArgumentError) as err:
+            call()
+        assert f"({devices}, {n})" in str(err.value) and "(10, 64)" in str(err.value)
 
 
 def test_hd_histogram_buckets():

@@ -158,14 +158,12 @@ def _stream_calls(tree):
 
 def test_only_population_addresses_streams():
     # counter offsets and row widths live in population.keyed_philox and
-    # stream_rows; unbiased_sequences only reads its one generator onward
+    # stream_rows, and every draw is made in population.py
     stray = []
     for path in sorted(pathlib.Path(population.__file__).parent.glob("*.py")):
+        if path.name == "population.py":
+            continue
         for line, func, name in _stream_calls(ast.parse(path.read_text())):
-            if path.name == "population.py" or (
-                    path.name == "harness.py" and func == "unbiased_sequences"
-                    and name == "random_raw"):
-                continue
             stray.append(f"{path.name}:{line} {name} in {func}")
     assert stray == []
 

@@ -440,21 +440,47 @@ def test_eliminate_empty_result_raises():
         eliminate_biased_positions(sigs)
 
 
+def _stability_mask(counts, t, threshold):
+    """Reference keep-mask of the stability rule in Python integers: a
+    column of agreement total S over d devices is dropped when S / (t * d)
+    < threshold."""
+    d = len(counts)
+    return [int(not sum(col) / (t * d) < threshold) for col in zip(*counts)]
+
+
+def _stability_rule_mask(counts, t, threshold):
+    """eliminate_biased_positions on a golden with these counts, whose
+    bits alternate down each column so that the bias rule keeps all."""
+    d, n = counts.shape
+    bits = np.zeros((d, n), dtype=np.uint8)
+    bits[::2] = 1
+    golden = signature.GoldenSignature(bits, counts.astype(signature.count_dtype(t)), t)
+    sigs = SignatureSet(np.zeros((d, 1, n), dtype=np.uint8))
+    return eliminate_biased_positions(sigs, stability_threshold=threshold,
+                                      golden=golden).tolist()
+
+
 @pytest.mark.parametrize("d, n, t", [(97, 1, 3), (97, 2, 5), (200, 64, 4),
                                      (61, 1024, 255), (10, 37, 256)])
-def test_mean_stability_equals_stability_column_mean(monkeypatch, d, n, t):
-    # the chunked column mean is the full array's, bit for bit; chunks of
-    # 3 rows (1 at n = 1024) leave a remainder, and a single column is one
-    # chunk because numpy sums it pairwise
-    monkeypatch.setattr(signature, "_RANGE_VALUES", 3 * n if n < 1024 else 7)
+def test_stability_rule_uses_the_exact_column_mean(d, n, t):
+    # the threshold is one column's exact mean, so that column ties
     rng = np.random.default_rng(d * n + t)
     for _ in range(20):
         counts = rng.integers(-(-t // 2), t + 1, size=(d, n))
-        golden = signature.GoldenSignature(
-            np.zeros((d, n), dtype=np.uint8),
-            counts.astype(signature.count_dtype(t)), t)
-        assert np.array_equal(signature._mean_stability(golden),
-                              golden.stability.mean(axis=0))
+        rows = counts.tolist()
+        column = rng.integers(n)
+        threshold = sum(row[column] for row in rows) / (t * d)
+        assert _stability_rule_mask(counts, t, threshold) == \
+            _stability_mask(rows, t, threshold)
+
+
+def test_stability_at_the_threshold_is_kept():
+    # column 0 agrees in 27 of 30 reads, exactly the default 0.9, which is
+    # not below it; a float sum of the per-device fractions 1 and 2/3 gives
+    # 0.8999999999999998, which would drop it. Column 1 (2/3) is dropped.
+    counts = np.array([[3, 3, 2, 3, 3, 3, 3, 2, 3, 2], [2] * 10]).T
+    assert _stability_mask(counts.tolist(), 3, 0.9) == [1, 0]
+    assert _stability_rule_mask(counts, 3, 0.9) == [1, 0]
 
 
 def test_eliminate_argument_domains():
