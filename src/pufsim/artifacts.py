@@ -1,15 +1,17 @@
-"""Artifact files: atomic writes and one checked binary container.
+"""Artifact files: atomic writes and one checked reader per format.
 
 Every file is written through `write_atomic`. Every binary artifact
 (population PUFP, signatures PUFS, golden PUFG) is a 4-byte magic, a
 struct header whose first field is the uint16 format version, and a
 payload whose size the header fixes; `read_container` refuses truncated,
-oversized and foreign files, naming the path.
+oversized and foreign files, naming the path; `read_json` refuses a JSON
+artifact that is not an object holding the keys its kind needs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import struct
 
@@ -68,3 +70,17 @@ def read_container(path, magic: bytes, version: int, header_fmt: str, payload_si
                 f"{path}: {what}, header declares {expected} bytes, found {size}"
             )
         return fields, fh.read()
+
+
+def read_json(path, kind: str, *keys: str) -> dict:
+    """The JSON object in the file at path; a file that is not JSON, not
+    an object, or lacks one of `keys` is refused, naming the path."""
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise InvalidArgumentError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(payload, dict) or not all(key in payload for key in keys):
+        raise InvalidArgumentError(
+            f"{path}: not a {kind} file (a JSON object with keys {list(keys)})")
+    return payload

@@ -19,6 +19,7 @@ import numpy as np
 from .artifacts import write_atomic
 from .entropy import EnvironmentCondition, NoiseCalibration
 from .errors import ExtrapolationRefusedError, InvalidArgumentError, InvalidSpecError
+from .kernels import check_int
 from .metrics import check_bucket_width
 from .population import (
     BUILTIN_PLACEMENTS,
@@ -27,7 +28,7 @@ from .population import (
     builtin_placement,
 )
 from .randomness import check_test_names
-from .signature import check_mask_thresholds, check_trials
+from .signature import check_mask_thresholds
 
 SCHEMA_VERSION = "1.0"
 
@@ -193,10 +194,8 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         _check_schema_version(self.schema_version)
-        if self.num_devices <= 0 or self.cells_per_device <= 0:
-            raise InvalidSpecError("population sizes must be positive")
-        if self.threads < 1:
-            raise InvalidSpecError("threads must be >= 1")
+        for name in ("num_devices", "cells_per_device", "threads", "sweep_trials"):
+            check_int(getattr(self, name), name, 1, error=InvalidSpecError)
         if self.randomness_mode not in ("per-signature", "concatenated"):
             raise InvalidSpecError(f"unknown randomness mode {self.randomness_mode!r}")
         if not (0 < self.alpha < 1):
@@ -208,7 +207,7 @@ class ExperimentConfig:
         self.build_population_spec()
         calibration = self.build_calibration()
         for s in self.sessions:
-            _stage_bound(f"session {s.name!r}", check_trials, s.trials)
+            check_int(s.trials, f"session {s.name!r} trials", 1, error=InvalidSpecError)
             if s.target_ber is None and not calibration.covers(s.env()):
                 raise InvalidSpecError(
                     f"session {s.name!r} environment lies outside the "
@@ -216,7 +215,6 @@ class ExperimentConfig:
                 )
         _stage_bound("histogram_bucket_percent", check_bucket_width,
                      self.histogram_bucket_percent)
-        _stage_bound("sweep_trials", check_trials, self.sweep_trials)
         self.sweep_envs()
         _stage_bound("nist_tests", check_test_names, self.nist_tests or ())
         if self.masking_enabled:

@@ -16,7 +16,7 @@ class ExtrapolationRefusedError(ValueError):
     """
 
 
-class EmptySignatureError(ValueError):
+class EmptySignatureError(InvalidArgumentError):
     """A mask or filter would leave zero signature positions."""
 
 

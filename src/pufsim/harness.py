@@ -33,11 +33,11 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .artifacts import read_container, write_atomic, write_container
+from .artifacts import read_container, read_json, write_atomic, write_container
 from .config import ExperimentConfig, config_digest
 from .config import save as save_config
 from .errors import InvalidArgumentError, StageError
-from .kernels import unpack_bits
+from .kernels import check_mask, unpack_bits
 from .metrics import compute_report, robustness_sweep
 from .population import (
     DevicePopulation,
@@ -181,22 +181,14 @@ def _write_mask(path, mask: np.ndarray) -> None:
 
 def load_mask(path, n: int) -> np.ndarray:
     """The 0/1 mask of a mask.json, checked against signature length n."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise StageError("mask", f"{path}: not JSON ({exc})") from exc
-    text = payload.get("mask") if isinstance(payload, dict) else None
-    if not isinstance(text, str):
-        raise StageError("mask", f"{path}: not a mask file (no \"mask\" string)")
-    if set(text) - {"0", "1"}:
-        raise StageError("mask", f"{path}: mask may contain only '0' and '1'")
-    mask = np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
-    if mask.size != n:
-        raise StageError(
-            "mask", f"{path}: mask length {mask.size} != signature length {n}"
-        )
-    return mask
+    try:
+        text = read_json(path, "mask", "mask")["mask"]
+        if not isinstance(text, str):
+            raise InvalidArgumentError(f'{path}: "mask" is not a string')
+        bits = np.frombuffer(text.encode(), np.uint8) - ord("0")
+        return check_mask(bits, n, f"{path}: mask")[0]
+    except InvalidArgumentError as exc:
+        raise StageError("mask", str(exc)) from None
 
 
 def _write_nist_csv(path, table) -> None:
@@ -242,8 +234,7 @@ class RunManifest:
 
 
 def load_manifest(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    return read_json(path, "manifest", "artifacts")
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +501,14 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> t
 # ---------------------------------------------------------------------------
 # run comparison
 
-def _load_artifact(manifest_path: str, manifest: dict, name: str):
+def _load_artifact(manifest_path: str, manifest: dict, name: str, *keys: str):
     root = os.path.dirname(os.path.abspath(manifest_path))
     for item in manifest["artifacts"]:
         if item["name"] == name:
             full = os.path.join(root, item["path"])
             if not os.path.exists(full):
                 return None, full
-            with open(full) as fh:
-                return json.load(fh), full
+            return read_json(full, name, *keys), full
     return None, os.path.join(root, f"<missing artifact {name}>")
 
 
@@ -529,7 +519,7 @@ def compare_runs(manifest_path_a: str, manifest_path_b: str) -> dict:
     missing = []
     metrics = []
     for path, man in ((manifest_path_a, man_a), (manifest_path_b, man_b)):
-        payload, full = _load_artifact(path, man, "metrics")
+        payload, full = _load_artifact(path, man, "metrics", "sessions")
         if payload is None:
             missing.append(full)
         metrics.append(payload)

@@ -1,5 +1,5 @@
-"""Hot numeric kernels: packed-bit Hamming distances, GF(2) matrix rank,
-and longest-run extraction, in integer-only numpy.
+"""Hot numeric kernels in integer-only numpy (packed-bit Hamming distances,
+GF(2) matrix rank, longest-run extraction), and the bit, mask and integer checks.
 
 The pairwise distance histogram is cache-tiled. The packed rows are
 transposed once to a word-major (words, devices) array, and distances are
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import EmptySignatureError, InvalidArgumentError
 
 BACKEND = "numpy"
 
@@ -38,6 +38,30 @@ def check_bits(values, what: str = "bits") -> np.ndarray:
     if not ok:
         raise InvalidArgumentError(f"{what} must contain only 0/1 values")
     return arr.astype(np.uint8, copy=False)
+
+
+def check_mask(mask, n: int, what: str = "mask") -> tuple[np.ndarray, int]:
+    """A 0/1 keep-mask over n positions as uint8, and how many positions
+    it keeps; a mask of another length, or one keeping none, is refused."""
+    mask = check_bits(mask, what)
+    if mask.shape != (n,):
+        raise InvalidArgumentError(f"{what} of shape {mask.shape} does not match n={n}")
+    kept = int(mask.sum())
+    if not kept:
+        raise EmptySignatureError(f"{what} keeps zero positions")
+    return mask, kept
+
+
+def check_int(value, what: str, lo: int, hi: float = float("inf"),
+              error: type = InvalidArgumentError) -> int:
+    """value as a Python int, refusing anything but a Python or numpy
+    integer in lo .. hi: bool, float and str are refused, not truncated,
+    and a uint64 is compared as a Python int, so it keeps every bit."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be an integer, not {value!r}")
+    if not lo <= int(value) <= hi:
+        raise error(f"{what} must be in {lo} .. {hi}, got {value}")
+    return int(value)
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:

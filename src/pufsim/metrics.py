@@ -51,15 +51,7 @@ def _as_bit_matrix(signatures) -> np.ndarray:
 
 def _check_mask(mask: Optional[np.ndarray], n: int):
     """Validated 0/1 keep-mask (or None) and the effective length."""
-    if mask is None:
-        return None, n
-    mask = kernels.check_bits(mask, "mask")
-    if mask.shape != (n,):
-        raise InvalidArgumentError("mask length must equal signature length")
-    n_eff = int(mask.sum())
-    if n_eff == 0:
-        raise InvalidArgumentError("mask keeps zero positions")
-    return mask, n_eff
+    return (None, n) if mask is None else kernels.check_mask(mask, n)
 
 
 def _masked_pack(bits: np.ndarray, mask: Optional[np.ndarray]):

@@ -45,7 +45,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import InvalidArgumentError, InvalidSpecError
-from .kernels import read_only
+from .kernels import check_int, read_only
 
 # stream tags, keyed by the master seed (1-4) or a session seed (5)
 _TAG_GLOBAL = 1
@@ -53,6 +53,8 @@ _TAG_REGIONAL = 2
 _TAG_CLUSTER = 3
 _TAG_LOCAL = 4
 _TAG_READOUT = 5
+
+_SEED_MAX = 2**64 - 1  # a seed keys Philox as one uint64 word
 
 BUILTIN_PLACEMENTS = ("d1", "d2", "d3", "d4")
 
@@ -111,9 +113,9 @@ class PlacementConfig:
     adjacency: tuple  # undirected edges as sorted (region, region) pairs
 
     def __post_init__(self):
+        check_int(self.grid_width, "grid_width", 1, error=InvalidSpecError)
+        check_int(self.grid_height, "grid_height", 1, error=InvalidSpecError)
         n = self.grid_width * self.grid_height
-        if self.grid_width <= 0 or self.grid_height <= 0:
-            raise InvalidSpecError("grid dimensions must be positive")
         region_of = tuple(int(r) for r in self.region_of)
         if len(region_of) != n:
             raise InvalidSpecError(
@@ -226,8 +228,9 @@ class PopulationSpec:
     bias_map: Optional[dict] = None  # (row, col) -> offset
 
     def __post_init__(self):
-        if self.num_devices <= 0 or self.cells_per_device <= 0:
-            raise InvalidSpecError("population sizes must be positive")
+        check_int(self.num_devices, "num_devices", 1, error=InvalidSpecError)
+        check_int(self.cells_per_device, "cells_per_device", 1, error=InvalidSpecError)
+        check_int(self.master_seed, "master_seed", 0, _SEED_MAX, InvalidSpecError)
         if not (0 < self.sigma_mismatch < math.inf):
             raise InvalidSpecError("sigma_mismatch must be positive and finite")
         w = tuple(float(x) for x in self.weights)
@@ -242,8 +245,6 @@ class PopulationSpec:
                 f"placement has {self.placement.num_cells} cells, "
                 f"spec declares {self.cells_per_device}"
             )
-        if not (0 <= int(self.master_seed) < 2**64):
-            raise InvalidSpecError("master_seed must fit in 64 unsigned bits")
         object.__setattr__(self, "weights", w)
         if self.bias_map is not None:
             if not all(math.isfinite(float(v)) for v in self.bias_map.values()):
@@ -417,12 +418,11 @@ def unbiased_sequences(num_sequences: int, nbits: int, master_seed: int):
     pufsim.randomness keeps a 1e5-bit row's draw on pages already faulted
     in.
     """
-    if num_sequences <= 0 or nbits <= 0:
-        raise InvalidSpecError("population sizes must be positive")
-    if not (0 <= int(master_seed) < 2**64):
-        raise InvalidSpecError("master_seed must fit in 64 unsigned bits")
+    check_int(num_sequences, "num_sequences", 1, error=InvalidSpecError)
+    check_int(nbits, "nbits", 1, error=InvalidSpecError)
+    seed = check_int(master_seed, "master_seed", 0, _SEED_MAX, InvalidSpecError)
     for device in range(num_sequences):
-        words = stream_rows(int(master_seed), _TAG_LOCAL, device, 1, nbits)[0]
+        words = stream_rows(seed, _TAG_LOCAL, device, 1, nbits)[0]
         words >>= 63
         yield words[:nbits].astype(np.uint8)
 

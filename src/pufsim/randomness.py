@@ -190,8 +190,7 @@ def default_block_size(n: int) -> int:
 def _block_frequency(blk: _Block, block_size: Optional[int],
                      fixture_mode: bool) -> tuple:
     m = block_size if block_size is not None else default_block_size(blk.n)
-    if m < 1 or (m < 20 and not fixture_mode):
-        raise InvalidArgumentError(f"block size {m} invalid; need at least 20")
+    kernels.check_int(m, "block size", 1 if fixture_mode else 20)
     nblocks = blk.n // m
     if nblocks < 1:
         raise InvalidArgumentError("block size exceeds sequence length")
@@ -556,8 +555,7 @@ def read_ascii_sequences(path) -> list:
 def read_packed_sequences(path, nbits: int) -> np.ndarray:
     """Raw little-bit-order packed bytes, fixed nbits per sequence; returns
     a (sequences, nbits) array whose rows are the sequences."""
-    if nbits <= 0:
-        raise InvalidArgumentError("nbits must be positive")
+    kernels.check_int(nbits, "nbits", 1)
     per_seq = (nbits + 7) // 8
     with open(path, "rb") as fh:
         raw = fh.read()

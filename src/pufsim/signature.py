@@ -53,10 +53,10 @@ from .entropy import (
     calibrate_noise_for_ber,
     noise_sigma_at,
 )
-from .errors import EmptySignatureError, InvalidArgumentError
-from .kernels import check_bits, read_only, unpack_bits
+from .errors import InvalidArgumentError
+from .kernels import check_bits, check_int, check_mask, read_only, unpack_bits
 from .population import (
-    _TAG_READOUT, DevicePopulation, keyed_philox, row_width, stream_rows,
+    _SEED_MAX, _TAG_READOUT, DevicePopulation, keyed_philox, row_width, stream_rows,
 )
 
 # uniforms drawn per device range (256 KiB of raw words); bounds the
@@ -112,11 +112,6 @@ def noise_stream(
     return keyed_philox(session_seed, _TAG_READOUT, device * trials + trial, -(-n // 2))
 
 
-def check_trials(trials: int) -> None:
-    if trials < 1:
-        raise InvalidArgumentError("trials must be >= 1")
-
-
 @dataclass(frozen=True)
 class ReadoutSession:
     """One acquisition: environment, trial count, seed, calibration.
@@ -133,9 +128,8 @@ class ReadoutSession:
     target_ber: Optional[float] = None
 
     def __post_init__(self):
-        check_trials(self.trials)
-        if not (0 <= int(self.session_seed) < 2**64):
-            raise InvalidArgumentError("session_seed must fit in 64 unsigned bits")
+        check_int(self.trials, "trials", 1)
+        check_int(self.session_seed, "session_seed", 0, _SEED_MAX)
 
     def noise_sigma(self) -> float:
         if self.target_ber is not None:
@@ -160,16 +154,7 @@ class SignatureSet:
         if 0 in bits.shape:
             raise InvalidArgumentError(f"empty signature set of shape {bits.shape}")
         self.bits = read_only(bits)
-        self.mask = None
-        if mask is not None:
-            mask = check_bits(mask, "mask")
-            if mask.shape != (bits.shape[2],):
-                raise InvalidArgumentError(
-                    f"mask length {mask.shape} does not match n={bits.shape[2]}"
-                )
-            if int(mask.sum()) == 0:
-                raise EmptySignatureError("mask keeps zero positions")
-            self.mask = read_only(mask)
+        self.mask = None if mask is None else read_only(check_mask(mask, bits.shape[2])[0])
 
     @property
     def num_devices(self) -> int:
@@ -218,7 +203,7 @@ class SignatureSet:
         rows = unpack_bits(packed.reshape(has_mask + d * t, (n + 7) // 8), n)
         try:
             return cls(rows[has_mask:].reshape(d, t, n), rows[0] if has_mask else None)
-        except (InvalidArgumentError, EmptySignatureError) as exc:
+        except InvalidArgumentError as exc:
             raise InvalidArgumentError(f"{path}: {exc}") from None
 
     def to_csv(self, path) -> None:
@@ -291,7 +276,7 @@ class GoldenSignature:
     trials: int
 
     def __post_init__(self):
-        check_trials(self.trials)
+        check_int(self.trials, "trials", 1)
         counts = self.counts
         if counts.shape != self.bits.shape or counts.max(initial=0) > self.trials:
             raise InvalidArgumentError("counts must match bits' shape and be <= trials")
@@ -473,10 +458,7 @@ def eliminate_biased_positions(
     eliminate = (np.abs(mean_bit - 0.5) > bias_threshold) | (
         mean_stab < stability_threshold
     )
-    mask = (~eliminate).astype(np.uint8)
-    if int(mask.sum()) == 0:
-        raise EmptySignatureError("all positions eliminated")
-    return mask
+    return check_mask((~eliminate).view(np.uint8), sigs.n)[0]
 
 
 def apply_mask(sigs: SignatureSet, mask: np.ndarray) -> SignatureSet:

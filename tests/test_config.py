@@ -257,6 +257,11 @@ def _rename_trials(data):
     return data
 
 
+def _float_trials(data):
+    data["sessions"][0]["trials"] = 2.5
+    return data
+
+
 # one fault each in d1's config
 _CONFIG_FAULTS = {
     "session-key": _rename_trials,
@@ -266,6 +271,14 @@ _CONFIG_FAULTS = {
     "short-position": lambda data: {**data, "bias": {"positions": [[0]], "offset": 0.1}},
     "sessions-int": lambda data: {**data, "sessions": 5},
     "top-level-list": lambda data: [data],
+    # an integer field is never truncated: 1.5 would draw at seed 1
+    "float-seed": lambda data: {**data, "master_seed": 1.5},
+    "str-seed": lambda data: {**data, "master_seed": "7"},
+    "bool-seed": lambda data: {**data, "master_seed": True},
+    "float-devices": lambda data: {**data, "num_devices": 10.0},
+    "float-cells": lambda data: {**data, "cells_per_device": 1024.0},
+    "float-trials": _float_trials,
+    "float-sweep-trials": lambda data: {**data, "sweep_trials": 1.5},
 }
 
 

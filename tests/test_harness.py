@@ -288,7 +288,8 @@ def test_cli_mask_rejects_non_binary(tmp_path, capsys):
     run_experiment(_config(), out_dir=str(tmp_path))
     path = tmp_path / "mask.json"
     for text in (json.dumps({"mask": "2" + "1" * 127}), json.dumps({"kept": 3}),
-                 json.dumps([1, 0]), "not json"):
+                 json.dumps([1, 0]), "not json", json.dumps({"mask": "0" * 128}),
+                 json.dumps({"mask": "1" * 127}), json.dumps({"mask": [1] * 128})):
         path.write_text(text)
         capsys.readouterr()
         assert main(["metrics", str(tmp_path / "signatures_enroll.bin"),
@@ -384,6 +385,17 @@ def test_compare_runs(tmp_path):
     assert "masked_intra_hd_percent_delta" in entry
     same = compare_runs(a, a)
     assert same["sessions"]["enroll"]["inter_hd_percent_delta"] == 0.0
+
+
+@pytest.mark.parametrize("fault", ["manifest-list", "manifest-text", "metrics-key"])
+def test_cli_compare_names_a_foreign_file(tmp_path, capsys, fault):
+    _, a = run_experiment(_config(), out_dir=str(tmp_path / "a"))
+    _, b = run_experiment(_config(), out_dir=str(tmp_path / "b"))
+    foreign = tmp_path / "b" / ("metrics.json" if fault == "metrics-key" else "manifest.json")
+    foreign.write_text({"manifest-list": "[1, 2]", "manifest-text": "not json",
+                        "metrics-key": json.dumps({"inter_hd_percent": 50.0})}[fault])
+    assert main(["compare", a, b]) == 1
+    assert capsys.readouterr().err.startswith(f"error [compare] {foreign}: ")
 
 
 def test_compare_runs_missing_artifact(tmp_path):
@@ -693,6 +705,21 @@ def test_cli_run_rejects_stage_setting_before_any_artifact(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
     assert "histogram_bucket_percent" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("field, value", [("master_seed", 1.5), ("master_seed", "7"),
+                                          ("num_devices", 10.0)])
+def test_cli_run_refuses_a_non_integer_before_any_artifact(tmp_path, capsys, field,
+                                                           value):
+    from pufsim.config import to_dict
+
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**to_dict(preset("d1")), field: value}))
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{config_path}: " in err and field in err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pufsim import kernels
-from pufsim.errors import InvalidArgumentError
+from pufsim.errors import EmptySignatureError, InvalidArgumentError, InvalidSpecError
 from pufsim.metrics import inter_hd, intra_hd
 from pufsim.randomness import as_bits, run_suite_block
 from pufsim.signature import SignatureSet
@@ -226,3 +226,52 @@ def test_exact_binary_values_accepted(values):
     assert got.dtype == np.uint8 and got.tolist() == [0, 1]
     for entry in _BIT_ENTRIES.values():
         entry(values)
+
+
+# every public entry that takes a keep-mask, over 4 positions
+_MASK_ENTRIES = {
+    "check_mask": lambda m: kernels.check_mask(m, 4),
+    "SignatureSet": lambda m: SignatureSet(np.zeros((2, 1, 4)), mask=m),
+    "inter_hd": lambda m: inter_hd(np.zeros((2, 4)), mask=m),
+    "intra_hd": lambda m: intra_hd([0, 1, 0, 1], [[0, 1, 1, 1]], mask=m),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_MASK_ENTRIES))
+@pytest.mark.parametrize("mask, error", [
+    ([1, 0, 2, 1], InvalidArgumentError),
+    ([1, 0, 1], InvalidArgumentError),
+    ([[1, 0, 1, 1]], InvalidArgumentError),
+    ([0, 0, 0, 0], EmptySignatureError),
+], ids=["non-binary", "short", "2-d", "keeps-none"])
+def test_every_mask_entry_refuses_alike(entry, mask, error):
+    with pytest.raises(error):
+        _MASK_ENTRIES[entry](mask)
+
+
+def test_check_mask_counts_kept_positions():
+    mask, kept = kernels.check_mask([True, False, True, True], 4)
+    assert mask.dtype == np.uint8 and mask.tolist() == [1, 0, 1, 1] and kept == 3
+    assert issubclass(EmptySignatureError, InvalidArgumentError)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), 1.0, np.float64(1.0),
+                                   1.5, "1", None],
+                         ids=["bool", "numpy-bool", "float", "numpy-float", "half",
+                              "str", "none"])
+def test_check_int_refuses_non_integers(value):
+    with pytest.raises(InvalidArgumentError, match="x must be an integer"):
+        kernels.check_int(value, "x", 0)
+
+
+def test_check_int_bounds():
+    top = 2**64 - 1
+    for value in (top, np.uint64(top), np.int64(5), 0):
+        got = kernels.check_int(value, "seed", 0, top)
+        assert type(got) is int and got == int(value)
+    for value in (-1, 2**64, np.int64(-1)):
+        with pytest.raises(InvalidArgumentError, match="seed must be in 0 .. "):
+            kernels.check_int(value, "seed", 0, top)
+    assert kernels.check_int(10**30, "n", 1) == 10**30  # no upper bound
+    with pytest.raises(InvalidSpecError):
+        kernels.check_int(0, "n", 1, error=InvalidSpecError)

@@ -236,6 +236,11 @@ def test_session_seed_must_fit_the_key():
         _session(seed=2**64)
     with pytest.raises(InvalidArgumentError):
         _session(seed=-1)
+    # an integer of any kind up to 2**64 - 1; never a truncated float
+    assert _session(seed=np.uint64(2**64 - 1)).session_seed == 2**64 - 1
+    for seed in (1.5, "7", True):
+        with pytest.raises(InvalidArgumentError):
+            _session(seed=seed)
 
 
 def test_readout_key_is_the_exact_session_seed():
