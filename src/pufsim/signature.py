@@ -444,20 +444,20 @@ def eliminate_biased_positions(
     """Keep-mask over positions: a position is eliminated when its
     across-device golden-bit mean deviates from 0.5 by more than
     bias_threshold, or its across-device mean stability falls below
-    stability_threshold."""
-    if sigs.num_devices < 2:
+    stability_threshold. Each is one exact integer sum per column and one
+    correctly rounded division: the deviation of c ones among d devices
+    is |2c - d| / 2d, so a column exactly at either threshold is kept."""
+    d = sigs.num_devices
+    if d < 2:
         raise InvalidArgumentError("bias elimination needs at least 2 devices")
     check_mask_thresholds(bias_threshold, stability_threshold)
     if golden is None:
         golden = enroll_golden(sigs)
     check_golden(sigs, golden)
-    mean_bit = golden.bits.mean(axis=0)
-    # one exact integer sum per column and one correctly rounded division
-    mean_stab = (golden.counts.sum(axis=0, dtype=np.int64)
-                 / (golden.trials * sigs.num_devices))
-    eliminate = (np.abs(mean_bit - 0.5) > bias_threshold) | (
-        mean_stab < stability_threshold
-    )
+    ones = golden.bits.sum(axis=0, dtype=np.int64)
+    mean_stab = golden.counts.sum(axis=0, dtype=np.int64) / (golden.trials * d)
+    eliminate = ((np.abs(2 * ones - d) / (2 * d) > bias_threshold)
+                 | (mean_stab < stability_threshold))
     return check_mask((~eliminate).view(np.uint8), sigs.n)[0]
 
 

@@ -13,6 +13,9 @@ version sets. A change that moves an output rewrites the record, and the
 two workload configs from perfbench/workloads.py, in the same commit:
 
     PYTHONPATH=src python tests/test_ladder_digests.py
+
+which first prints, for each run, the artifacts whose sha256 or size
+differs from the committed record.
 """
 
 import json
@@ -50,12 +53,18 @@ def _digests(rung: str, threads: str, out: Path) -> dict:
             for a in manifest["artifacts"]}
 
 
+def _moved(want: dict, got: dict) -> list:
+    """Names of the artifacts whose digest or size differs, or that only
+    one of two runs has."""
+    return sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+
+
 @pytest.mark.parametrize("rung,threads", RUNS)
 def test_ladder_artifacts_match_record(rung, threads, tmp_path):
     record = json.loads(RECORD.read_text())
     want = record["runs"][f"{rung} --threads {threads}"]
     got = _digests(rung, threads, tmp_path)
-    moved = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    moved = _moved(want, got)
     assert not moved, (
         f"{rung} at --threads {threads}: artifacts {moved} differ from "
         f"{RECORD.name}, recorded with {record['versions']}, run with {_versions()}")
@@ -80,6 +89,10 @@ def rewrite() -> None:
         runs = {f"{rung} --threads {threads}":
                 _digests(rung, threads, Path(tmp) / f"{rung}-{threads}")
                 for rung, threads in RUNS}
+    recorded = json.loads(RECORD.read_text())["runs"]
+    for run, got in runs.items():
+        moved = _moved(recorded.get(run, {}), got)
+        print(f"{run}: {'moved ' + ', '.join(moved) if moved else 'unchanged'}")
     RECORD.write_text(json.dumps({"versions": _versions(), "runs": runs},
                                  indent=2, sort_keys=True) + "\n")
 

@@ -488,6 +488,30 @@ def test_stability_at_the_threshold_is_kept():
     assert _stability_rule_mask(counts, 3, 0.9) == [1, 0]
 
 
+def test_bias_at_the_threshold_is_kept():
+    # 2 and 8 ones of 10 both deviate from 0.5 by exactly 0.3, which is not
+    # more than the default 0.3; the float mean 0.8 - 0.5 reads
+    # 0.30000000000000004, which would drop the 8. 1 and 9 ones are dropped.
+    ones = [2, 8, 1, 9, 5]
+    sigs = _column_set([tuple(int(i < c) for i in range(10)) for c in ones])
+    assert eliminate_biased_positions(sigs).tolist() == [1, 1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("d", [10, 97, 1000])
+def test_bias_rule_uses_the_exact_column_deviation(d):
+    # the threshold is one column's deviation |2c - d| / 2d, so that column
+    # ties; the reference divides Python integers
+    rng = np.random.default_rng(d)
+    ones = rng.integers(0, d + 1, size=40)
+    bits = (np.arange(d)[:, None] < ones).astype(np.uint8)
+    sigs = SignatureSet(bits[:, None, :])
+    for c in ones.tolist():
+        threshold = abs(2 * c - d) / (2 * d)
+        if 0 < threshold:
+            want = [int(not abs(2 * k - d) / (2 * d) > threshold) for k in ones.tolist()]
+            assert eliminate_biased_positions(sigs, threshold).tolist() == want
+
+
 def test_eliminate_argument_domains():
     sigs = _column_set([(1, 0, 1, 0)])
     with pytest.raises(InvalidArgumentError):
