@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -103,9 +103,18 @@ def cmd_generate(args) -> int:
 
 
 def _population(args, config):
-    if args.population:
-        return load_population(args.population)
-    return generate_population(config.build_population_spec())
+    """The config's population: generated, or read from --population, whose
+    spec must then be the config's."""
+    spec = config.build_population_spec()
+    if not args.population:
+        return generate_population(spec)
+    population = load_population(args.population)
+    differ = [f.name for f in fields(spec)
+              if getattr(spec, f.name) != getattr(population.spec, f.name)]
+    if differ:
+        raise InvalidArgumentError(f"{args.population}: the snapshot's "
+                                   f"{', '.join(differ)} differ from the config's")
+    return population
 
 
 def cmd_readout(args) -> int:

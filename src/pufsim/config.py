@@ -14,25 +14,23 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
-import numpy as np
-
 from .artifacts import write_atomic
 from .entropy import EnvironmentCondition, NoiseCalibration
 from .errors import ExtrapolationRefusedError, InvalidArgumentError, InvalidSpecError
 from .kernels import check_int
 from .metrics import check_bucket_width
 from .population import (
+    _TAG_SESSION,
     BUILTIN_PLACEMENTS,
     PlacementConfig,
     PopulationSpec,
     builtin_placement,
+    derived_seed,
 )
 from .randomness import check_test_names
 from .signature import check_mask_thresholds
 
 SCHEMA_VERSION = "1.0"
-
-_TAG_SESSION = 101
 
 PRESET_NAMES = ("paper-sim", "paper-fpga", "d1", "d2", "d3", "d4")
 
@@ -183,8 +181,7 @@ class ExperimentConfig:
         return envs
 
     def session_seed(self, index: int) -> int:
-        ss = np.random.SeedSequence(self.master_seed, spawn_key=(_TAG_SESSION, index))
-        return int(ss.generate_state(1, dtype=np.uint64)[0])
+        return derived_seed(self.master_seed, _TAG_SESSION, index)
 
     def get_session(self, name: str) -> tuple:
         for idx, s in enumerate(self.sessions):

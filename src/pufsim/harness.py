@@ -40,6 +40,7 @@ from .errors import InvalidArgumentError, StageError
 from .kernels import check_mask, unpack_bits
 from .metrics import compute_report, robustness_sweep
 from .population import (
+    _SWEEP_SESSION,
     DevicePopulation,
     PlacementConfig,
     PopulationSpec,
@@ -350,7 +351,7 @@ def sweep_stage(emit, config: ExperimentConfig,
         return None
     results = robustness_sweep(population, config.build_calibration(), envs,
                                trials=config.sweep_trials,
-                               base_seed=config.session_seed(10_000))
+                               base_seed=config.session_seed(_SWEEP_SESSION))
     rows = [{"temperature_celsius": env.temperature_celsius,
              "supply_voltage_volts": env.supply_voltage_volts,
              "mean_intra_hd_percent": value} for env, value in results]

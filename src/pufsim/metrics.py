@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .entropy import EnvironmentCondition, NoiseCalibration
 from .errors import InvalidArgumentError
-from .population import DevicePopulation
+from .population import DevicePopulation, derived_seed
 from .signature import (
     GoldenSignature,
     ReadoutSession,
@@ -168,13 +168,12 @@ def robustness_sweep(
     one trial at the calibration's reference environment.
 
     Reproducible: the enrollment seed and each sweep point's session seed
-    are full 64-bit words of SeedSequence(base_seed, spawn_key=(key,)),
-    key 0 for the enrollment and 1 + the point's position in envs.
+    are derived_seed(base_seed, key), key 0 for the enrollment and 1 + the
+    point's position in envs.
     """
     def read(env, n_trials, key):
-        ss = np.random.SeedSequence(base_seed, spawn_key=(key,))
-        seed = ss.generate_state(1, dtype=np.uint64)[0]
-        session = ReadoutSession(env, trials=n_trials, session_seed=int(seed),
+        session = ReadoutSession(env, trials=n_trials,
+                                 session_seed=derived_seed(base_seed, key),
                                  calibration=calibration)
         return read_signatures(population, session)
 

@@ -54,6 +54,11 @@ _TAG_CLUSTER = 3
 _TAG_LOCAL = 4
 _TAG_READOUT = 5
 
+# seed keys: session i reads at derived_seed(master seed, _TAG_SESSION, i),
+# and the sweep's reads derive from the seed of session _SWEEP_SESSION
+_TAG_SESSION = 101
+_SWEEP_SESSION = 10_000
+
 _SEED_MAX = 2**64 - 1  # a seed keys Philox as one uint64 word
 
 BUILTIN_PLACEMENTS = ("d1", "d2", "d3", "d4")
@@ -79,6 +84,12 @@ def keyed_philox(seed: int, tag: int, row: int = 0, k: int = 4) -> np.random.Phi
     """
     bitgen = np.random.Philox(key=np.array([seed, tag], dtype=np.uint64))
     return bitgen.advance(row * row_width(k) // 4)
+
+
+def derived_seed(seed: int, *key: int) -> int:
+    """The first uint64 word of SeedSequence(seed, spawn_key=key)."""
+    ss = np.random.SeedSequence(seed, spawn_key=key)
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def stream_rows(seed: int, tag: int, first: int, rows: int, k: int) -> np.ndarray:

@@ -745,6 +745,20 @@ def test_cli_stage_chain(tmp_path, capsys):
     assert "sweep" in err  # config has no sweep points: stage-tagged failure
 
 
+@pytest.mark.parametrize("command", ["readout", "sweep"])
+def test_cli_refuses_a_population_snapshot_of_another_config(tmp_path, capsys, command):
+    pop = tmp_path / "d1" / "population.bin"
+    assert main(["generate", "--preset", "d1", "--out", str(pop.parent)]) == 0
+    out = tmp_path / "out"
+    for argv, field in ((["--preset", "paper-fpga"], "cells_per_device"),
+                        (["--preset", "d1", "--seed", "5"], "master_seed")):
+        capsys.readouterr()
+        assert main([command, *argv, "--population", str(pop), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{command}] {pop}: ") and field in err
+    assert not any(out.iterdir())
+
+
 def test_cli_stage_chain_writes_run_bytes(tmp_path, capsys):
     # one enrollment trial makes the golden bits the trial-0 rows, so
     # `pufsim metrics` rebuilds run's enrollment entry; 12 devices and 11

@@ -138,7 +138,7 @@ def test_iter_matches_generate(monkeypatch):
 
 def _stream_calls(tree):
     """(line, enclosing function, callee) of every call that builds,
-    moves or reads a Philox bit generator."""
+    moves or reads a Philox bit generator, or derives a seed."""
     found = []
 
     def visit(node, func):
@@ -147,7 +147,7 @@ def _stream_calls(tree):
         if isinstance(node, ast.Call):
             callee = node.func
             name = getattr(callee, "attr", getattr(callee, "id", None))
-            if name in ("Philox", "advance", "jumped", "random_raw"):
+            if name in ("Philox", "advance", "jumped", "random_raw", "SeedSequence"):
                 found.append((node.lineno, func, name))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -158,7 +158,8 @@ def _stream_calls(tree):
 
 def test_only_population_addresses_streams():
     # counter offsets and row widths live in population.keyed_philox and
-    # stream_rows, and every draw is made in population.py
+    # stream_rows, every draw is made in population.py, and every derived
+    # seed comes from population.derived_seed
     stray = []
     for path in sorted(pathlib.Path(population.__file__).parent.glob("*.py")):
         if path.name == "population.py":

@@ -16,9 +16,11 @@ import platform
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from pufsim.errors import InsufficientLengthError, InvalidArgumentError
 from pufsim.harness import unbiased_sequences
@@ -40,6 +42,8 @@ from pufsim.randomness import (
     run_suite_block,
     runs_test,
     uniformity_p,
+    _longest_run_class_probs,
+    _longest_run_tier,
     _rank_class_probs,
 )
 
@@ -185,6 +189,66 @@ def test_longest_run_degenerate_and_near_expected():
     seq = "".join(blocks)
     r = longest_run_test(seq)
     assert r.p_value >= 0.9
+
+
+def _exact_class_probs(m: int, lo: int, hi: int) -> list:
+    """Longest-run class probabilities from exact counts: a[k], the number
+    of k-bit strings with no run of ones longer than v, is 2**k up to
+    k = v and a[k - 1] + ... + a[k - v - 1] after."""
+    def at_most(v):
+        a = []
+        for k in range(m + 1):
+            a.append(2**k if k <= v else sum(a[k - v - 1:k]))
+        return Fraction(a[m], 2**m)
+
+    cdf = {v: at_most(v) for v in range(lo, hi)}
+    return [float(p) for p in [cdf[lo], *(cdf[v] - cdf[v - 1] for v in range(lo + 1, hi)),
+                               1 - cdf[hi - 1]]]
+
+
+@pytest.mark.parametrize("tier", [(8, 1, 4), (128, 4, 9), (10000, 10, 16)],
+                         ids=["M8", "M128", "M10000"])
+def test_longest_run_class_probabilities_are_exact(tier):
+    assert _longest_run_class_probs(*tier) == pytest.approx(_exact_class_probs(*tier),
+                                                            abs=1e-12)
+
+
+def test_longest_run_third_tier_against_the_published_table():
+    # SP 800-22's table for M = 10000, classes <=10, 11, ..., >=16, is not
+    # exact: it is off by up to 0.0016 (0.0882 against 0.08663 for <=10),
+    # so it agrees with the exact probabilities to 2e-3, not to its 4 digits
+    table = (0.0882, 0.2092, 0.2483, 0.1933, 0.1208, 0.0675, 0.0727)
+    probs = _longest_run_class_probs(10000, 10, 16)
+    assert probs == pytest.approx(table, abs=2e-3)
+    assert probs != pytest.approx(table, abs=1e-3)
+
+
+def test_longest_run_tier_boundary():
+    assert _longest_run_tier(749_999) == (128, 4, 9)
+    assert _longest_run_tier(750_000) == (10000, 10, 16)
+
+
+def _longest_run_reference(text: str, m: int, lo: int, hi: int):
+    """(p-value, chi2) of the longest-run test over the m-bit blocks of a
+    0/1 string, each block's longest run read off its split on '0'."""
+    nblocks = len(text) // m
+    counts = [0] * (hi - lo + 1)
+    for b in range(nblocks):
+        run = max(map(len, text[b * m:(b + 1) * m].split("0")))
+        counts[min(max(run, lo), hi) - lo] += 1
+    probs = _longest_run_class_probs(m, lo, hi)
+    chi2 = math.fsum((c - nblocks * p) ** 2 / (nblocks * p) for c, p in zip(counts, probs))
+    return gammaincc((hi - lo) / 2, chi2 / 2), chi2
+
+
+@pytest.mark.parametrize("n, tier", [(749_999, (128, 4, 9)), (750_000, (10000, 10, 16))])
+def test_longest_run_matches_per_block_reference_at_the_tier_boundary(n, tier):
+    (bits,) = unbiased_sequences(1, 750_000, master_seed=750)
+    bits = bits[:n]
+    r = longest_run_test(bits)
+    p, chi2 = _longest_run_reference("".join(map(str, bits.tolist())), *tier)
+    assert r.statistic == pytest.approx(chi2, rel=1e-9)
+    assert r.p_value == pytest.approx(p, rel=1e-9)
 
 
 def test_rank_degenerate():
