@@ -130,12 +130,12 @@ class ExperimentConfig:
         bias_map = {}
         for entry in self.bias.get("entries", ()):
             row, col, off = entry
-            bias_map[(int(row), int(col))] = float(off)
+            bias_map[(row, col)] = float(off)
         offset = self.bias.get("offset")
         for pos in self.bias.get("positions", ()):
             if offset is None:
                 raise InvalidSpecError("bias.positions given without bias.offset")
-            bias_map[(int(pos[0]), int(pos[1]))] = float(offset)
+            bias_map[(pos[0], pos[1])] = float(offset)
         return bias_map or None
 
     def build_population_spec(self) -> PopulationSpec:

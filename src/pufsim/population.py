@@ -260,17 +260,18 @@ class PopulationSpec:
         if self.bias_map is not None:
             if not all(math.isfinite(float(v)) for v in self.bias_map.values()):
                 raise InvalidSpecError("bias offsets must be finite")
+            for row, col in self.bias_map:
+                check_int(row, "bias row", 0, self.placement.grid_height - 1,
+                          InvalidSpecError)
+                check_int(col, "bias column", 0, self.placement.grid_width - 1,
+                          InvalidSpecError)
             object.__setattr__(self, "bias_map", dict(self.bias_map) or None)
 
 
 def _bias_offsets(spec: PopulationSpec) -> np.ndarray:
-    placement = spec.placement
     offsets = np.zeros(spec.cells_per_device)
-    for pos, value in (spec.bias_map or {}).items():
-        row, col = pos
-        if not (0 <= row < placement.grid_height and 0 <= col < placement.grid_width):
-            raise InvalidArgumentError(f"bias position {pos} outside grid")
-        offsets[row * placement.grid_width + col] = float(value)
+    for (row, col), value in (spec.bias_map or {}).items():
+        offsets[row * spec.placement.grid_width + col] = float(value)
     return offsets
 
 

@@ -279,6 +279,10 @@ _CONFIG_FAULTS = {
     "float-cells": lambda data: {**data, "cells_per_device": 1024.0},
     "float-trials": _float_trials,
     "float-sweep-trials": lambda data: {**data, "sweep_trials": 1.5},
+    # a bias position is an integer inside the grid: (0.5, 0) would bias (0, 0)
+    "outside-position": lambda data: {**data, "bias": {"positions": [[32, 0]], "offset": 0.1}},
+    "float-position": lambda data: {**data, "bias": {"positions": [[0.5, 0]], "offset": 0.1}},
+    "float-entry": lambda data: {**data, "bias": {"entries": [[0, 1.0, 0.1]]}},
 }
 
 
