@@ -4,8 +4,8 @@ Every file is written through `write_atomic`. Every binary artifact
 (population PUFP, signatures PUFS, golden PUFG) is a 4-byte magic, a
 struct header whose first field is the uint16 format version, and a
 payload whose size the header fixes; `read_container` refuses truncated,
-oversized and foreign files, naming the path; `read_json` refuses a JSON
-artifact that is not an object holding the keys its kind needs.
+oversized and foreign files, naming the path. `write_json` writes and
+`read_json` reads every JSON file, refusing a non-object or missing key.
 """
 
 from __future__ import annotations
@@ -72,15 +72,22 @@ def read_container(path, magic: bytes, version: int, header_fmt: str, payload_si
         return fields, fh.read()
 
 
-def read_json(path, kind: str, *keys: str) -> dict:
+def write_json(path, payload) -> None:
+    """payload as JSON: indent 2, sorted keys, a trailing newline."""
+    with write_atomic(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path, kind: str, *keys: str, error: type = InvalidArgumentError) -> dict:
     """The JSON object in the file at path; a file that is not JSON, not
-    an object, or lacks one of `keys` is refused, naming the path."""
+    an object, or lacks one of `keys` is refused as `error`, naming it."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
-        except ValueError as exc:
-            raise InvalidArgumentError(f"{path}: not JSON ({exc})") from None
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path}: not JSON ({exc})") from None
     if not isinstance(payload, dict) or not all(key in payload for key in keys):
-        raise InvalidArgumentError(
-            f"{path}: not a {kind} file (a JSON object with keys {list(keys)})")
+        needs = f" with keys {list(keys)}" if keys else ""
+        raise error(f"{path}: not a {kind} file (a JSON object{needs})")
     return payload

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .artifacts import write_atomic
-from .entropy import EnvironmentCondition, NoiseCalibration
+from .artifacts import read_json, write_json
+from .entropy import EnvironmentCondition, NoiseCalibration, calibrate_noise_for_ber
 from .errors import ExtrapolationRefusedError, InvalidArgumentError, InvalidSpecError
 from .kernels import check_int
 from .metrics import check_bucket_width
@@ -57,8 +57,8 @@ class ExperimentConfig:
     cells_per_device: int = 64
     sigma_mismatch: float = 0.25
     weights: tuple = (0.0, 0.0, 1.0)  # (global, regional, local)
-    placement: str | dict = "single-region"
-    bias: Optional[dict] = None  # {"positions": [[r, c], ...], "offset": x}
+    placement: str | dict = "single-region"  # or a custom placement object
+    bias: Optional[dict] = None  # {"positions": [[r, c]], "offset": x, "entries": [[r, c, x]]}
     master_seed: int = 1
     # calibration
     reference_temperature: float = 25.0
@@ -205,7 +205,10 @@ class ExperimentConfig:
         calibration = self.build_calibration()
         for s in self.sessions:
             check_int(s.trials, f"session {s.name!r} trials", 1, error=InvalidSpecError)
-            if s.target_ber is None and not calibration.covers(s.env()):
+            if s.target_ber is not None:
+                _stage_bound(f"session {s.name!r} target_ber", calibrate_noise_for_ber,
+                             s.target_ber, self.sigma_mismatch)
+            elif not calibration.covers(s.env()):
                 raise InvalidSpecError(
                     f"session {s.name!r} environment lies outside the "
                     "calibration anchor hull"
@@ -285,12 +288,10 @@ def parse(text: str) -> ExperimentConfig:
 
 
 def load(path) -> ExperimentConfig:
-    """The config in the JSON file at path; a malformed file raises
-    InvalidSpecError naming the path."""
-    with open(path) as fh:
-        text = fh.read()
+    """The config in the JSON file at path, or InvalidSpecError naming it."""
+    data = read_json(path, "config", error=InvalidSpecError)
     try:
-        return parse(text)
+        return from_dict(data)
     except KeyError as exc:
         raise InvalidSpecError(f"{path}: config lacks key {exc}") from exc
     except (AttributeError, IndexError, TypeError, ValueError) as exc:
@@ -298,8 +299,7 @@ def load(path) -> ExperimentConfig:
 
 
 def save(config: ExperimentConfig, path) -> None:
-    with write_atomic(path) as fh:
-        fh.write(serialize(config) + "\n")
+    write_json(path, to_dict(config))
 
 
 def config_digest(config: ExperimentConfig) -> str:

@@ -25,6 +25,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -33,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .artifacts import read_container, read_json, write_atomic, write_container
+from .artifacts import read_container, read_json, write_atomic, write_container, write_json
 from .config import ExperimentConfig, config_digest
 from .config import save as save_config
 from .errors import InvalidArgumentError, StageError
@@ -168,16 +170,10 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _write_json(path, payload) -> None:
-    with write_atomic(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_mask(path, mask: np.ndarray) -> None:
     kept = int(mask.sum())
-    _write_json(path, {"kept": kept, "eliminated": mask.size - kept,
-                       "mask": "".join("1" if b else "0" for b in mask)})
+    write_json(path, {"kept": kept, "eliminated": mask.size - kept,
+                      "mask": "".join("1" if b else "0" for b in mask)})
 
 
 def load_mask(path, n: int) -> np.ndarray:
@@ -229,9 +225,6 @@ class RunManifest:
                 "bytes": os.path.getsize(path),
             }
         )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def load_manifest(path) -> dict:
@@ -318,7 +311,7 @@ def metrics_stage(emit, sessions: dict, golden: GoldenSignature, mask,
         for name, sigs in sessions.items()
     }}
     report = _human_report(payload)
-    emit("metrics", "metrics.json", _write_json, payload)
+    emit("metrics", "metrics.json", write_json, payload)
     emit("report", "report.txt", _write_text, report)
     return report
 
@@ -355,7 +348,7 @@ def sweep_stage(emit, config: ExperimentConfig,
     rows = [{"temperature_celsius": env.temperature_celsius,
              "supply_voltage_volts": env.supply_voltage_volts,
              "mean_intra_hd_percent": value} for env, value in results]
-    emit("sweep", "sweep.json", _write_json, rows)
+    emit("sweep", "sweep.json", write_json, rows)
     return rows
 
 
@@ -427,7 +420,7 @@ def randomness_stage(emit, config: ExperimentConfig, golden: GoldenSignature,
             "p_value": r.p_value,
             "passed": r.passed,
         }
-    emit("nist", "nist.json", _write_json, payload)
+    emit("nist", "nist.json", write_json, payload)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> tuple:
@@ -456,7 +449,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> t
     def finish(status, error=None):
         manifest.status = status
         manifest.error = error
-        _write_json(manifest_path, manifest.to_dict())
+        write_json(manifest_path, asdict(manifest))
         return manifest, manifest_path
 
     @contextmanager
@@ -501,60 +494,111 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> t
 
 # ---------------------------------------------------------------------------
 # run comparison
+#
+# compare takes only plain numbers from a run's JSON files; a value of any
+# other shape is refused, naming the file and the value's JSON path, such as
+# /sessions/enroll/ones_fraction.
 
-def _load_artifact(manifest_path: str, manifest: dict, name: str, *keys: str):
+_FIGURES = ("inter_hd_percent", "intra_hd_percent", "ones_fraction")
+_MASKED_FIGURES = ("inter_hd_percent", "intra_hd_percent")
+
+
+def _refuse(path, where: str, want: str, value):
+    shown = {dict: "an object", list: "an array"}.get(type(value)) or json.dumps(value)[:40]
+    raise InvalidArgumentError(f"{path}: {where} must be {want}, found {shown}")
+
+
+def _object(path, where: str, value) -> dict:
+    if not isinstance(value, dict):
+        _refuse(path, where, "an object", value)
+    return value
+
+
+def _figure(path, where: str, value, null: bool = False) -> Optional[float]:
+    """A finite JSON number as a float; None for null when `null`."""
+    if value is None and null:
+        return None
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not abs(value) <= sys.float_info.max):
+        _refuse(path, where, "a finite number or null" if null else "a finite number", value)
+    return float(value)
+
+
+def _artifact_paths(manifest_path: str) -> dict:
+    """{artifact name: path} of the artifacts a manifest lists."""
     root = os.path.dirname(os.path.abspath(manifest_path))
-    for item in manifest["artifacts"]:
-        if item["name"] == name:
-            full = os.path.join(root, item["path"])
-            if not os.path.exists(full):
-                return None, full
-            return read_json(full, name, *keys), full
-    return None, os.path.join(root, f"<missing artifact {name}>")
+    items = load_manifest(manifest_path)["artifacts"]
+    if not isinstance(items, list):
+        _refuse(manifest_path, "/artifacts", "an array", items)
+    paths = {}
+    for i, item in enumerate(items):
+        item = _object(manifest_path, f"/artifacts/{i}", item)
+        for key in ("name", "path"):
+            if not isinstance(item.get(key), str):
+                _refuse(manifest_path, f"/artifacts/{i}/{key}", "a string", item.get(key))
+        paths.setdefault(item["name"], os.path.join(root, item["path"]))
+    return paths
+
+
+def _session_figures(path) -> dict:
+    """{session: {figure: float or None, "masked": {figure: float}}} of a
+    metrics.json; an absent figure reads as null."""
+    sessions = _object(path, "/sessions", read_json(path, "metrics", "sessions")["sessions"])
+    figures = {}
+    for name, entry in sessions.items():
+        where = f"/sessions/{name}"
+        entry = _object(path, where, entry)
+        got = figures[name] = {key: _figure(path, f"{where}/{key}", entry.get(key), True)
+                               for key in _FIGURES}
+        if "masked" in entry:
+            masked = _object(path, f"{where}/masked", entry["masked"])
+            got["masked"] = {key: _figure(path, f"{where}/masked/{key}", masked.get(key))
+                             for key in _MASKED_FIGURES}
+    return figures
+
+
+def _passing_counts(path) -> Optional[dict]:
+    """{test: passing count} of a nist.json's "aggregate"; None when the
+    file or its aggregate is absent."""
+    if not os.path.isfile(path):
+        return None
+    payload = read_json(path, "nist")
+    if "aggregate" not in payload:
+        return None
+    counts = {}
+    for test, row in _object(path, "/aggregate", payload["aggregate"]).items():
+        passing = _object(path, f"/aggregate/{test}", row).get("passing")
+        match = isinstance(passing, str) and re.fullmatch(r"([0-9]{1,9})/[0-9]{1,9}", passing)
+        if not match:
+            _refuse(path, f"/aggregate/{test}/passing", 'a "k/N" string', passing)
+        counts[test] = int(match[1])
+    return counts
 
 
 def compare_runs(manifest_path_a: str, manifest_path_b: str) -> dict:
     """Per-metric deltas (b minus a) and per-test passing-count deltas."""
-    man_a = load_manifest(manifest_path_a)
-    man_b = load_manifest(manifest_path_b)
-    missing = []
-    metrics = []
-    for path, man in ((manifest_path_a, man_a), (manifest_path_b, man_b)):
-        payload, full = _load_artifact(path, man, "metrics", "sessions")
-        if payload is None:
-            missing.append(full)
-        metrics.append(payload)
+    manifests = (manifest_path_a, manifest_path_b)
+    runs = [_artifact_paths(path) for path in manifests]
+    missing = [f"{paths.get('metrics', 'metrics')} of {manifest}"
+               for manifest, paths in zip(manifests, runs)
+               if not os.path.isfile(paths.get("metrics", ""))]
     if missing:
         raise InvalidArgumentError(
             "cannot compare runs; missing artifacts: " + ", ".join(missing)
         )
+    sessions_a, sessions_b = (_session_figures(paths["metrics"]) for paths in runs)
     deltas: dict = {"sessions": {}}
-    sessions_a, sessions_b = metrics[0]["sessions"], metrics[1]["sessions"]
-    for name in sorted(set(sessions_a) & set(sessions_b)):
+    for name in sorted(sessions_a.keys() & sessions_b.keys()):
         a, b = sessions_a[name], sessions_b[name]
-
-        def delta(key, a=a, b=b):
-            if a.get(key) is None or b.get(key) is None:
-                return None
-            return b[key] - a[key]
-
-        entry = {
-            "inter_hd_percent_delta": delta("inter_hd_percent"),
-            "intra_hd_percent_delta": delta("intra_hd_percent"),
-            "ones_fraction_delta": delta("ones_fraction"),
+        entry = deltas["sessions"][name] = {
+            f"{key}_delta": None if a[key] is None or b[key] is None else b[key] - a[key]
+            for key in _FIGURES
         }
         if "masked" in a and "masked" in b:
-            for key in ("inter_hd_percent", "intra_hd_percent"):
+            for key in _MASKED_FIGURES:
                 entry[f"masked_{key}_delta"] = b["masked"][key] - a["masked"][key]
-        deltas["sessions"][name] = entry
-
-    nist_a, _ = _load_artifact(manifest_path_a, man_a, "nist")
-    nist_b, _ = _load_artifact(manifest_path_b, man_b, "nist")
-    if nist_a and nist_b and "aggregate" in nist_a and "aggregate" in nist_b:
-        rows = {}
-        for test in sorted(set(nist_a["aggregate"]) & set(nist_b["aggregate"])):
-            ka = int(nist_a["aggregate"][test]["passing"].split("/")[0])
-            kb = int(nist_b["aggregate"][test]["passing"].split("/")[0])
-            rows[test] = kb - ka
-        deltas["nist_passing_delta"] = rows
+    passing_a, passing_b = (_passing_counts(paths.get("nist", "")) for paths in runs)
+    if passing_a is not None and passing_b is not None:
+        deltas["nist_passing_delta"] = {test: passing_b[test] - passing_a[test]
+                                        for test in sorted(passing_a.keys() & passing_b.keys())}
     return deltas

@@ -127,14 +127,16 @@ class PlacementConfig:
         check_int(self.grid_width, "grid_width", 1, error=InvalidSpecError)
         check_int(self.grid_height, "grid_height", 1, error=InvalidSpecError)
         n = self.grid_width * self.grid_height
-        region_of = tuple(int(r) for r in self.region_of)
+        region_of = tuple(check_int(r, "region id", -math.inf, error=InvalidSpecError)
+                          for r in self.region_of)
         if len(region_of) != n:
             raise InvalidSpecError(
                 f"region assignment covers {len(region_of)} cells, grid has {n}"
             )
         edges = set()
         for a, b in self.adjacency:
-            a, b = int(a), int(b)
+            a, b = (check_int(r, "adjacency region", -math.inf, error=InvalidSpecError)
+                    for r in (a, b))
             if a == b:
                 raise InvalidSpecError("adjacency must be irreflexive")
             edges.add((min(a, b), max(a, b)))

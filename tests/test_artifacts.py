@@ -7,8 +7,7 @@ import pathlib
 import pytest
 
 import pufsim
-from pufsim.artifacts import write_atomic, write_container
-from pufsim.harness import _write_json
+from pufsim.artifacts import write_atomic, write_container, write_json
 
 _SRC = pathlib.Path(pufsim.__file__).parent
 
@@ -33,9 +32,9 @@ def test_failing_binary_write_keeps_earlier_file(tmp_path):
 
 def test_failing_text_write_keeps_earlier_file(tmp_path):
     path = tmp_path / "x.json"
-    _write_json(path, {"a": 1})
+    write_json(path, {"a": 1})
     # keys are sorted, so "a" is written before "z" fails to serialize
-    _assert_failed_write_kept(path, lambda: _write_json(path, {"a": 2, "z": object()}))
+    _assert_failed_write_kept(path, lambda: write_json(path, {"a": 2, "z": object()}))
 
 
 def test_atomic_write_replaces_on_success(tmp_path):
@@ -70,15 +69,16 @@ def _is_write(call):
     return False
 
 
-def _writes(tree):
-    """(line, enclosing function) of every call that may write a file."""
+def _writes(tree, match=_is_write):
+    """(line, enclosing function, call) of every call that may write a
+    file, or that `match` picks."""
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Call) and _is_write(node):
-            found.append((node.lineno, func))
+        if isinstance(node, ast.Call) and match(node):
+            found.append((node.lineno, func, node))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
@@ -89,7 +89,30 @@ def _writes(tree):
 def test_every_file_write_goes_through_write_atomic():
     stray = []
     for path in sorted(_SRC.glob("*.py")):
-        for line, func in _writes(ast.parse(path.read_text())):
+        for line, func, _ in _writes(ast.parse(path.read_text())):
             if not (path.name == "artifacts.py" and func == "write_atomic"):
                 stray.append(f"{path.name}:{line} in {func}")
     assert stray == []
+
+
+def _json_call(call):
+    func = call.func
+    return isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "json"
+
+
+def test_json_goes_through_write_json_and_read_json():
+    # json.dump and json.load only in the one writer and reader; the text
+    # forms only for the config's text and digest, the population spec
+    # inside its container, and compare's messages and printout
+    calls = set()
+    for path in sorted(_SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls |= {(path.name, func, call.func.attr)
+                  for _, func, call in _writes(tree, _json_call)}
+    assert calls == {
+        ("artifacts.py", "write_json", "dump"), ("artifacts.py", "read_json", "load"),
+        ("config.py", "serialize", "dumps"), ("config.py", "parse", "loads"),
+        ("config.py", "config_digest", "dumps"),
+        ("harness.py", "save_population", "dumps"), ("harness.py", "load_population", "loads"),
+        ("harness.py", "_refuse", "dumps"), ("cli.py", "cmd_compare", "dumps"),
+    }

@@ -301,3 +301,15 @@ def test_load_names_the_file_of_invalid_json(tmp_path):
     with pytest.raises(InvalidSpecError) as err:
         load(path)
     assert str(err.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("target_ber", [0.5, -0.01, True])
+def test_load_refuses_an_unreachable_target_ber(tmp_path, target_ber):
+    # the readout would refuse it only after the population is written
+    path = tmp_path / "config.json"
+    data = json.loads(serialize(preset("d1")))
+    data["sessions"][0]["target_ber"] = target_ber
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvalidSpecError) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}: session 'enroll' target_ber: ")

@@ -387,15 +387,31 @@ def test_compare_runs(tmp_path):
     assert same["sessions"]["enroll"]["inter_hd_percent_delta"] == 0.0
 
 
-@pytest.mark.parametrize("fault", ["manifest-list", "manifest-text", "metrics-key"])
+# fault: (file of run b, its text, how the message goes on after the path)
+_COMPARE_FAULTS = {
+    "manifest-list": ("manifest.json", "[1, 2]", "not a manifest file"),
+    "manifest-text": ("manifest.json", "not json", "not JSON"),
+    "metrics-key": ("metrics.json", {"inter_hd_percent": 50.0}, "not a metrics file"),
+    # a foreign value inside the structure compare reads
+    "artifact-int": ("manifest.json", {"artifacts": [1]}, "/artifacts/0 must be an object"),
+    "session-int": ("metrics.json", {"sessions": {"enroll": 1}},
+                    "/sessions/enroll must be an object"),
+    "figure-str": ("metrics.json", {"sessions": {"enroll": {"inter_hd_percent": "50"}}},
+                   "/sessions/enroll/inter_hd_percent must be a finite number or null"),
+    "passing-int": ("nist.json", {"aggregate": {"frequency": {"passing": 3}}},
+                    '/aggregate/frequency/passing must be a "k/N" string'),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_COMPARE_FAULTS))
 def test_cli_compare_names_a_foreign_file(tmp_path, capsys, fault):
     _, a = run_experiment(_config(), out_dir=str(tmp_path / "a"))
     _, b = run_experiment(_config(), out_dir=str(tmp_path / "b"))
-    foreign = tmp_path / "b" / ("metrics.json" if fault == "metrics-key" else "manifest.json")
-    foreign.write_text({"manifest-list": "[1, 2]", "manifest-text": "not json",
-                        "metrics-key": json.dumps({"inter_hd_percent": 50.0})}[fault])
+    name, content, message = _COMPARE_FAULTS[fault]
+    foreign = tmp_path / "b" / name
+    foreign.write_text(content if isinstance(content, str) else json.dumps(content))
     assert main(["compare", a, b]) == 1
-    assert capsys.readouterr().err.startswith(f"error [compare] {foreign}: ")
+    assert capsys.readouterr().err.startswith(f"error [compare] {foreign}: {message}")
 
 
 def test_compare_runs_missing_artifact(tmp_path):

@@ -16,8 +16,13 @@ two workload configs from perfbench/workloads.py, in the same commit:
 
 which first prints, for each run, the artifacts whose sha256 or size
 differs from the committed record.
+
+The chunk knobs (module constants that set how much one step of a loop
+takes) must not move an artifact either: six rungs also run with every
+knob set small at once, and a check keeps that table complete.
 """
 
+import ast
 import json
 import platform
 import sys
@@ -28,8 +33,11 @@ import numpy as np
 import pytest
 import scipy
 
+import pufsim
+from pufsim import kernels, population, randomness, signature
 from pufsim.cli import main
 from pufsim.config import PRESET_NAMES
+from pufsim.population import BUILTIN_PLACEMENTS
 
 DATA = Path(__file__).resolve().parent / "data"
 RECORD = DATA / "ladder_digests.json"
@@ -59,15 +67,63 @@ def _moved(want: dict, got: dict) -> list:
     return sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
 
 
-@pytest.mark.parametrize("rung,threads", RUNS)
-def test_ladder_artifacts_match_record(rung, threads, tmp_path):
+def _assert_recorded(rung: str, threads: str, out: Path) -> None:
     record = json.loads(RECORD.read_text())
     want = record["runs"][f"{rung} --threads {threads}"]
-    got = _digests(rung, threads, tmp_path)
-    moved = _moved(want, got)
+    moved = _moved(want, _digests(rung, threads, out))
     assert not moved, (
         f"{rung} at --threads {threads}: artifacts {moved} differ from "
         f"{RECORD.name}, recorded with {record['versions']}, run with {_versions()}")
+
+
+@pytest.mark.parametrize("rung,threads", RUNS)
+def test_ladder_artifacts_match_record(rung, threads, tmp_path):
+    _assert_recorded(rung, threads, tmp_path)
+
+
+# Naming rule: a chunk knob is a module-level constant of the package whose
+# name ends in the unit its chunk is counted in, one of _KNOB_UNITS. Each
+# is set here to a small value that splits every rung into many uneven
+# chunks (one device per draw, range and CSV write; 7 x 61 distance tiles;
+# one or two battery sequences per block).
+_KNOB_UNITS = ("_WORDS", "_VALUES", "_BYTES", "_ROWS", "_COLS", "_BITS")
+_SMALL_CHUNKS = {
+    (population, "_DRAW_WORDS"): 4,
+    (signature, "_RANGE_VALUES"): 3,
+    (signature, "_CSV_CHUNK_BYTES"): 1,
+    (kernels, "_TILE_ROWS"): 7,
+    (kernels, "_TILE_COLS"): 61,
+    (randomness, "_BLOCK_BITS"): 2**11,
+}
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    for (module, name), value in _SMALL_CHUNKS.items():
+        monkeypatch.setattr(module, name, value)
+
+
+def test_every_chunk_knob_is_set_small():
+    found = set()
+    for path in Path(pufsim.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            found |= {(path.stem, t.id) for t in targets
+                      if isinstance(t, ast.Name) and t.id.endswith(_KNOB_UNITS)}
+    assert found == {(module.__name__.split(".")[-1], name)
+                     for module, name in _SMALL_CHUNKS}
+
+
+@pytest.mark.parametrize("rung", BUILTIN_PLACEMENTS + ("paper-fpga", "board-repeat"))
+def test_small_chunks_match_record(rung, small_chunks, tmp_path):
+    _assert_recorded(rung, "1", tmp_path)
+
+
+def test_small_chunks_match_record_back_to_back(small_chunks, tmp_path):
+    # a second rung in the same process must not see the first one's state
+    for rung in ("d4", "d2"):
+        _assert_recorded(rung, "1", tmp_path / rung)
 
 
 def test_record_thread_values_differ_only_in_config():

@@ -332,6 +332,24 @@ def test_placement_validation():
     assert p.adjacency == ((0, 1),)
 
 
+@pytest.mark.parametrize("region_of,adjacency", [
+    ((0.5, 1.7), ()),  # int() would regroup the cells as regions 0 and 1
+    ((0, 1), ((0.2, 1.9),)),
+    ((0, True), ()),
+    (("0", 1), ()),
+    ((0, 1), ((0, "1"),)),
+])
+def test_placement_refuses_non_integer_region_ids(region_of, adjacency):
+    with pytest.raises(InvalidSpecError, match="must be an integer"):
+        PlacementConfig("custom", 2, 1, region_of, adjacency)
+
+
+def test_placement_accepts_numpy_and_negative_region_ids():
+    p = PlacementConfig("custom", 2, 1, np.array([0, -1]), ((np.int64(0), -1),))
+    assert p.region_of == (0, -1) and p.adjacency == ((-1, 0),)
+    assert all(type(r) is int for r in p.region_of + p.adjacency[0])
+
+
 def test_adjacency_components():
     d2 = builtin_placement("d2")
     comp = d2.adjacency_components()
