@@ -13,9 +13,11 @@ Intra-HD of one device from x re-reads against its reference S_v:
     (1 / x) * sum_u HD(S_u, S_v) / n * 100
 
 Distance totals are exact integers until the final division, so results
-are independent of pair ordering or partitioning. The inter-HD total comes
-in closed form from per-position one-counts; intra-HD and the pairwise
-distance histogram XOR and popcount 64-bit words from `kernels.pack_bits`.
+are independent of pair ordering or partitioning. `inter_hd` takes its
+total in closed form from per-position one-counts; `inter_hd_details`
+takes the same integer from the pairwise pass that builds its distance
+histogram. That pass and intra-HD XOR and popcount 64-bit words from
+`kernels.pack_bits`.
 Masked positions are zeroed in the packed words and excluded from n.
 """
 
@@ -71,6 +73,14 @@ def _intra_total(reads: np.ndarray, ref: np.ndarray, mask: Optional[np.ndarray])
     return total, n_eff
 
 
+def _inter_percent(total: int, r: int, n_eff: int) -> float:
+    """Inter-HD in percent from the distance total over the pairs of r
+    devices, which must be at least two."""
+    if r < 2:
+        raise InvalidArgumentError("inter-HD needs at least 2 devices")
+    return 200.0 * total / (r * (r - 1) * n_eff)
+
+
 def inter_hd(signatures, mask: Optional[np.ndarray] = None) -> float:
     """Average pairwise Hamming distance between device signatures, in
     percent of the (effective) signature length.
@@ -81,22 +91,20 @@ def inter_hd(signatures, mask: Optional[np.ndarray] = None) -> float:
     """
     mat = _as_bit_matrix(signatures)
     r = mat.shape[0]
-    if r < 2:
-        raise InvalidArgumentError("inter-HD needs at least 2 devices")
     mask, n_eff = _check_mask(mask, mat.shape[1])
     ones = mat.sum(axis=0, dtype=np.int64)
     if mask is not None:
         ones = ones[mask == 1]
-    total = int(np.dot(ones, r - ones))
-    return 200.0 * total / (r * (r - 1) * n_eff)
+    return _inter_percent(int(np.dot(ones, r - ones)), r, n_eff)
 
 
 def inter_hd_details(signatures, mask: Optional[np.ndarray] = None):
-    """inter_hd plus the integer histogram of raw pairwise distances."""
+    """inter_hd plus the integer histogram of raw pairwise distances, both
+    from one pairwise pass, whose exact total is the closed-form one."""
     mat = _as_bit_matrix(signatures)
-    percent = inter_hd(mat, mask)
     packed, n_eff = _masked_pack(mat, mask)
-    return percent, kernels.pairwise_hd_stats(packed, n_eff)[1]
+    total, hist = kernels.pairwise_hd_stats(packed, n_eff)
+    return _inter_percent(total, mat.shape[0], n_eff), hist
 
 
 def intra_hd(reference, rereads, mask: Optional[np.ndarray] = None) -> float:

@@ -142,7 +142,9 @@ def _require_length(name: str, n: int, fixture_mode: bool):
 # on every call. Freeing one untouched mmap-ed block raises the mmap
 # threshold to its size and the trim threshold to twice that; 16 bytes per
 # bit of a 2**17-bit block (one 1e5-bit sequence, say) puts both above
-# what such a block allocates. This is the one place the heap policy lives.
+# what such a block allocates. The readout's per-range temporaries
+# (signature._resolve), up to 512 KiB each, rely on the lift too. This is
+# the one place the heap policy lives.
 np.empty(16 << 17, dtype=np.uint8)
 
 

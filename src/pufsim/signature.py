@@ -60,7 +60,8 @@ from .population import (
 )
 
 # uniforms drawn per device range (256 KiB of raw words); bounds the
-# readout's working memory, whatever the population size
+# readout's working memory, whatever the population size; the heap lift in
+# pufsim.randomness keeps a range's temporaries on reused heap pages
 _RANGE_VALUES = 1 << 16
 
 # text assembled per write of the signature CSV, unless one device's rows
@@ -84,13 +85,6 @@ _PHI_LO = np.clip(np.concatenate(([0.0], _GRID_PHI - _SLACK)), 0.0, 1.0)
 _PHI_HI = np.clip(np.concatenate((_GRID_PHI + _SLACK, [1.0])), 0.0, 1.0)
 _LO32 = np.minimum(np.floor(_PHI_LO * _SCALE), _SCALE - 1).astype(np.uint32)
 _HIM1 = (np.ceil(_PHI_HI * _SCALE) - 1).astype(np.uint32)
-
-# Padding of the needed-cell mask. numpy keeps freed data blocks under
-# 1 KiB in a per-size cache for the life of the process; a small index
-# array of a new size in every range would leave such blocks pinned across
-# the heap (3 MiB more peak RSS from the second pipeline run in a process
-# on). With 128 always-set entries, the index array never gets that small.
-_INDEX_PAD = 128
 
 _MAGIC = b"PUFS"
 _VERSION = 1
@@ -301,81 +295,40 @@ def count_dtype(trials: int) -> np.dtype:
     return np.min_scalar_type(trials).newbyteorder("<")
 
 
-class _RangeBuffers:
-    """Working arrays of one readout, sized for its largest device range
-    of r devices x t trials x n positions and reused for every range, so
-    that a range allocates only its raw draws and the index array of its
-    exactly resolved cells."""
+def _resolve(x: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+    """out = u[:, :, :n] < ndtr(x)[:, None, :] * 2**32 for x of shape
+    (r, n), uint32 u of shape (r, t, w >= n) and uint8 out of shape
+    (r, t, n), bit for bit. The draws in u are overwritten.
 
-    def __init__(self, r: int, t: int, n: int):
-        cells = r * n
-        self.x = np.empty(cells)
-        self.p = np.empty(cells)
-        self.lo = np.empty(cells, dtype=np.uint32)
-        self.span = np.empty(cells, dtype=np.uint32)
-        self.threshold = np.empty(cells, dtype=np.uint32)
-        self.bucket = np.empty(cells, dtype=np.intp)
-        self.needed = np.empty(cells + _INDEX_PAD, dtype=bool)
-        self.undecided = np.empty(r * t * n, dtype=bool)
-
-    def resolve(self, x: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
-        """out = u[:, :, :n] < ndtr(x)[:, None, :] * 2**32 for contiguous x
-        of shape (r, n), uint32 u of shape (r, t, w >= n) and out of shape
-        (r, t, n), bit for bit. x and the draws in u are overwritten.
-
-        Each cell's bucket brackets ndtr(x) * 2**32 between _LO32 and
-        _HIM1 + 1: a draw below _LO32 reads 1, one above _HIM1 reads 0, and
-        only the cells with a draw inside (at most 0.63% of draws for any
-        x) evaluate ndtr. For integer u, u < p * 2**32 is u < ceil(p *
-        2**32); those draws compare both sides as offsets from _LO32, which
-        fit in 32 bits because a bracket is narrower than 2**32.
-        """
-        r, n = x.shape
-        t = u.shape[1]
-        m = r * n
-        p = self.p[:m].reshape(r, n)
-        lo = self.lo[:m].reshape(r, n)
-        span = self.span[:m].reshape(r, n)
-        bucket = self.bucket[:m].reshape(r, n)
-        undecided = self.undecided[: m * t].reshape(r, t, n)
-        # bucket = floor((x - x_0) * steps) + 1, clipped to the table; the
-        # cast into bucket truncates, which is floor on the clipped,
-        # non-negative values
-        np.multiply(x, _GRID_STEPS, out=p)
-        np.add(p, 1 - _GRID_LO * _GRID_STEPS, out=p)
-        np.clip(p, 0, _GRID_POINTS, out=bucket, casting="unsafe")
-        np.take(_LO32, bucket, out=lo, mode="clip")
-        np.take(_HIM1, bucket, out=span, mode="clip")
-        span -= lo
-        draws = u[:, :, :n]
-        bits = out.view(bool)  # a bool output needs no casting buffer
-        np.less(draws, lo[:, None, :], out=bits)
-        # each draw becomes its offset from lo, which wraps below lo, so it
-        # is <= span just inside the bracket
-        offset = np.subtract(draws, lo[:, None, :], out=draws)
-        np.less_equal(offset, span[:, None, :], out=undecided)
-        # the mask of cells to evaluate ends in _INDEX_PAD set entries
-        needed = self.needed[: m + _INDEX_PAD]
-        np.any(undecided, axis=1, out=needed[:m].reshape(r, n))
-        needed[m:] = True
-        cells = np.flatnonzero(needed)[:-_INDEX_PAD]
-        # span becomes ceil(ndtr(x) * 2**32) - lo, in [0, span + 1], at
-        # those cells, evaluated in the spent p with lo as float64 in the
-        # spent x. Every cast is a copyto into a buffer: a ufunc or put
-        # that casts would allocate a small block of a new size in every
-        # range (see _INDEX_PAD).
-        c = cells.size
-        exact = np.take(x, cells, out=self.p[:c], mode="clip")
-        ndtr(exact, out=exact)
-        exact *= _SCALE
-        np.ceil(exact, out=exact)
-        threshold = np.take(lo, cells, out=self.threshold[:c], mode="clip")
-        low = x.reshape(-1)[:c]
-        np.copyto(low, threshold)
-        exact -= low
-        np.copyto(threshold, exact, casting="unsafe")
-        span.put(cells, threshold)
-        np.less(offset, span[:, None, :], out=bits, where=undecided)
+    Each cell's bucket brackets ndtr(x) * 2**32 between _LO32 and
+    _HIM1 + 1: a draw below _LO32 reads 1, one above _HIM1 reads 0, and
+    only the cells with a draw inside (at most 0.63% of draws for any x)
+    evaluate ndtr. For integer u, u < p * 2**32 is u < ceil(p * 2**32);
+    those draws compare both sides as offsets from _LO32, which fit in 32
+    bits because a bracket is narrower than 2**32.
+    """
+    n = x.shape[1]
+    # bucket = floor((x - x_0) * steps) + 1, clipped to the table; the cast
+    # truncates, which is floor on the clipped, non-negative values. The
+    # steps work in place, so fewer temporaries are alive at once.
+    bucket = x * _GRID_STEPS
+    bucket += 1 - _GRID_LO * _GRID_STEPS
+    bucket = np.clip(bucket, 0, _GRID_POINTS, out=bucket).astype(np.intp)
+    lo = np.take(_LO32, bucket)
+    span = np.take(_HIM1, bucket)
+    span -= lo
+    draws = u[:, :, :n]
+    bits = out.view(bool)  # a bool output needs no casting buffer
+    np.less(draws, lo[:, None, :], out=bits)
+    # each draw becomes its offset from lo, which wraps below lo, so it is
+    # <= span just inside the bracket
+    offset = np.subtract(draws, lo[:, None, :], out=draws)
+    undecided = offset <= span[:, None, :]
+    cells = np.flatnonzero(undecided.any(axis=1))
+    # at those cells span becomes ceil(ndtr(x) * 2**32) - lo, in [0, span + 1]
+    exact = np.ceil(ndtr(np.take(x, cells)) * _SCALE)
+    np.put(span, cells, exact - np.take(lo, cells))
+    np.less(offset, span[:, None, :], out=bits, where=undecided)
 
 
 def read_signatures(population: DevicePopulation,
@@ -395,19 +348,16 @@ def read_signatures(population: DevicePopulation,
     words = -(-n // 2)  # per row: two uniforms per word
     bits = np.empty((d, t, n), dtype=np.uint8)
     step = max(1, _RANGE_VALUES // (t * 2 * row_width(words)))
-    buffers = _RangeBuffers(min(step, d), t, n) if sigma_n else None
     for lo in range(0, d, step):
         hi = min(lo + step, d)
-        r = hi - lo
+        x = population.mismatch[lo:hi] + offsets
         if sigma_n == 0:
             # strict inequality: an exact zero margin resolves to 0
-            bits[lo:hi] = (population.mismatch[lo:hi] + offsets > 0)[:, None, :]
+            bits[lo:hi] = (x > 0)[:, None, :]
             continue
-        x = buffers.x[: r * n].reshape(r, n)
-        np.add(population.mismatch[lo:hi], offsets, out=x)
-        np.divide(x, sigma_eff, out=x)
-        u = stream_rows(session.session_seed, _TAG_READOUT, lo * t, r * t, words)
-        buffers.resolve(x, u.view(np.uint32).reshape(r, t, -1), bits[lo:hi])
+        x /= sigma_eff
+        u = stream_rows(session.session_seed, _TAG_READOUT, lo * t, (hi - lo) * t, words)
+        _resolve(x, u.view(np.uint32).reshape(hi - lo, t, -1), bits[lo:hi])
     return SignatureSet(bits)
 
 

@@ -107,14 +107,15 @@ def test_inter_hd_respects_mask():
 
 
 def test_inter_hd_argument_checks():
-    with pytest.raises(InvalidArgumentError):
-        inter_hd(np.zeros((1, 8), dtype=np.uint8))  # one device
-    with pytest.raises(InvalidArgumentError):
-        inter_hd(np.array([[0, 2]], dtype=np.uint8))  # non-binary
-    with pytest.raises(InvalidArgumentError):
-        inter_hd(np.zeros((3, 4), dtype=np.uint8), np.zeros(4, dtype=np.uint8))
-    with pytest.raises(InvalidArgumentError):
-        inter_hd(np.zeros((3, 4), dtype=np.uint8), np.array([1, 2, 0, 1]))
+    for fn in (inter_hd, inter_hd_details):
+        with pytest.raises(InvalidArgumentError):
+            fn(np.zeros((1, 8), dtype=np.uint8))  # one device
+        with pytest.raises(InvalidArgumentError):
+            fn(np.array([[0, 2]], dtype=np.uint8))  # non-binary
+        with pytest.raises(InvalidArgumentError):
+            fn(np.zeros((3, 4), dtype=np.uint8), np.zeros(4, dtype=np.uint8))
+        with pytest.raises(InvalidArgumentError):
+            fn(np.zeros((3, 4), dtype=np.uint8), np.array([1, 2, 0, 1]))
 
 
 def test_inter_hd_details_histogram():

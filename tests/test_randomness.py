@@ -410,30 +410,66 @@ def test_working_arrays_are_per_thread():
         assert found[k] == [(i, serial[i]) for i in order]
 
 
-_HEAP_LIFT_SCRIPT = """
+_FAULTS_PER_CALL = """
 import resource, statistics
+def faults(call):
+    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    call()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+"""
+
+_HEAP_LIFT_SCRIPT = _FAULTS_PER_CALL + """
 from pufsim.harness import unbiased_sequences
 from pufsim.randomness import run_suite
-faults = []
-for seq in unbiased_sequences(13, 100_000, 20240801):
-    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    run_suite(seq)
-    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
-print(statistics.median(faults[3:]))
+counts = [faults(lambda: run_suite(seq))
+          for seq in unbiased_sequences(13, 100_000, 20240801)]
+print(statistics.median(counts[3:]))
 """
+
+# the sweep's readout shape: 4000 devices x 64 cells, one trial
+_READOUT_FAULTS_SCRIPT = _FAULTS_PER_CALL + """
+from pufsim.entropy import EnvironmentCondition, NoiseCalibration
+from pufsim.population import PlacementConfig, PopulationSpec, generate_population
+from pufsim.signature import ReadoutSession, read_signatures
+pop = generate_population(PopulationSpec(
+    num_devices=4000, cells_per_device=64, sigma_mismatch=0.25,
+    weights=(0.0, 0.0, 1.0), placement=PlacementConfig("flat", 8, 8, (0,) * 64, ()),
+    master_seed=3))
+ref = EnvironmentCondition(25.0, 1.0)
+session = ReadoutSession(ref, trials=1, session_seed=11,
+                         calibration=NoiseCalibration(0.25, ref), target_ber=0.1)
+counts = [faults(lambda: read_signatures(pop, session)) for _ in range(9)]
+print(statistics.median(counts[3:]))
+"""
+
+
+def _median_faults_in_fresh_process(script: str) -> float:
+    # A fresh process: frees in earlier tests raise glibc's thresholds too
+    # and would hide a missing lift.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    return float(out.stdout)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the heap lift targets glibc's malloc")
 def test_heap_lift_keeps_sequence_calls_off_fresh_pages():
-    # A fresh process: frees in earlier tests raise glibc's thresholds too
-    # and would hide a missing lift. Without it each 1e5-bit run_suite call
-    # faults in its working arrays and rfft scratch again, 700-800 pages.
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", _HEAP_LIFT_SCRIPT], env=env,
-                         capture_output=True, text=True, timeout=120, check=True)
-    assert float(out.stdout) < 100, f"median minor faults per call: {out.stdout}"
+    # Without the lift each 1e5-bit run_suite call faults in its working
+    # arrays and rfft scratch again, 700-800 pages.
+    faults = _median_faults_in_fresh_process(_HEAP_LIFT_SCRIPT)
+    assert faults < 100, f"median minor faults per call: {faults}"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap lift targets glibc's malloc")
+def test_heap_lift_keeps_readout_calls_off_fresh_pages():
+    # The readout allocates its per-range temporaries and the bits of the
+    # whole session afresh in every call; without the lift a call at this
+    # shape faults about 1070 pages in again.
+    faults = _median_faults_in_fresh_process(_READOUT_FAULTS_SCRIPT)
+    assert faults < 100, f"median minor faults per call: {faults}"
 
 
 def test_run_suite_selection_by_length():

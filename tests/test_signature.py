@@ -193,8 +193,42 @@ def test_bracketed_resolve_equals_ndtr_threshold(trials, n):
         u[:, trial, :n] = kinds[(kind + trial) % k, index]
     want = (u[:, :, :n] < ndtr(x)[:, None, :] * 2.0**32).astype(np.uint8)
     out = np.empty((rows, trials, n), dtype=np.uint8)
-    signature._RangeBuffers(rows + 3, trials, n).resolve(x, u, out)
+    signature._resolve(x, u, out)
     assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("inside", [False, True])
+def test_resolve_evaluates_only_cells_with_a_bracketed_draw(inside, monkeypatch):
+    # one cell in the middle of each bucket, so its bucket is unambiguous;
+    # every draw lands inside its cell's bracket, or none does
+    edges = _grid_edges()
+    cells = np.concatenate([[-40.0], (edges[:-1] + edges[1:]) / 2, [40.0]])
+    lo = signature._LO32.astype(np.int64)
+    top = signature._HIM1.astype(np.int64) + 1
+    rng = np.random.default_rng(77 + inside)
+    trials, rows = 3, 2
+    if inside:
+        low, high = lo, top
+    else:
+        # below the bracket where it leaves room, else above it
+        low, high = np.where(lo > 0, 0, top), np.where(lo > 0, lo, 2**32)
+    draws = rng.integers(low, high, (trials, cells.size))
+    n = cells.size // rows
+    x = cells.reshape(rows, n)
+    u = rng.integers(0, 2**32, (rows, trials, 8 * -(-n // 8)), dtype=np.uint32)
+    u[:, :, :n] = draws.reshape(trials, rows, n).transpose(1, 0, 2)
+    want = (u[:, :, :n] < ndtr(x)[:, None, :] * 2.0**32).astype(np.uint8)
+    evaluated = []
+
+    def counted_ndtr(values, *args, **kwargs):
+        evaluated.append(values.size)
+        return ndtr(values, *args, **kwargs)
+
+    monkeypatch.setattr(signature, "ndtr", counted_ndtr)
+    out = np.empty((rows, trials, n), dtype=np.uint8)
+    signature._resolve(x, u, out)
+    assert np.array_equal(out, want)
+    assert sum(evaluated) == (cells.size if inside else 0)
 
 
 def test_noise_stream_is_the_row_slice():
