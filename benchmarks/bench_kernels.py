@@ -1,7 +1,8 @@
 """Best-of-three wall time of the three public kernels on random inputs
-(the pairwise kernel at --devices x --bits and at the paper-sim shape,
-10000 x 64), of the packed intra-HD path (`metrics.mean_intra_hd`) at a
-session shape, with and without a position mask, and of the randomness
+(the pairwise kernel at --devices x --bits, by default board-repeat's
+1000 x 1024, and at sim-population's paper-sim shape, 10000 x 64), of
+the packed intra-HD path (`metrics.mean_intra_hd`) at a session shape,
+with and without a position mask, and of the randomness
 battery: each test's batched core on an S x N block (shared intermediates
 built inside the timed call), `run_suite_block` on that block, and one
 single-sequence `run_suite` call; then the per-signature battery stage at
@@ -30,7 +31,7 @@ of the minor page faults (`ru_minflt`) each generated sequence and each
 `run_suite` call took. It runs alone so that the faults count the loop's
 own heap, not the one the other timings leave.
 
-Run:  python3 benchmarks/bench_kernels.py --devices 2000 --bits 1024
+Run:  python3 benchmarks/bench_kernels.py
       python3 benchmarks/bench_kernels.py --battery-loop 250 100000
       python3 benchmarks/bench_kernels.py --pipeline-rss tests/data/board-repeat.json 3
 """
@@ -150,7 +151,7 @@ def _pipeline_rss(config: str, k: int) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--devices", type=int, default=2000)
+    parser.add_argument("--devices", type=int, default=1000)
     parser.add_argument("--bits", type=int, default=1024)
     parser.add_argument("--matrices", type=int, default=20000)
     parser.add_argument("--blocks", type=int, default=50000)

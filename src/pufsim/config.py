@@ -27,7 +27,7 @@ from .population import (
     builtin_placement,
     derived_seed,
 )
-from .randomness import check_test_names
+from .randomness import check_alpha, check_test_names
 from .signature import check_mask_thresholds
 
 SCHEMA_VERSION = "1.0"
@@ -195,8 +195,7 @@ class ExperimentConfig:
             check_int(getattr(self, name), name, 1, error=InvalidSpecError)
         if self.randomness_mode not in ("per-signature", "concatenated"):
             raise InvalidSpecError(f"unknown randomness mode {self.randomness_mode!r}")
-        if not (0 < self.alpha < 1):
-            raise InvalidSpecError("alpha must be in (0, 1)")
+        _stage_bound("alpha", check_alpha, self.alpha)
         names = [s.name for s in self.sessions]
         if len(set(names)) != len(names):
             raise InvalidSpecError("session names must be unique")

@@ -6,12 +6,12 @@ transposed once to a word-major (words, devices) array, and distances are
 computed for one tile of _TILE_ROWS rows x _TILE_COLS columns at a time,
 only for columns at or right of the tile's first row. Per word, the tile
 takes an XOR into one reused uint64 buffer, a popcount, and an add into
-an accumulator of the smallest unsigned dtype that holds nbits. The
-accumulator is then histogrammed with bincount. A uint8 accumulator
-(nbits < 256) is read as uint16, two distances per element, into
-256 * (nbits + 1) bins that are folded back by summing both axes of the
-bin grid; this halves the bincount, the costliest step. The kernels stay
-serial: a second thread did not speed them up on a 2-vCPU host.
+distances of the smallest unsigned dtype that holds the sentinel nbits + 1,
+which marks the self-pairs and the pairs below the diagonal. Each tile is
+counted with np.add.at into one int64 accumulator per call, uint8
+distances two at a time through a uint16 view, which halves the count,
+the costliest step; the 65536 bins are folded once at the end. The kernels
+stay serial: a second thread did not speed them up on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -114,9 +114,9 @@ def pairwise_hd_stats(packed: np.ndarray, nbits: int) -> tuple[int, np.ndarray]:
     Returns (total, hist) with hist[h] = number of pairs at distance h
     and total = sum_h h * hist[h]. Rows are taken in tiles of _TILE_ROWS
     against the columns from the tile's first row on, _TILE_COLS at a
-    time; the leading square of each row tile counts every pair twice and
-    each row against itself once, so it is halved after its self-pairs
-    are dropped.
+    time. In the leading square of each row tile, each row against itself
+    and every pair below the diagonal get the sentinel distance nbits + 1,
+    so every pair is counted once; the sentinel's bin is dropped at the end.
     """
     packed = np.ascontiguousarray(packed, dtype=np.uint64)
     if packed.ndim != 2:
@@ -124,10 +124,12 @@ def pairwise_hd_stats(packed: np.ndarray, nbits: int) -> tuple[int, np.ndarray]:
     d, words = packed.shape
     cols = np.ascontiguousarray(packed.T)  # word-major: one row per word
     size = _TILE_ROWS * _TILE_COLS
+    sentinel = nbits + 1
+    pairs = sentinel < 256  # uint8 distances, counted two at a time as uint16
     xor = np.empty(size, dtype=np.uint64)
     ones = np.empty(size, dtype=np.uint8)  # popcounts of one word
-    acc = np.empty(size, dtype=np.min_scalar_type(nbits))  # distances
-    hist = np.zeros(nbits + 1, dtype=np.int64)
+    acc = np.empty(size + 1, dtype=np.min_scalar_type(sentinel))  # distances
+    counts = np.zeros(1 << 16 if pairs else sentinel + 1, dtype=np.int64)
     for i0 in range(0, d, _TILE_ROWS):
         r = min(_TILE_ROWS, d - i0)
         for j0 in range(i0, d, _TILE_COLS):
@@ -139,32 +141,16 @@ def pairwise_hd_stats(packed: np.ndarray, nbits: int) -> tuple[int, np.ndarray]:
                     np.add(tile, np.bitwise_count(x, out=pop), out=tile)
                 else:
                     np.bitwise_count(x, out=tile)
-            hist += _histogram(acc[:r * c], nbits)
             if j0 == i0:
-                # the leading square holds each pair twice and each row
-                # against itself once: drop the self-pairs and one copy
-                square = np.bincount(tile[:, :r].ravel(), minlength=nbits + 1)
-                square[0] -= r
-                hist -= square // 2
-                hist[0] -= r
+                tile[:, :r][np.tri(r, dtype=bool)] = sentinel  # the diagonal and below
+            m = r * c
+            acc[m] = sentinel  # an odd tail's partner in the uint16 view
+            np.add.at(counts, acc[:m + (m & 1)].view(np.uint16) if pairs else acc[:m], 1)
+    if pairs:  # pair (a, b) sits in bin a + 256 b, or b + 256 a by byte order
+        grid = counts.reshape(256, 256)
+        counts = grid.sum(axis=0) + grid.sum(axis=1)
+    hist = counts[:nbits + 1]
     return int(hist @ np.arange(nbits + 1)), hist
-
-
-def _histogram(dist: np.ndarray, nbits: int) -> np.ndarray:
-    """bincount of a contiguous 1-D distance array over 0..nbits. uint8
-    distances are read in adjacent pairs through a uint16 view, which
-    halves the bincount: pair (a, b) lands in bin a + 256 b (or b + 256 a,
-    by byte order), and summing the 256-wide bin grid along both axes
-    counts each element once."""
-    if dist.dtype != np.uint8:
-        return np.bincount(dist, minlength=nbits + 1)
-    even = dist.size & ~1
-    grid = np.bincount(dist[:even].view(np.uint16), minlength=256 * (nbits + 1))
-    grid = grid.reshape(nbits + 1, 256)
-    hist = grid.sum(axis=0)[:nbits + 1] + grid.sum(axis=1)
-    if even < dist.size:
-        hist[dist[-1]] += 1
-    return hist
 
 
 def gf2_rank32(rows: np.ndarray) -> np.ndarray:

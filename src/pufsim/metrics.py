@@ -23,6 +23,7 @@ Masked positions are zeroed in the packed words and excluded from n.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -131,38 +132,44 @@ def mean_intra_hd(sigs: SignatureSet, golden: GoldenSignature) -> float:
 
 
 def check_bucket_width(bucket_width: float) -> None:
-    if not (bucket_width > 0):
-        raise InvalidArgumentError("bucket width must be positive")
+    if not (0 < bucket_width < np.inf and 100 / bucket_width < np.inf):
+        raise InvalidArgumentError("bucket width and 100 / width must be positive and finite")
 
 
-def _bucket(percents, counts, bucket_width: float) -> dict:
-    """Nonzero count sums per percent bucket [k*w, (k+1)*w), keyed by
-    sorted bucket lower edge."""
-    check_bucket_width(bucket_width)
-    edges = np.floor(np.asarray(percents, dtype=np.float64) / bucket_width)
-    keys, inverse = np.unique(edges * bucket_width, return_inverse=True)
-    sums = np.zeros(keys.size, dtype=np.int64)
+def _bucket(edges, counts, bucket_width: float) -> dict:
+    """Nonzero count sums per bucket index k, keyed by sorted bucket lower
+    edge k * w."""
+    edges, inverse = np.unique(edges, return_inverse=True)
+    sums = np.zeros(edges.size, dtype=np.int64)
     np.add.at(sums, inverse, counts)
-    return {float(k): int(c) for k, c in zip(keys, sums) if c}
+    return {float(k) * bucket_width: int(c) for k, c in zip(edges.tolist(), sums) if c}
 
 
 def hd_histogram(pairwise_percents: Sequence[float], bucket_width: float = 1.0) -> dict:
     """Counts per percent bucket [k*w, (k+1)*w); keys are bucket lower
-    edges, values sum to the number of pairs.
+    edges, values sum to the number of pairs. A percent p is filed under
+    floor(p / w) in floating point.
 
     The pipeline builds its histogram from integer distance counts
     (`hd_histogram_from_counts`); this per-pair form stays as the
     reference those counts are tested against.
     """
-    return _bucket(pairwise_percents, 1, bucket_width)
+    check_bucket_width(bucket_width)
+    return _bucket(np.floor(np.asarray(pairwise_percents, dtype=np.float64)
+                            / bucket_width), 1, bucket_width)
 
 
 def hd_histogram_from_counts(
     raw_hist: np.ndarray, n_eff: int, bucket_width: float = 1.0
 ) -> dict:
     """Same histogram built from the integer-distance counts that
-    inter_hd_details returns (avoids materializing every pair)."""
-    return _bucket(100.0 * np.arange(len(raw_hist)) / n_eff, raw_hist, bucket_width)
+    inter_hd_details returns (avoids materializing every pair). Distance h
+    is filed under the largest k with k * w <= 100 h / n_eff, exactly, w
+    read as its decimal repr: 3 of 1000 bits lands in bucket 0.3 at w = 0.1."""
+    check_bucket_width(bucket_width)
+    w = Fraction(repr(float(bucket_width)))
+    edges = [100 * h * w.denominator // (n_eff * w.numerator) for h in range(len(raw_hist))]
+    return _bucket(edges, raw_hist, bucket_width)
 
 
 def robustness_sweep(

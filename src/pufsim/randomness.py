@@ -406,6 +406,11 @@ _CORES = {
 _BLOCK_BITS = 1 << 18
 
 
+def check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 1:
+        raise InvalidArgumentError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def check_test_names(tests: Sequence[str]) -> None:
     unknown = set(tests) - set(TEST_NAMES)
     if unknown:
@@ -459,6 +464,7 @@ def run_suite_block(
     Rows are processed in blocks of at most max(1, 2**18 // n) rows, so
     the shared intermediates stay bounded whatever the row count.
     """
+    check_alpha(alpha)
     bits = np.ascontiguousarray(kernels.check_bits(block, "sequence block"))
     if bits.ndim != 2:
         raise InvalidArgumentError("sequence block must be two-dimensional")
@@ -527,6 +533,7 @@ def aggregate_suite(results, alpha: float = ALPHA_DEFAULT) -> SuiteAggregate:
     For every test run on all sequences: k = number of sequences whose
     p-value is >= alpha, plus the uniformity of the p-values.
     """
+    check_alpha(alpha)
     if isinstance(results, SuiteTable):
         tests, p = results.tests, results.p_values
     else:

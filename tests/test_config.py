@@ -283,6 +283,9 @@ _CONFIG_FAULTS = {
     "outside-position": lambda data: {**data, "bias": {"positions": [[32, 0]], "offset": 0.1}},
     "float-position": lambda data: {**data, "bias": {"positions": [[0.5, 0]], "offset": 0.1}},
     "float-entry": lambda data: {**data, "bias": {"entries": [[0, 1.0, 0.1]]}},
+    # json.load reads Infinity; it would key the whole histogram "nan"
+    "infinite-bucket-width": lambda data: {**data, "histogram_bucket_percent": float("inf")},
+    "subnormal-bucket-width": lambda data: {**data, "histogram_bucket_percent": 1e-310},
 }
 
 

@@ -822,6 +822,17 @@ def test_cli_nist_fails_when_no_test_fits(tmp_path, capsys):
     assert not (out / "nist.csv").exists()
 
 
+@pytest.mark.parametrize("alpha", ["2", "nan", "0", "1"])
+def test_cli_nist_refuses_alpha_outside_the_unit_interval(tmp_path, capsys, alpha):
+    path = tmp_path / "seqs.txt"
+    path.write_text("0110" * 50 + "\n")
+    out = tmp_path / "out"
+    assert main(["nist", str(path), "--format", "ascii", "--alpha", alpha,
+                 "--out", str(out)]) == 1
+    assert "alpha must be in (0, 1)" in capsys.readouterr().err
+    assert not (out / "nist.csv").exists()
+
+
 @pytest.mark.parametrize("join", [[], ["--concatenate"]], ids=["", "concatenate"])
 @pytest.mark.parametrize("fmt, content", [("packed", b""), ("ascii", b"\n \n\n")],
                          ids=["packed", "ascii"])

@@ -79,16 +79,17 @@ def test_pack_pads_with_zeros():
 
 _ROWS, _COLS = kernels._TILE_ROWS, kernels._TILE_COLS
 # row counts on either side of every tile edge; lengths on either side of
-# a word and of the uint8/uint16 accumulator switch
+# a word and of the uint8/uint16 accumulator switch (254 is the last
+# length whose sentinel distance, n + 1, fits uint8)
 _SMALL_D = [0, 1, 2, _ROWS - 1, _ROWS, _ROWS + 1]
 _LARGE_D = [_COLS - 1, _COLS, _COLS + 1]
-_BITS = [1, 63, 64, 65, 255, 256, 1016, 5120]
+_BITS = [1, 63, 64, 65, 254, 255, 256, 1016, 5120]
 
 
 @pytest.mark.parametrize(
     "d,n",
     [(d, n) for d in _SMALL_D for n in _BITS]
-    + [(d, n) for d in _LARGE_D for n in _BITS[:6]]
+    + [(d, n) for d in _LARGE_D for n in _BITS[:7]]
     + [(7, 10), (12, 100), (9, 130), (3, 1), (256, 5), (257, 9), (600, 3)],
 )
 def test_pairwise_hd_matches_brute_force(d, n):

@@ -212,6 +212,23 @@ def test_hd_histogram_from_counts_equivalent():
     assert hd_histogram_from_counts(raw, 64, 2.0) == hd_histogram(pairs, 2.0)
 
 
+@pytest.mark.parametrize("width, per", [(0.1, 1), (0.2, 2), (0.5, 5), (1.0, 10)])
+def test_hd_histogram_from_counts_files_each_distance_exactly(width, per):
+    # one pair at each distance of 1000 bits: h is h / 10 percent, so
+    # bucket k = h // per holds exactly distances k * per .. k * per + per - 1;
+    # floor(0.3 / 0.1) is 2 in floating point, which put 0.3% under "0.2"
+    raw = np.ones(1001, dtype=np.int64)
+    want = {}
+    for h in range(1001):
+        key = float(h // per) * width
+        want[key] = want.get(key, 0) + 1
+    assert hd_histogram_from_counts(raw, 1000, width) == want
+    three = np.zeros(1001, dtype=np.int64)
+    three[3] = 1
+    key, = hd_histogram_from_counts(three, 1000, width)
+    assert f"{key:g}" == f"{3 // per * width:g}"
+
+
 # -- sweep and report ---------------------------------------------------------------
 
 def _flat_population(devices, cells, seed):

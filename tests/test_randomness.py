@@ -554,6 +554,14 @@ def test_aggregate_needs_two_sequences():
         aggregate_suite(_fake_results([0.5]))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, math.nan])
+def test_battery_refuses_alpha_outside_the_unit_interval(alpha):
+    with pytest.raises(InvalidArgumentError, match="alpha"):
+        run_suite_block(np.zeros((2, 128), dtype=np.uint8), alpha=alpha)
+    with pytest.raises(InvalidArgumentError, match="alpha"):
+        aggregate_suite(_fake_results([0.5, 0.2]), alpha=alpha)
+
+
 def test_uniformity_handles_p_equal_one():
     # exactly 1.0 lands in the top bin rather than an eleventh bin
     assert uniformity_p([0.95, 1.0] * 5) < 1.0
