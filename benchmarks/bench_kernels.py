@@ -5,7 +5,9 @@ the packed intra-HD path (`metrics.mean_intra_hd`) at a session shape,
 with and without a position mask, and of the randomness
 battery: each test's batched core on an S x N block (shared intermediates
 built inside the timed call), `run_suite_block` on that block, and one
-single-sequence `run_suite` call; then the per-signature battery stage at
+single-sequence `run_suite` call; each core and `run_suite_block` again
+on one row of paper-sim's concatenated stream, 10000 x 64 = 640 000
+bits, each with its tracemalloc peak; then the per-signature battery stage at
 board-repeat's shape, 1000 x 1016: `run_suite_block`, `aggregate_suite`
 on its table and `_write_nist_csv`. `--readout D T N` times
 `read_signatures` on a D-device, N-cell population of the paper-sim
@@ -44,6 +46,7 @@ import resource
 import statistics
 import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -61,17 +64,28 @@ from pufsim.signature import (
 
 PAPER_SIM_SHAPE = (10000, 64)  # devices, bits
 PER_SIGNATURE_SHAPE = (1000, 1016)  # board-repeat's masked golden: rows, bits
+CONCATENATED_BITS = 640_000  # paper-sim's concatenated stream, 10000 x 64
 READOUT_BER = 0.1  # inside the paper-sim sweep's 6-16% band
 STAGES = ("generate", "readout", "enroll", "mask", "metrics", "sweep", "randomness")
 
 
-def _time(label: str, fn, *args, repeat: int = 3) -> None:
+def _time(label: str, fn, *args, repeat: int = 3, peak: bool = False) -> None:
+    """Print fn's best wall time of `repeat` calls and, with peak, the
+    tracemalloc peak of one more call."""
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
         fn(*args)
         best = min(best, time.perf_counter() - t0)
-    print(f"{label:40s} {best*1e3:9.2f} ms")
+    line = f"{label:40s} {best*1e3:9.2f} ms"
+    if peak:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            line += f" {tracemalloc.get_traced_memory()[1] / 2**20:9.2f} MiB peak"
+        finally:
+            tracemalloc.stop()
+    print(line)
 
 
 def _time_readout(d: int, t: int, n: int, seed: int) -> None:
@@ -214,6 +228,12 @@ def main() -> None:
                   lambda c=core: c(randomness._Block(block), None, False))
     _time(f"run_suite_block {s}x{n}", randomness.run_suite_block, block)
     _time(f"run_suite 1x{n}", randomness.run_suite, block[0])
+    row = rng.integers(0, 2, size=(1, CONCATENATED_BITS), dtype=np.uint8)
+    for name, core in randomness._CORES.items():
+        _time(f"{name} core 1x{CONCATENATED_BITS}",
+              lambda c=core: c(randomness._Block(row), None, False), peak=True)
+    _time(f"run_suite_block 1x{CONCATENATED_BITS}", randomness.run_suite_block, row,
+          peak=True)
     s, n = PER_SIGNATURE_SHAPE
     block = rng.integers(0, 2, size=(s, n), dtype=np.uint8)
     table = randomness.run_suite_block(block)

@@ -148,15 +148,17 @@ def _bucket(edges, counts, bucket_width: float) -> dict:
 def hd_histogram(pairwise_percents: Sequence[float], bucket_width: float = 1.0) -> dict:
     """Counts per percent bucket [k*w, (k+1)*w); keys are bucket lower
     edges, values sum to the number of pairs. A percent p is filed under
-    floor(p / w) in floating point.
+    the largest k with k * w <= p, exactly, p and w read as their decimal
+    repr: 0.3% lands in bucket 0.3 at w = 0.1.
 
     The pipeline builds its histogram from integer distance counts
     (`hd_histogram_from_counts`); this per-pair form stays as the
     reference those counts are tested against.
     """
     check_bucket_width(bucket_width)
-    return _bucket(np.floor(np.asarray(pairwise_percents, dtype=np.float64)
-                            / bucket_width), 1, bucket_width)
+    w = Fraction(repr(float(bucket_width)))
+    return _bucket([Fraction(repr(float(p))) // w for p in pairwise_percents],
+                   1, bucket_width)
 
 
 def hd_histogram_from_counts(

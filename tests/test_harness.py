@@ -847,6 +847,26 @@ def test_cli_nist_fails_on_zero_sequences(tmp_path, capsys, fmt, content, join):
     assert not (out / "nist.csv").exists()
 
 
+def test_cli_nist_concatenate_of_a_long_stream(tmp_path, monkeypatch):
+    # the joined stream is longer than a battery block, so the battery
+    # builds its walk, longest-run blocks and spectrum from parts
+    from pufsim import randomness
+
+    bits = np.stack(list(unbiased_sequences(5, 64_000, 41)))
+    assert bits.size > randomness._BLOCK_BITS
+    path = tmp_path / "stream.bin"
+    path.write_bytes(np.packbits(bits, axis=1, bitorder="little").tobytes())
+    written = []
+    for block_bits in (randomness._BLOCK_BITS, bits.size):
+        monkeypatch.setattr(randomness, "_BLOCK_BITS", block_bits)
+        out = tmp_path / str(block_bits)
+        assert main(["nist", str(path), "--format", "packed", "--bits", "64000",
+                     "--concatenate", "--out", str(out)]) == 0
+        written.append((out / "nist.csv").read_bytes())
+    assert b",dft," in written[0]
+    assert written[0] == written[1]
+
+
 def test_cli_run_fails_when_no_test_fits(tmp_path, capsys):
     # the default config's per-signature sequences are at most 64 bits long
     from pufsim.config import save

@@ -201,15 +201,21 @@ def test_hd_histogram_buckets():
 
 
 def test_hd_histogram_from_counts_equivalent():
+    # at widths 0.1 and 0.2 a float floor(p / w) filed 0.3% under "0.2"
     rng = np.random.default_rng(6)
-    rows = rng.integers(0, 2, size=(12, 64), dtype=np.uint8)
-    percent, raw = inter_hd_details(rows)
-    pairs = [
-        100.0 * np.sum(rows[i] != rows[j]) / 64
-        for i in range(12)
-        for j in range(i + 1, 12)
-    ]
-    assert hd_histogram_from_counts(raw, 64, 2.0) == hd_histogram(pairs, 2.0)
+    for n, width in ((64, 2.0), (1000, 0.1), (1000, 0.2)):
+        rows = rng.integers(0, 2, size=(12, n), dtype=np.uint8)
+        rows[1] = rows[0]
+        rows[2] = rows[0]
+        rows[2, :3] ^= 1  # 3 bits from row 0: 0.3% of 1000 bits
+        percent, raw = inter_hd_details(rows)
+        pairs = [
+            100.0 * np.sum(rows[i] != rows[j]) / n
+            for i in range(12)
+            for j in range(i + 1, 12)
+        ]
+        assert hd_histogram_from_counts(raw, n, width) == hd_histogram(pairs, width), (
+            n, width)
 
 
 @pytest.mark.parametrize("width, per", [(0.1, 1), (0.2, 2), (0.5, 5), (1.0, 10)])

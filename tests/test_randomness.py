@@ -16,12 +16,14 @@ import platform
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import gammaincc
 
+from pufsim import randomness
 from pufsim.errors import InsufficientLengthError, InvalidArgumentError
 from pufsim.harness import unbiased_sequences
 from pufsim.randomness import (
@@ -408,6 +410,93 @@ def test_working_arrays_are_per_thread():
     assert not any(t.is_alive() for t in threads)
     for k, order in enumerate(orders):
         assert found[k] == [(i, serial[i]) for i in order]
+
+
+# Row lengths above 2**11 and 2**12 of different factorizations, with the
+# rows of each: at those blocks the sub-row count R and length M = n / R
+# take even and odd values (5012 and 4097 have odd M at 2**11, 6561 is odd
+# throughout), and M reaches the block itself at 12288.
+_LONG_ROWS = {640_000: 2, 1_000_000: 2, 531_441: 2, 12_288: 12, 6_561: 12,
+              5_012: 12, 4_097: 12}
+
+
+def _long_rows(n: int, count: int) -> np.ndarray:
+    return np.stack(list(unbiased_sequences(count, n, n)))
+
+
+def _recording(monkeypatch, name):
+    """Record what randomness.<name> returns, and the rows it was given."""
+    calls = []
+    core = getattr(randomness, name)
+
+    def recorded(bits, threshold):
+        calls.append((bits.shape, core(bits, threshold)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(randomness, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("block_bits", [2**11, 2**12])
+def test_long_rows_split_as_whole_rows(monkeypatch, block_bits):
+    # every test, cumulative sums and longest run included, gives a long
+    # row's p-value and statistic bit for bit as on the whole row
+    split = _recording(monkeypatch, "_decimated_count")
+    for n, count in _LONG_ROWS.items():
+        rows = _long_rows(n, count)
+        rows[0, : n // 8] = 1  # a walk that stays above 0 and ends at its top
+        monkeypatch.setattr(randomness, "_BLOCK_BITS", n)
+        whole = run_suite_block(rows)
+        monkeypatch.setattr(randomness, "_BLOCK_BITS", block_bits)
+        split.clear()
+        table = run_suite_block(rows)
+        assert _suite_bytes(table) == _suite_bytes(whole), n
+        assert {"cumulative-sums-forward", "cumulative-sums-backward",
+                "longest-run", "dft"} <= set(table.tests)
+        # the spectrum of every row came from its sub-rows
+        assert [got is not None for _, got in split] == [True] * count, n
+
+
+def test_long_row_near_the_threshold_falls_back_to_the_whole_row(monkeypatch):
+    rows = _long_rows(640_000, 1)
+    monkeypatch.setattr(randomness, "_BLOCK_BITS", rows.shape[1])
+    whole = run_suite_block(rows)
+    monkeypatch.undo()
+    # a margin of the whole threshold takes in every magnitude up to 2 T
+    monkeypatch.setattr(randomness, "_DFT_MARGIN", 1.0)
+    split = _recording(monkeypatch, "_decimated_count")
+    full = _recording(monkeypatch, "_whole_row_count")
+    assert _suite_bytes(run_suite_block(rows)) == _suite_bytes(whole)
+    assert [got for _, got in split] == [None]
+    assert [shape for shape, _ in full] == [(1, 640_000)]
+
+
+@pytest.mark.parametrize("block_bits", [2**11, randomness._BLOCK_BITS])
+def test_prime_long_row_keeps_the_whole_row(monkeypatch, block_bits):
+    n = next(p for p in itertools.count(block_bits + 1)
+             if all(p % d for d in range(2, math.isqrt(p) + 1)))
+    rows = _long_rows(n, 2)
+    monkeypatch.setattr(randomness, "_BLOCK_BITS", n)
+    whole = run_suite_block(rows)
+    monkeypatch.setattr(randomness, "_BLOCK_BITS", block_bits)
+    split = _recording(monkeypatch, "_decimated_count")
+    full = _recording(monkeypatch, "_whole_row_count")
+    assert _suite_bytes(run_suite_block(rows)) == _suite_bytes(whole)
+    assert [got for _, got in split] == [None, None]
+    assert [shape for shape, _ in full] == [(1, n), (1, n)]
+
+
+def test_long_row_battery_memory_is_block_bounded():
+    # one row of paper-sim's concatenated stream, 10000 x 64 bits; one
+    # whole-row rfft holds its float64 input and complex spectrum, 10.1 MiB
+    rows = _long_rows(640_000, 1)
+    tracemalloc.start()
+    try:
+        run_suite_block(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 _FAULTS_PER_CALL = """
