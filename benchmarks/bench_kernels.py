@@ -3,11 +3,13 @@
 1000 x 1024, and at sim-population's paper-sim shape, 10000 x 64), of
 the packed intra-HD path (`metrics.mean_intra_hd`) at a session shape,
 with and without a position mask, and of the randomness
-battery: each test's batched core on an S x N block (shared intermediates
-built inside the timed call), `run_suite_block` on that block, and one
+battery: each test's batched core on an S x N block, by default the
+battery workload's one 1e5-bit sequence (shared intermediates, the
+block's packing among them, built inside the timed call), and
+`run_suite_block` on that block, each with its tracemalloc peak, and one
 single-sequence `run_suite` call; each core and `run_suite_block` again
 on one row of paper-sim's concatenated stream, 10000 x 64 = 640 000
-bits, each with its tracemalloc peak; then the per-signature battery stage at
+bits, also with their peaks; then the per-signature battery stage at
 board-repeat's shape, 1000 x 1016: `run_suite_block`, `aggregate_suite`
 on its table and `_write_nist_csv`. `--readout D T N` times
 `read_signatures` on a D-device, N-cell population of the paper-sim
@@ -86,6 +88,17 @@ def _time(label: str, fn, *args, repeat: int = 3, peak: bool = False) -> None:
         finally:
             tracemalloc.stop()
     print(line)
+
+
+def _time_cores(block: np.ndarray) -> None:
+    """Time each battery core that fits the block's row length, and
+    run_suite_block, each with its tracemalloc peak."""
+    s, n = block.shape
+    for name, core in randomness._CORES.items():
+        if n >= randomness._MIN_LENGTH[name]:
+            _time(f"{name} core {s}x{n}",
+                  lambda c=core: c(randomness._Block(block), None, False), peak=True)
+    _time(f"run_suite_block {s}x{n}", randomness.run_suite_block, block, peak=True)
 
 
 def _time_readout(d: int, t: int, n: int, seed: int) -> None:
@@ -173,7 +186,7 @@ def main() -> None:
     parser.add_argument("--session", type=int, nargs=3, default=(1000, 5, 1024),
                         metavar=("D", "T", "N"),
                         help="intra-HD session shape: devices, trials, bits")
-    parser.add_argument("--battery", type=int, nargs=2, default=(4, 100_000),
+    parser.add_argument("--battery", type=int, nargs=2, default=(1, 100_000),
                         metavar=("S", "N"),
                         help="battery block shape: sequences, bits per sequence")
     parser.add_argument("--readout", type=int, nargs=3, default=(1000, 5, 1024),
@@ -222,18 +235,9 @@ def main() -> None:
           SignatureSet(sigs.bits, mask), golden)
     s, n = args.battery
     block = rng.integers(0, 2, size=(s, n), dtype=np.uint8)
-    for name, core in randomness._CORES.items():
-        if n >= randomness._MIN_LENGTH[name]:
-            _time(f"{name} core {s}x{n}",
-                  lambda c=core: c(randomness._Block(block), None, False))
-    _time(f"run_suite_block {s}x{n}", randomness.run_suite_block, block)
+    _time_cores(block)
     _time(f"run_suite 1x{n}", randomness.run_suite, block[0])
-    row = rng.integers(0, 2, size=(1, CONCATENATED_BITS), dtype=np.uint8)
-    for name, core in randomness._CORES.items():
-        _time(f"{name} core 1x{CONCATENATED_BITS}",
-              lambda c=core: c(randomness._Block(row), None, False), peak=True)
-    _time(f"run_suite_block 1x{CONCATENATED_BITS}", randomness.run_suite_block, row,
-          peak=True)
+    _time_cores(rng.integers(0, 2, size=(1, CONCATENATED_BITS), dtype=np.uint8))
     s, n = PER_SIGNATURE_SHAPE
     block = rng.integers(0, 2, size=(s, n), dtype=np.uint8)
     table = randomness.run_suite_block(block)

@@ -1,6 +1,12 @@
 """Hot numeric kernels in integer-only numpy (packed-bit Hamming distances,
 GF(2) matrix rank, longest-run extraction), and the bit, mask and integer checks.
 
+The rank kernel eliminates each pivot's lowest set bit from the rows below
+it. The longest-run kernel packs its blocks into 16-bit units and reads
+each unit's leading, trailing and inner run of ones from 65536-entry
+tables, derived on first use from the 256-entry tables of a byte; one
+running maximum joins the runs that cross units (see longest_one_run).
+
 The pairwise distance histogram is cache-tiled. The packed rows are
 transposed once to a word-major (words, devices) array, and distances are
 computed for one tile of _TILE_ROWS rows x _TILE_COLS columns at a time,
@@ -15,6 +21,8 @@ stay serial: a second thread did not speed them up on a 2-vCPU host.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -158,8 +166,9 @@ def gf2_rank32(rows: np.ndarray) -> np.ndarray:
 
     rows has shape (batch, 32); each uint32 or uint64 holds one 32-bit
     matrix row (bit k = column k). Rows are taken in turn as pivots, with
-    no swaps: a row's lowest set bit is eliminated from every other row
-    holding it, and the rank is the number of rows left nonzero.
+    no swaps: a row's lowest set bit is eliminated from every row below it
+    holding it. A row never changes after its turn as pivot, so the nonzero
+    rows left have distinct lowest set bits, and their count is the rank.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != 32:
@@ -167,27 +176,74 @@ def gf2_rank32(rows: np.ndarray) -> np.ndarray:
     dtype = np.uint32 if rows.dtype == np.uint32 else np.uint64
     # matrix index on the last axis: every row slice is contiguous
     m = np.array(rows.T, dtype=dtype, order="C")
-    for i in range(32):
-        pivot = m[i].copy()
-        low = pivot & -pivot  # lowest set bit; 0 for a zero row
-        m ^= pivot * ((m & low) != 0)
-        m[i] = pivot  # the pivot row cleared itself
+    for i in range(31):
+        pivot, below = m[i], m[i + 1:]
+        below ^= pivot * ((below & (pivot & -pivot)) != 0)  # 0 for a zero pivot
     return np.count_nonzero(m, axis=0)
 
 
+@lru_cache(maxsize=1)
+def _unit_tables() -> tuple:
+    """(lead, trail, inner) uint8 of each 16-bit unit value, bit 0 first:
+    its run of ones at the start, at the end, and its longest. They are
+    joined from a byte's on a (high byte, low byte) grid, on first use, so
+    a process that runs no battery does not hold them."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                         bitorder="little")
+    full = bits.all(axis=1)
+    lead8 = np.where(full, 8, bits.argmin(axis=1)).astype(np.uint8)
+    trail8 = np.where(full, 8, bits[:, ::-1].argmin(axis=1)).astype(np.uint8)
+    inner8 = run = np.zeros(256, np.uint8)
+    for column in bits.T:
+        run = (run + 1) * column
+        inner8 = np.maximum(inner8, run)
+    lead = np.where(full[None, :], 8 + lead8[:, None], lead8[None, :])
+    trail = np.where(full[:, None], 8 + trail8[None, :], trail8[:, None])
+    inner = np.maximum(np.maximum(inner8[None, :], inner8[:, None]),
+                       trail8[None, :] + lead8[:, None])
+    return tuple(read_only(t.ravel()) for t in (lead, trail, inner))
+
+
+_UNIT = 16  # bits per unit
+
+
 def longest_one_run(blocks: np.ndarray) -> np.ndarray:
-    """Longest run of ones in each row of a (blocks, block_len) 0/1 array."""
+    """Longest run of ones in each row of a (blocks, block_len) 0/1 array.
+
+    Each block is packed into 16-bit units closed by one zero unit, so no
+    run reaches the next block. A unit's lead, trail and inner runs come
+    from 65536-entry tables. The run that reaches the end of unit p started
+    after the last unit q <= p that is not all ones, so its length is
+    (p + 1) W - ((q + 1) W - trail_q), W = 16; (q + 1) W - trail_q rises
+    with q, as trail_q < W, so one running maximum carries it forward over
+    the all-ones units. A block's longest run is the largest of each unit's
+    inner run and the run reaching the unit before it joined to its lead.
+    """
     blocks = np.asarray(blocks, dtype=np.uint8)
     if blocks.ndim != 2:
         raise ValueError("blocks must be 2-D")
     n, m = blocks.shape
-    w = m + 1
-    # a zero column before each block, and one after the last, keeps every
-    # run inside its block; runs then alternate start and end edges
-    flat = np.zeros(n * w + 1, dtype=np.int8)
-    flat[:-1].reshape(n, w)[:, 1:] = blocks
-    edges = np.flatnonzero(flat[1:] != flat[:-1])
-    starts, ends = edges[0::2], edges[1::2]
-    best = np.zeros(n, dtype=np.int64)
-    np.maximum.at(best, starts // w, ends - starts)
-    return best
+    nbytes = -(-m // 8)
+    if m % 8:  # whole bytes per block, so one flat packing splits at block edges
+        blocks = np.concatenate([blocks, np.zeros((n, 8 * nbytes - m), np.uint8)], axis=1)
+    # packbits along short rows costs a call per row: pack the blocks as one run
+    packed = np.packbits(blocks.reshape(-1), bitorder="little").reshape(n, nbytes)
+    # the units of a block, and the zero unit closing a block of more than one
+    width = 1 if nbytes <= 2 else (nbytes + 1) // 2 + 1
+    units = np.zeros((n, width), "<u2")
+    units.view(np.uint8)[:, :nbytes] = packed
+    lead, trail, inner = _unit_tables()
+    if width == 1 or not n:  # one unit's inner run is its block's answer
+        return np.take(inner, units[:, 0]).astype(np.int64)
+    units = units.reshape(-1)
+    dtype = np.int32 if (units.size + 1) * _UNIT < 2**31 else np.int64
+    ends = np.arange(_UNIT, (units.size + 1) * _UNIT, _UNIT, dtype=dtype)
+    start = np.where(units == 0xFFFF, 0, ends - np.take(trail, units))
+    np.maximum.accumulate(start, out=start)
+    best = np.empty_like(start)
+    best[0] = 0
+    np.subtract(ends[:-1], start[:-1], out=best[1:])  # the run reaching unit p - 1
+    best += np.take(lead, units)
+    np.maximum(best, np.take(inner, units), out=best)
+    # a reduceat over the blocks' units beats a max along a short axis
+    return np.maximum.reduceat(best, np.arange(0, best.size, width)).astype(np.int64)

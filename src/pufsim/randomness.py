@@ -32,21 +32,35 @@ each public `*_test(seq)` is run_suite on its one test. The aggregate,
 `nist.csv` and `pufsim nist` read the table's columns. Intermediates the
 tests share are built once per block:
 
-* the +-1 walk S_1..S_n, built _BLOCK_BITS bits at a time as int32
-  partial sums on an int64 offset and reduced at once to S_n and the
-  extremes of S_1..S_{n-1}. Frequency and runs read S_n = 2 * ones - n;
-  the forward cumulative-sums statistic is max |S_k|;
+* one packing of the rows: bit k of a row is bit k % 8 of its byte
+  k // 8, zero-padded to whole 64-bit words. Every core but the spectrum
+  and longest run reads it, through 256-entry tables of a byte's walk and
+  neighbour pairs, or as words; the longest-run kernel packs its blocks
+  itself;
+* the +-1 walk's S_n and the extremes of S_1..S_n, from a byte's net step
+  and its highest and lowest point, and one cumsum of the net steps over
+  bytes, _BLOCK_BITS / 8 bytes at a time, as int32 sums on an int64
+  offset. Frequency and runs read S_n = 2 * ones - n; the forward
+  cumulative-sums statistic is max |S_k|;
 * the backward cumulative-sums statistic comes from the same walk: the
   reversed sequence's partial sums are S_n - S_j for j = 0..n-1, with
   S_0 = 0, so z = max(S_n - min(0, S_1..S_{n-1}),
-  max(0, S_1..S_{n-1}) - S_n). A cumulative-sums p-value depends only on
-  (n, z) and is cached by that pair.
+  max(0, S_1..S_{n-1}) - S_n). Taking S_n into the extremes changes
+  neither z: it is a term of the forward maximum already, and on the
+  backward side it adds only the candidate S_n - S_n = 0, while z is at
+  least |S_n|. A cumulative-sums p-value depends only on (n, z) and
+  is cached by that pair;
+* the runs test's count of differing neighbours, from a table of the
+  seven pairs inside each byte and one compare per byte boundary; the
+  block-frequency test's ones per block, from the words' popcounts summed
+  between block edges and the bits of an edge's word below it.
 
 Working arrays are allocated per block. A block of rows of at most
 _BLOCK_BITS bits takes one rfft of each whole row, and the magnitudes
 are written over the spent +-1 input. A row longer than _BLOCK_BITS (only
 concatenated mode and `pufsim nist --concatenate` make one) is a block of
-its own, and no array of it is whole-length but the spectra below: its
+its own, and no array of it is whole-length but its packing and the runs
+count's per-byte temporaries (n / 8 bytes each) and the spectra below: its
 walk and its longest-run blocks are built _BLOCK_BITS bits at a time, and
 its spectrum comes from R interleaved sub-rows of M = n / R <= _BLOCK_BITS
 points, one rfft each, joined by a decimation in time (_decimated_count).
@@ -165,34 +179,99 @@ np.empty(16 << 17, dtype=np.uint8)
 
 class _Block:
     """A (sequences, n) 0/1 block and the intermediates its tests share,
-    each built on first use."""
+    each built on first use. The counting cores read the rows' one packing,
+    `packed`, through per-byte tables or as 64-bit words; only the spectrum
+    and the longest-run kernel's input read the 0/1 bits."""
 
     def __init__(self, bits: np.ndarray):
         self.bits = bits
         self.rows, self.n = bits.shape
 
     @cached_property
+    def packed(self) -> np.ndarray:
+        """(rows, 8 ceil(n / 64)) uint8: bit k of a row is bit k % 8 of its
+        byte k // 8, zero-padded to whole 64-bit words for block_ones."""
+        return kernels.pack_bits(self.bits).view(np.uint8)
+
+    @cached_property
     def walk_range(self) -> tuple:
-        """(min(0, S_1..S_{n-1}), max(0, S_1..S_{n-1}), S_n) per row of
-        the +-1 walk S_1..S_n, as int64. The walk is built _BLOCK_BITS
-        bits at a time, as int32 partial sums on an int64 offset, and is
-        not kept, so it is freed before the spectrum's arrays are
-        allocated."""
+        """(min(0, S_1..S_n), max(0, S_1..S_n), S_n) per row of the +-1
+        walk S_1..S_n, as int64. The extremes take in S_n, which changes
+        neither cumulative-sums z (see the module docstring). Byte j's
+        extremes are the walk at its end, E_j, plus the table's rise or
+        dip for its value, and E comes from one cumsum of the bytes' net
+        steps. The bytes are read _BLOCK_BITS / 8 at a time, as int32 sums
+        on an int64 offset, and the n % 8 bits of a padded last byte one
+        by one. No array of the walk is kept."""
         lo, hi, s = (np.zeros(self.rows, np.int64) for _ in range(3))
-        buf = np.empty((self.rows, min(self.n, _BLOCK_BITS)), np.int32)
-        for c0 in range(0, self.n, _BLOCK_BITS):
-            chunk = self.bits[:, c0 : c0 + _BLOCK_BITS]
-            walk = buf[:, : chunk.shape[1]]
-            np.multiply(chunk, 2, out=walk)
-            walk -= 1
-            np.cumsum(walk, axis=1, out=walk)
-            # initial=0 adds S_{c0} (0 in the first part), a value of the walk
-            # already, and keeps the empty head of n = 1 valid
-            head = walk[:, :-1] if c0 + _BLOCK_BITS >= self.n else walk
-            np.minimum(lo, s + head.min(axis=1, initial=0), out=lo)
-            np.maximum(hi, s + head.max(axis=1, initial=0), out=hi)
-            s += walk[:, -1]
+        net, rise, dip, _ = _byte_tables()
+        whole = self.n // 8
+        part = max(1, _BLOCK_BITS // 8)
+        for c0 in range(0, whole, part):
+            v = self.packed[:, c0 : min(c0 + part, whole)]
+            end = np.cumsum(np.take(net, v), axis=1, dtype=np.int32)
+            np.maximum(hi, s + np.add(end, np.take(rise, v)).max(axis=1), out=hi)
+            np.minimum(lo, s + np.add(end, np.take(dip, v)).min(axis=1), out=lo)
+            s += end[:, -1]
+        if self.n % 8:
+            steps = self.bits[:, 8 * whole :].astype(np.int64) * 2 - 1
+            tail = np.cumsum(steps, axis=1) + s[:, None]
+            np.maximum(hi, tail.max(axis=1), out=hi)
+            np.minimum(lo, tail.min(axis=1), out=lo)
+            s = tail[:, -1]
         return lo, hi, s
+
+    @cached_property
+    def transitions(self) -> np.ndarray:
+        """Per row, the number of k in 1..n-1 where bit k differs from bit
+        k + 1: the seven pairs inside each byte from a table, the pair
+        across each byte boundary from one compare."""
+        v = self.packed[:, : -(-self.n // 8)]
+        count = np.take(_byte_tables()[3], v).sum(axis=1, dtype=np.int64)
+        count += np.count_nonzero((v[:, :-1] >> 7) != (v[:, 1:] & 1), axis=1)
+        r = self.n % 8
+        if r:  # the last bit against the zero padding above it
+            count -= (v[:, -1] >> (r - 1)) & 1
+        return count
+
+    def block_ones(self, m: int) -> np.ndarray:
+        """(rows, n // m) int64: the ones in each whole m-bit block. Block k
+        covers bits e_k .. e_{k+1} - 1, e_k = k m: the popcounts of 64-bit
+        words e_k // 64 .. e_{k+1} // 64 - 1, less the bits of word
+        e_k // 64 below e_k, plus those of word e_{k+1} // 64 below e_{k+1}."""
+        words = self.packed.view("<u8")
+        edges = np.arange(self.n // m + 1) * m
+        whole, r = edges >> 6, edges & 63
+        counts = np.zeros((self.rows, words.shape[1] + 1), np.uint8)
+        np.bitwise_count(words, out=counts[:, :-1])
+        ones = np.add.reduceat(counts, whole, axis=1, dtype=np.int64)[:, :-1]
+        ones[:, whole[1:] == whole[:-1]] = 0  # reduceat's value for an empty range
+        # an edge at bit n of a whole last word reads no word: its mask is 0
+        inside = np.take(words, np.minimum(whole, words.shape[1] - 1), axis=1)
+        below = np.bitwise_count(inside & _LOW[r])
+        ones += below[:, 1:]
+        ones -= below[:, :-1]
+        return ones
+
+
+@lru_cache(maxsize=1)
+def _byte_tables() -> tuple:
+    """(net, rise, dip, flips) per byte value, bit k of a byte being step
+    k + 1 of its walk: the net step, the walk's highest and lowest point
+    within the byte less its net (so byte j's extremes are E_j plus these,
+    E_j the walk at its end), and the differing neighbour pairs among its
+    eight bits. Built on first use, like the longest-run kernel's tables."""
+    every = np.arange(256, dtype=np.uint8)
+    bits = np.unpackbits(every[:, None], axis=1, bitorder="little").astype(np.int8)
+    steps = np.cumsum(bits * 2 - 1, axis=1, dtype=np.int8)
+    net = steps[:, -1]
+    flips = np.bitwise_count((every ^ (every >> 1)) & 0x7F)
+    return tuple(kernels.read_only(t) for t in
+                 (net, steps.max(axis=1) - net, steps.min(axis=1) - net, flips))
+
+
+# the masks of a 64-bit word's low r bits, r = 0..63
+_LOW = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +300,7 @@ def _block_frequency(blk: _Block, block_size: Optional[int],
     nblocks = blk.n // m
     if nblocks < 1:
         raise InvalidArgumentError("block size exceeds sequence length")
-    pi = blk.bits[:, : nblocks * m].reshape(blk.rows, nblocks, m).mean(axis=2)
+    pi = blk.block_ones(m) / m
     chi2 = 4.0 * m * np.sum((pi - 0.5) ** 2, axis=1)
     return gammaincc(nblocks / 2.0, chi2 / 2.0), chi2
 
@@ -257,7 +336,7 @@ def _cusum_p(n: int, z: int) -> float:
 def _cumulative_sums(blk: _Block, mode: str) -> tuple:
     lo, hi, sn = blk.walk_range
     if mode == "forward":
-        z = np.maximum(np.maximum(hi, sn), -np.minimum(lo, sn))
+        z = np.maximum(hi, -lo)
     else:
         # the backward walk's partial sums are S_n - S_j for j = 0..n-1
         z = np.maximum(sn - lo, hi - sn)
@@ -285,8 +364,7 @@ def _runs(blk: _Block) -> tuple:
     p = np.zeros(blk.rows)
     v = np.full(blk.rows, np.nan)
     if ok.any():
-        bits = blk.bits[ok]
-        vk = np.count_nonzero(bits[:, 1:] != bits[:, :-1], axis=1) + 1
+        vk = blk.transitions[ok] + 1
         pk = pi[ok]
         p[ok] = erfc(np.abs(vk - 2.0 * n * pk * (1 - pk))
                      / (2.0 * math.sqrt(2.0 * n) * pk * (1 - pk)))
@@ -379,10 +457,9 @@ def _rank(blk: _Block) -> tuple:
     nmat = blk.n // 1024
     if nmat < 1:
         raise InsufficientLengthError("rank needs at least one 32x32 matrix")
-    mats = blk.bits[:, : nmat * 1024].reshape(blk.rows * nmat, 32, 32)
-    packed8 = np.packbits(mats, axis=-1, bitorder="little")  # (.., 32, 4)
-    rows = np.ascontiguousarray(packed8).view(np.uint32)[..., 0]
-    ranks = kernels.gf2_rank32(rows).reshape(blk.rows, nmat)
+    # each 32-bit matrix row is four packed bytes, read as one little-endian word
+    rows = np.ascontiguousarray(blk.packed[:, : nmat * 128]).view("<u4")
+    ranks = kernels.gf2_rank32(rows.reshape(-1, 32)).reshape(blk.rows, nmat)
     # classes: 0 = rank 32, 1 = rank 31, 2 = rank <= 30
     counts = _class_counts(np.minimum(32 - ranks, 2), 3)
     expected = nmat * np.array(_rank_class_probs())
@@ -508,9 +585,9 @@ _CORES = {
     "dft": lambda blk, m, fx: _dft(blk),
 }
 
-# bits per block of rows, and the most bits one working array of the walk,
-# the longest-run kernel or an rfft takes at a time; a longer row is built
-# from parts of at most this many bits (see the module docstring)
+# bits per block of rows, and the most bits the walk (as bytes), the
+# longest-run kernel or an rfft takes at a time; a longer row is built from
+# parts of at most this many bits (see the module docstring)
 _BLOCK_BITS = 1 << 18
 
 # a long row whose spectrum has a magnitude within _DFT_MARGIN * T of the
