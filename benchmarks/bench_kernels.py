@@ -22,27 +22,19 @@ pages of the (D, T, N) output array that a call may fault in, and times
 (10000 x 64, pure local) and at the board-repeat shape (the d2 preset at
 1000 x 1024, weights (0, 0.3, sqrt(0.91))).
 
-`--pipeline-rss CONFIG K` runs only `pufsim run --config CONFIG` K times
-in one process and prints, after each run, the process's peak RSS, the
-per-stage wall times from the manifest and the peak RSS (`ru_maxrss`)
-when each stage returned, read by wrapping the `harness.*_stage`
-functions, so the stage that sets the peak shows.
-
 `--battery-loop S N` runs only the criterion-8 loop instead: S N-bit
 `unbiased_sequences`, each through one `run_suite` call, and prints the
 generation ms per sequence, the `run_suite` ms per call and the medians
 of the minor page faults (`ru_minflt`) each generated sequence and each
 `run_suite` call took. It runs alone so that the faults count the loop's
-own heap, not the one the other timings leave.
+own heap, not the one the other timings leave. The wall time and peak RSS
+of `pufsim run` are measured by benchmarks/bench_pipeline.py.
 
 Run:  python3 benchmarks/bench_kernels.py
       python3 benchmarks/bench_kernels.py --battery-loop 250 100000
-      python3 benchmarks/bench_kernels.py --pipeline-rss tests/data/board-repeat.json 3
 """
 
 import argparse
-import contextlib
-import io
 import os
 import resource
 import statistics
@@ -53,10 +45,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from pufsim import cli, harness, kernels, randomness
+from pufsim import kernels, randomness
 from pufsim.config import preset
 from pufsim.entropy import EnvironmentCondition
-from pufsim.harness import _write_nist_csv, load_manifest, unbiased_sequences
+from pufsim.harness import _write_nist_csv, unbiased_sequences
 from pufsim.metrics import mean_intra_hd
 from pufsim.population import generate_population
 from pufsim.signature import (
@@ -68,7 +60,6 @@ PAPER_SIM_SHAPE = (10000, 64)  # devices, bits
 PER_SIGNATURE_SHAPE = (1000, 1016)  # board-repeat's masked golden: rows, bits
 CONCATENATED_BITS = 640_000  # paper-sim's concatenated stream, 10000 x 64
 READOUT_BER = 0.1  # inside the paper-sim sweep's 6-16% band
-STAGES = ("generate", "readout", "enroll", "mask", "metrics", "sweep", "randomness")
 
 
 def _time(label: str, fn, *args, repeat: int = 3, peak: bool = False) -> None:
@@ -147,35 +138,6 @@ def _battery_loop(s: int, n: int, seed: int) -> None:
           f"{statistics.median(suite_faults):9.0f} (median of {s})")
 
 
-def _pipeline_rss(config: str, k: int) -> None:
-    after = {}  # ru_maxrss in MiB when each stage of the current run returned
-
-    def recorded(name, stage):
-        def wrapped(*args, **kw):
-            result = stage(*args, **kw)
-            after[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-            return result
-        return wrapped
-
-    for name in STAGES:
-        attr = f"{name}_stage"
-        setattr(harness, attr, recorded(name, getattr(harness, attr)))
-    for run in range(1, k + 1):
-        after.clear()
-        with tempfile.TemporaryDirectory() as tmp:
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["run", "--config", config, "--out", tmp])
-            if code != 0:
-                raise SystemExit(f"pufsim run exited {code}")
-            timings = load_manifest(os.path.join(tmp, "manifest.json"))["timings"]
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        stages = " ".join(f"{name} {timings[name] * 1e3:.1f}"
-                          for name in STAGES if name in timings)
-        rss = " ".join(f"{name} {after[name]:.1f}" for name in STAGES if name in after)
-        print(f"run {run}: peak RSS {peak:7.2f} MiB; stage ms: {stages}; "
-              f"peak RSS MiB after: {rss}")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--devices", type=int, default=1000)
@@ -195,17 +157,11 @@ def main() -> None:
     parser.add_argument("--battery-loop", type=int, nargs=2, metavar=("S", "N"),
                         help="time only the generator loop of S N-bit sequences "
                              "through run_suite")
-    parser.add_argument("--pipeline-rss", nargs=2, metavar=("CONFIG", "K"),
-                        help="run only `pufsim run --config CONFIG` K times and "
-                             "print the peak RSS and stage times after each")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     if args.battery_loop:
         _battery_loop(*args.battery_loop, args.seed)
-        return
-    if args.pipeline_rss:
-        _pipeline_rss(args.pipeline_rss[0], int(args.pipeline_rss[1]))
         return
 
     for name, d in (("paper-sim", 10000), ("d2", 1000)):
@@ -222,8 +178,8 @@ def main() -> None:
     rows = rng.integers(0, 1 << 32, size=(args.matrices, 32), dtype=np.uint64)
     _time(f"gf2-rank32 {args.matrices} mats", kernels.gf2_rank32, rows)
     blocks = rng.integers(0, 2, size=(args.blocks, args.block_size), dtype=np.uint8)
-    _time(f"longest-run {args.blocks}x{args.block_size}",
-          kernels.longest_one_run, blocks)
+    _time(f"longest-run {args.blocks}x{args.block_size}", kernels.longest_one_run,
+          np.packbits(blocks, axis=1, bitorder="little"))
     d, t, n = args.session
     sigs = SignatureSet(rng.integers(0, 2, size=(d, t, n), dtype=np.uint8))
     golden = enroll_golden(SignatureSet(sigs.bits[:, :1, :]))

@@ -2,7 +2,7 @@
 GF(2) matrix rank, longest-run extraction), and the bit, mask and integer checks.
 
 The rank kernel eliminates each pivot's lowest set bit from the rows below
-it. The longest-run kernel packs its blocks into 16-bit units and reads
+it. The longest-run kernel reads packed blocks as 16-bit units and takes
 each unit's leading, trailing and inner run of ones from 65536-entry
 tables, derived on first use from the 256-entry tables of a byte; one
 running maximum joins the runs that cross units (see longest_one_run).
@@ -207,11 +207,13 @@ def _unit_tables() -> tuple:
 _UNIT = 16  # bits per unit
 
 
-def longest_one_run(blocks: np.ndarray) -> np.ndarray:
-    """Longest run of ones in each row of a (blocks, block_len) 0/1 array.
+def longest_one_run(packed: np.ndarray) -> np.ndarray:
+    """Longest run of ones in each block of a (blocks, bytes) uint8 array,
+    bit k of a block at bit k % 8 of its byte k // 8 (pack_bits' order),
+    with zero bits past each block's end.
 
-    Each block is packed into 16-bit units closed by one zero unit, so no
-    run reaches the next block. A unit's lead, trail and inner runs come
+    Each block is read as 16-bit units closed by one zero unit, so no run
+    reaches the next block. A unit's lead, trail and inner runs come
     from 65536-entry tables. The run that reaches the end of unit p started
     after the last unit q <= p that is not all ones, so its length is
     (p + 1) W - ((q + 1) W - trail_q), W = 16; (q + 1) W - trail_q rises
@@ -219,15 +221,10 @@ def longest_one_run(blocks: np.ndarray) -> np.ndarray:
     the all-ones units. A block's longest run is the largest of each unit's
     inner run and the run reaching the unit before it joined to its lead.
     """
-    blocks = np.asarray(blocks, dtype=np.uint8)
-    if blocks.ndim != 2:
-        raise ValueError("blocks must be 2-D")
-    n, m = blocks.shape
-    nbytes = -(-m // 8)
-    if m % 8:  # whole bytes per block, so one flat packing splits at block edges
-        blocks = np.concatenate([blocks, np.zeros((n, 8 * nbytes - m), np.uint8)], axis=1)
-    # packbits along short rows costs a call per row: pack the blocks as one run
-    packed = np.packbits(blocks.reshape(-1), bitorder="little").reshape(n, nbytes)
+    packed = np.asarray(packed)
+    if packed.ndim != 2 or packed.dtype != np.uint8:
+        raise ValueError("packed blocks must be a 2-D uint8 array")
+    n, nbytes = packed.shape
     # the units of a block, and the zero unit closing a block of more than one
     width = 1 if nbytes <= 2 else (nbytes + 1) // 2 + 1
     units = np.zeros((n, width), "<u2")

@@ -34,14 +34,13 @@ tests share are built once per block:
 
 * one packing of the rows: bit k of a row is bit k % 8 of its byte
   k // 8, zero-padded to whole 64-bit words. Every core but the spectrum
-  and longest run reads it, through 256-entry tables of a byte's walk and
-  neighbour pairs, or as words; the longest-run kernel packs its blocks
-  itself;
+  reads it: through 256-entry tables of a byte's walk and neighbour pairs,
+  as words, or, for longest run, as one row of bytes per block;
 * the +-1 walk's S_n and the extremes of S_1..S_n, from a byte's net step
   and its highest and lowest point, and one cumsum of the net steps over
-  bytes, _BLOCK_BITS / 8 bytes at a time, as int32 sums on an int64
-  offset. Frequency and runs read S_n = 2 * ones - n; the forward
-  cumulative-sums statistic is max |S_k|;
+  bytes. Frequency and runs read S_n = 2 * ones - n, the runs
+  prerequisite in integers; the forward cumulative-sums statistic is
+  max |S_k|;
 * the backward cumulative-sums statistic comes from the same walk: the
   reversed sequence's partial sums are S_n - S_j for j = 0..n-1, with
   S_0 = 0, so z = max(S_n - min(0, S_1..S_{n-1}),
@@ -55,24 +54,18 @@ tests share are built once per block:
   block-frequency test's ones per block, from the words' popcounts summed
   between block edges and the bits of an edge's word below it.
 
-Working arrays are allocated per block. A block of rows of at most
-_BLOCK_BITS bits takes one rfft of each whole row, and the magnitudes
-are written over the spent +-1 input. A row longer than _BLOCK_BITS (only
-concatenated mode and `pufsim nist --concatenate` make one) is a block of
-its own, and no array of it is whole-length but its packing and the runs
-count's per-byte temporaries (n / 8 bytes each) and the spectra below: its
-walk and its longest-run blocks are built _BLOCK_BITS bits at a time, and
-its spectrum comes from R interleaved sub-rows of M = n / R <= _BLOCK_BITS
-points, one rfft each, joined by a decimation in time (_decimated_count).
-Those sub-row spectra take 8 bytes per bit, half of what the whole-row
-rfft's input and spectrum take: at 640 000 bits the spectral core's
-tracemalloc peak is 6.2 MiB, against 10.1 MiB. The count is exact by a
-guard. The two transforms' magnitudes differ by float64 rounding, about
-1e-12 at 640 000 bits; where any magnitude lies within
-delta = _DFT_MARGIN * T of the threshold T (about 1.3e-6 there), the row
-falls back to the whole-row rfft, as does a length with no divisor R
-where n / R <= _BLOCK_BITS and R <= n / R (a prime, say). So n1, the
-test's only input to its statistic, is the whole-row rfft's.
+Working arrays are allocated per block. The packed cores' temporaries
+take a few bytes per packed byte, about 1 MiB at 640 000 bits, so only
+the spectral test works in parts. A block of rows of at most _BLOCK_BITS
+bits takes one rfft of each whole row, its magnitudes written over the
+spent +-1 input. A longer row (only concatenated mode and `pufsim nist
+--concatenate` make one) is a block of its own, whose spectrum comes from
+R interleaved sub-rows of M = n / R <= _BLOCK_BITS points joined by a
+decimation in time (_decimated_count): 6.2 MiB of tracemalloc peak at
+640 000 bits, against 10.1 MiB for the whole-row rfft. The two differ by
+float64 rounding, about 1e-12 there, so where a magnitude lies within
+_DFT_MARGIN * T of the threshold T, or n has no such R (a prime, say),
+the row falls back to the whole-row rfft, whose count n1 always is.
 Importing this module lifts glibc's heap-trim bound once (see the
 statement before _Block), so a sequence-at-a-time battery reuses the
 same heap pages for those arrays and for the scratch numpy's rfft
@@ -180,8 +173,7 @@ np.empty(16 << 17, dtype=np.uint8)
 class _Block:
     """A (sequences, n) 0/1 block and the intermediates its tests share,
     each built on first use. The counting cores read the rows' one packing,
-    `packed`, through per-byte tables or as 64-bit words; only the spectrum
-    and the longest-run kernel's input read the 0/1 bits."""
+    `packed`; only the spectrum reads the 0/1 bits."""
 
     def __init__(self, bits: np.ndarray):
         self.bits = bits
@@ -199,23 +191,20 @@ class _Block:
         walk S_1..S_n, as int64. The extremes take in S_n, which changes
         neither cumulative-sums z (see the module docstring). Byte j's
         extremes are the walk at its end, E_j, plus the table's rise or
-        dip for its value, and E comes from one cumsum of the bytes' net
-        steps. The bytes are read _BLOCK_BITS / 8 at a time, as int32 sums
-        on an int64 offset, and the n % 8 bits of a padded last byte one
-        by one. No array of the walk is kept."""
-        lo, hi, s = (np.zeros(self.rows, np.int64) for _ in range(3))
+        dip for its value, and E comes from one cumsum of the whole bytes'
+        net steps, in int32 where n < 2**31; the n % 8 bits of a padded
+        last byte are stepped one by one. No array of the walk is kept."""
         net, rise, dip, _ = _byte_tables()
-        whole = self.n // 8
-        part = max(1, _BLOCK_BITS // 8)
-        for c0 in range(0, whole, part):
-            v = self.packed[:, c0 : min(c0 + part, whole)]
-            end = np.cumsum(np.take(net, v), axis=1, dtype=np.int32)
-            np.maximum(hi, s + np.add(end, np.take(rise, v)).max(axis=1), out=hi)
-            np.minimum(lo, s + np.add(end, np.take(dip, v)).min(axis=1), out=lo)
-            s += end[:, -1]
-        if self.n % 8:
-            steps = self.bits[:, 8 * whole :].astype(np.int64) * 2 - 1
-            tail = np.cumsum(steps, axis=1) + s[:, None]
+        whole, r = divmod(self.n, 8)
+        v = self.packed[:, :whole]
+        end = np.zeros((self.rows, whole + 1), np.int32 if self.n < 2**31 else np.int64)
+        np.cumsum(np.take(net, v), axis=1, dtype=end.dtype, out=end[:, 1:])
+        hi = np.add(end[:, 1:], np.take(rise, v)).max(axis=1, initial=0).astype(np.int64)
+        lo = np.add(end[:, 1:], np.take(dip, v)).min(axis=1, initial=0).astype(np.int64)
+        s = end[:, -1].astype(np.int64)
+        if r:
+            bits = self.packed[:, whole, None] >> np.arange(r, dtype=np.uint8) & 1
+            tail = np.cumsum(bits * np.int64(2) - 1, axis=1) + s[:, None]
             np.maximum(hi, tail.max(axis=1), out=hi)
             np.minimum(lo, tail.min(axis=1), out=lo)
             s = tail[:, -1]
@@ -356,11 +345,13 @@ def cumulative_sums_test(
 
 
 def _runs(blk: _Block) -> tuple:
-    n = blk.n
-    pi = (blk.walk_range[2] + n) // 2 / n
-    # rows failing the prerequisite frequency condition score p = 0; below
-    # 16 bits the bound exceeds 1/2, and a constant row fails it too
-    ok = np.abs(pi - 0.5) < min(2.0 / math.sqrt(n), 0.5)
+    n, s = blk.n, blk.walk_range[2]
+    pi = (s + n) // 2 / n
+    # rows failing the prerequisite |pi - 1/2| < min(2 / sqrt(n), 1/2) score
+    # p = 0, decided in integers: with pi - 1/2 = S_n / 2n it is S_n**2 < 16 n,
+    # and below 16 bits, where the bound is 1/2, |S_n| < n (a constant row
+    # fails it); each clause implies the other where it does not bind
+    ok = (s * s < 16 * n) & (np.abs(s) < n)
     p = np.zeros(blk.rows)
     v = np.full(blk.rows, np.nan)
     if ok.any():
@@ -420,12 +411,9 @@ def _longest_run(blk: _Block) -> tuple:
         raise InsufficientLengthError("longest-run needs at least 128 bits")
     m, lo, hi = _longest_run_tier(blk.n)
     nblocks = blk.n // m
-    blocks = blk.bits[:, : nblocks * m].reshape(blk.rows * nblocks, m)
-    # the kernel's temporaries take _BLOCK_BITS bits of blocks at a time
-    step = max(1, _BLOCK_BITS // m)
-    runs = np.concatenate([kernels.longest_one_run(blocks[i : i + step])
-                           for i in range(0, len(blocks), step)])
-    runs = runs.reshape(blk.rows, nblocks)
+    # every tier's m is whole bytes: one row of packed bytes per block
+    blocks = blk.packed[:, : nblocks * m // 8].reshape(blk.rows * nblocks, m // 8)
+    runs = kernels.longest_one_run(blocks).reshape(blk.rows, nblocks)
     counts = _class_counts(np.clip(runs, lo, hi) - lo, hi - lo + 1)
     probs = np.array(_longest_run_class_probs(m, lo, hi))
     expected = nblocks * probs
@@ -585,9 +573,8 @@ _CORES = {
     "dft": lambda blk, m, fx: _dft(blk),
 }
 
-# bits per block of rows, and the most bits the walk (as bytes), the
-# longest-run kernel or an rfft takes at a time; a longer row is built from
-# parts of at most this many bits (see the module docstring)
+# bits per block of rows, and the most points of one rfft: a longer row's
+# spectrum comes from sub-rows of at most this many (see the module docstring)
 _BLOCK_BITS = 1 << 18
 
 # a long row whose spectrum has a magnitude within _DFT_MARGIN * T of the
@@ -652,11 +639,10 @@ def run_suite_block(
     a test explicitly makes its length requirement a hard error instead.
     Rows are processed in blocks of max(1, _BLOCK_BITS // n) rows, so the
     shared intermediates stay bounded whatever the row count. A row longer
-    than _BLOCK_BITS is a block of its own whose walk, longest-run blocks
-    and spectrum are built from parts of at most _BLOCK_BITS bits; its
-    spectral count falls back to one whole-row rfft where a magnitude lies
-    within _DFT_MARGIN * T of the threshold T or n has no fitting divisor,
-    so every result equals the whole-row one.
+    than _BLOCK_BITS is a block of its own whose spectrum comes from
+    sub-rows of at most _BLOCK_BITS points, or from one whole-row rfft
+    where a magnitude lies within _DFT_MARGIN * T of the threshold T or n
+    has no fitting divisor, so its count equals the whole-row one.
     """
     check_alpha(alpha)
     bits = np.ascontiguousarray(kernels.check_bits(block, "sequence block"))

@@ -849,7 +849,7 @@ def test_cli_nist_fails_on_zero_sequences(tmp_path, capsys, fmt, content, join):
 
 def test_cli_nist_concatenate_of_a_long_stream(tmp_path, monkeypatch):
     # the joined stream is longer than a battery block, so the battery
-    # builds its walk, longest-run blocks and spectrum from parts
+    # takes its spectrum from sub-rows
     from pufsim import randomness
 
     bits = np.stack(list(unbiased_sequences(5, 64_000, 41)))

@@ -55,6 +55,12 @@ def _brute_longest(row):
     return best
 
 
+def _packed_blocks(blocks):
+    """0/1 blocks as longest_one_run takes them: little-endian bytes, zero
+    bits past each block's end."""
+    return np.packbits(blocks, axis=1, bitorder="little")
+
+
 def _pack_rows(mat):
     packed8 = np.packbits(mat, axis=-1, bitorder="little")
     return np.ascontiguousarray(packed8).view(np.uint32)[:, 0].astype(np.uint64)
@@ -171,7 +177,7 @@ def test_longest_one_run_matches_brute_force(m):
     blocks[4, :k] = 1
     blocks[4, -k:] = 1
     blocks[5] = 1
-    got = kernels.longest_one_run(blocks)
+    got = kernels.longest_one_run(_packed_blocks(blocks))
     assert got.tolist() == [_brute_longest(row) for row in blocks]
 
 
@@ -179,7 +185,7 @@ def test_longest_one_run_edges():
     blocks = np.array(
         [[0, 0, 0, 0], [1, 1, 1, 1], [1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.uint8
     )
-    assert kernels.longest_one_run(blocks).tolist() == [0, 4, 2, 2]
+    assert kernels.longest_one_run(_packed_blocks(blocks)).tolist() == [0, 4, 2, 2]
 
 
 def test_dispatch_rejects_bad_shapes():

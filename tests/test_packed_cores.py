@@ -1,8 +1,8 @@
 """Property tests of the battery's packed cores against per-bit references.
 
-The walk, the runs count and block-frequency read each block's one packing
-through byte tables or 64-bit words, and the longest-run kernel packs its
-blocks into 16-bit units. Each is checked here against a plain per-bit
+The walk, the runs count, block-frequency and longest run read each
+block's one packing through byte tables, 64-bit words or, for the
+longest-run kernel, 16-bit units. Each is checked here against a plain per-bit
 form written in this file, on rows whose length need not be a multiple of
 8, block sizes that need not be either, and all-ones, all-zeros and
 near-all-ones rows whose runs cross byte and 16-bit unit boundaries.
@@ -98,7 +98,8 @@ def test_longest_one_run_matches_per_bit_form(block, m):
     # blocks of 1 to 70 bits: one unit, or several joined across units
     n = block.shape[1] // m * m
     blocks = block[:, :n].reshape(-1, m)
-    assert kernels.longest_one_run(blocks).tolist() == [_longest(b) for b in blocks]
+    packed = np.packbits(blocks, axis=1, bitorder="little")  # zero bits past m
+    assert kernels.longest_one_run(packed).tolist() == [_longest(b) for b in blocks]
 
 
 def _suite_bytes(table):
@@ -129,8 +130,9 @@ def _block_bits(value):
 
 @pytest.mark.parametrize("block_bits", [4097, 5012, 6561, 2**11 + 3])
 def test_long_rows_read_in_parts_of_odd_bytes(block_bits):
-    # rows longer than the block are read in parts of block_bits // 8 bytes,
-    # and their longest-run blocks block_bits // 128 at a time
+    # a row longer than the block is a block of its own, whose spectrum
+    # comes from sub-rows of at most block_bits points; nothing else it
+    # computes may depend on block_bits
     n = 40_003  # long enough for rank, and not a multiple of 8
     rng = np.random.default_rng(block_bits)
     rows = rng.integers(0, 2, size=(3, n), dtype=np.uint8)

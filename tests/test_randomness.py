@@ -182,6 +182,19 @@ def test_runs_degenerate():
         assert r.p_value == 0.0 and math.isnan(r.statistic)
 
 
+@pytest.mark.parametrize("n,ones", [(100, 70), (640_000, 321_600)])
+def test_runs_prerequisite_tie_is_not_run(n, ones):
+    # |S_n| = 4 sqrt(n): |pi - 1/2| equals the bound 2 / sqrt(n), and
+    # SP 800-22 2.3.4 runs the test only strictly inside it
+    row = np.zeros(n, dtype=np.uint8)
+    row[:ones] = 1
+    np.random.default_rng(0).shuffle(row)
+    r = runs_test(row)
+    assert r.p_value == 0.0 and math.isnan(r.statistic)
+    row[np.flatnonzero(row)[0]] = 0  # one fewer one is inside the bound
+    assert runs_test(row).p_value > 0.0
+
+
 def test_longest_run_degenerate_and_near_expected():
     r = longest_run_test(np.zeros(128, dtype=np.uint8))
     assert r.p_value < 1e-6 and not r.passed
@@ -497,6 +510,24 @@ def test_long_row_battery_memory_is_block_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 7 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_long_row_packed_cores_stay_small():
+    # every core but the spectral test reads the row's packing, 80 000
+    # bytes here, through temporaries of a few bytes per packed byte, so
+    # none of them works in parts
+    rows = _long_rows(640_000, 1)
+    for name, core in randomness._CORES.items():
+        if name == "dft":
+            continue
+        core(randomness._Block(rows), None, False)  # tables built on first use
+        tracemalloc.start()
+        try:
+            core(randomness._Block(rows), None, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20, f"{name}: peak {peak / 2**20:.2f} MiB"
 
 
 _FAULTS_PER_CALL = """
