@@ -26,8 +26,12 @@ directory beside this script, so a copy of the script in another checkout
 measures that checkout.
 
 `--compare A B` prints, for every series in both files, A's and B's
-medians and B / A, and flags with "~" every change smaller than the larger
-of the two IQRs, which the runs cannot tell from noise.
+medians and B / A. Only a memory series (`peak_rss_mib`, and the stages'
+`rss_after_mib`) gets a verdict: "~" flags a change smaller than the
+larger of the two IQRs, which the runs cannot tell from noise. A time
+series (`wall_ms` and the stages' `ms`) is marked "?": the host's speed
+shifts between two invocations of this script, so times from two files
+cannot be compared, while the RSS repeats across them.
 
 Run:  python3 benchmarks/bench_pipeline.py --pr 31 -k 5
       python3 benchmarks/bench_pipeline.py --compare BENCH_30.json BENCH_31.json
@@ -172,10 +176,16 @@ def compare(path_a: str, path_b: str) -> None:
     print(f"{'series':62s} {'A':>10s} {'B':>10s} {'B/A':>7s}")
     for key in (k for k in a if k in b):
         ma, mb = a[key]["median"], b[key]["median"]
-        noise = abs(mb - ma) < max(a[key]["iqr"], b[key]["iqr"])
+        if not key.endswith("_mib"):
+            mark = "?"
+        elif abs(mb - ma) < max(a[key]["iqr"], b[key]["iqr"]):
+            mark = "~"
+        else:
+            mark = ""
         ratio = f"{mb / ma:7.3f}" if ma else f"{'-':>7s}"
-        print(f"{key:62s} {ma:10.2f} {mb:10.2f} {ratio} {'~' if noise else ''}")
+        print(f"{key:62s} {ma:10.2f} {mb:10.2f} {ratio} {mark}")
     print("~: the change is smaller than the larger IQR")
+    print("?: a time; times from two invocations cannot be compared")
 
 
 def main() -> None:

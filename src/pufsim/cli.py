@@ -165,7 +165,7 @@ def cmd_nist(args) -> int:
     if args.format == "ascii":
         sequences = read_ascii_sequences(args.input)
     elif args.format == "packed":
-        if not args.bits:
+        if args.bits is None:
             raise StageError("randomness", "--bits is required with --format packed")
         sequences = read_packed_sequences(args.input, args.bits)
     else:

@@ -42,10 +42,10 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidArgumentError, InvalidSpecError
 from .kernels import check_int, read_only
+from .special import ndtri
 
 # stream tags, keyed by the master seed (1-4) or a session seed (5)
 _TAG_GLOBAL = 1

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .artifacts import read_container, write_atomic, write_container
 from .entropy import (
@@ -58,6 +57,7 @@ from .kernels import check_bits, check_int, check_mask, read_only, unpack_bits
 from .population import (
     _SEED_MAX, _TAG_READOUT, DevicePopulation, keyed_philox, row_width, stream_rows,
 )
+from .special import ndtr
 
 # uniforms drawn per device range (256 KiB of raw words); bounds the
 # readout's working memory, whatever the population size; the heap lift in
@@ -71,10 +71,12 @@ _CSV_CHUNK_BYTES = 1 << 18
 # Bracketing table for Phi: ndtr on the grid x_k = _GRID_LO + k / _GRID_STEPS,
 # k = 0 .. _GRID_POINTS - 1 (-9 to 9). Bucket b = 1 .. _GRID_POINTS - 1 holds
 # x in [x_(b-1), x_b), bucket 0 all x < x_0 and the last bucket all x >= 9.
-# _SLACK (in probability) covers the rounding of the bucket index and of
-# ndtr itself, both below 1e-15, so _PHI_LO[b] <= ndtr(x) <= _PHI_HI[b] for
-# every x of bucket b. Scaled to the uint32 draws, the bracket is
-# _LO32[b] <= ndtr(x) * 2**32 <= _HIM1[b] + 1.
+# _SLACK (in probability) covers the rounding of the bucket index and the
+# error of ndtr, whose tested bound pufsim.special states, so ndtr(x) and
+# the exact Phi(x) both lie in [_PHI_LO[b], _PHI_HI[b]] for every x of
+# bucket b. Scaled to the uint32 draws, the bracket is
+# _LO32[b] <= ndtr(x) * 2**32 <= _HIM1[b] + 1; tests/test_special.py
+# checks it at every bucket's edges.
 _GRID_STEPS = 64
 _GRID_LO = -9.0
 _GRID_POINTS = 18 * _GRID_STEPS + 1

@@ -666,7 +666,7 @@ def test_unbiased_sequences_prefix_does_not_depend_on_count():
 def test_unbiased_bit_is_the_sign_of_the_ndtri_mismatch():
     # u = ((word >> 12) + 1/2) * 2**-52 is the open 52-bit grid; the top
     # bit is set exactly when sigma * ndtri(u) > 0
-    from scipy.special import ndtri
+    from pufsim.special import ndtri
 
     grid = np.array([0, 1, 2**51 - 2, 2**51 - 1, 2**51, 2**51 + 1, 2**52 - 1],
                     dtype=np.uint64)
@@ -865,6 +865,19 @@ def test_cli_nist_concatenate_of_a_long_stream(tmp_path, monkeypatch):
         written.append((out / "nist.csv").read_bytes())
     assert b",dft," in written[0]
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("bits, message", [
+    ((), "error [randomness] --bits is required with --format packed\n"),
+    (("--bits", "0"), "error [nist] nbits must be in 1 .. inf, got 0\n"),
+], ids=["missing", "zero"])
+def test_cli_nist_packed_names_a_missing_or_bad_bit_count(tmp_path, capsys, bits,
+                                                          message):
+    path = tmp_path / "stream.bin"
+    path.write_bytes(bytes(16))
+    assert main(["nist", str(path), "--format", "packed", *bits,
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == message
 
 
 def test_cli_run_fails_when_no_test_fits(tmp_path, capsys):

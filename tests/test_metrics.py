@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from pufsim import kernels
 from pufsim.entropy import EnvironmentCondition, NoiseCalibration, noise_sigma_at
@@ -34,6 +33,7 @@ from pufsim.signature import (
     eliminate_biased_positions,
     enroll_golden,
 )
+from pufsim.special import ndtr
 
 
 def test_inter_hd_hand_oracle():

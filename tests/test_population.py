@@ -15,7 +15,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from pufsim import population
 from pufsim.errors import InvalidArgumentError, InvalidSpecError
@@ -30,6 +29,7 @@ from pufsim.population import (
     iter_device_mismatch,
     regional_overlap_score,
 )
+from pufsim.special import ndtri
 
 PURE_LOCAL = (0.0, 0.0, 1.0)
 

@@ -19,9 +19,9 @@ import threading
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammaincc
 
 from pufsim import randomness
 from pufsim.errors import InsufficientLengthError, InvalidArgumentError
@@ -48,6 +48,7 @@ from pufsim.randomness import (
     _longest_run_tier,
     _rank_class_probs,
 )
+from pufsim.special import gammaincc
 
 # 128-bit worked-example input for the longest-run test
 LONGEST_RUN_INPUT = "".join(
@@ -101,6 +102,38 @@ def test_longest_run_fixture():
 def test_dft_fixture():
     r = dft_test("1001010011", fixture_mode=True)
     assert_fixture(r.p_value, "0.029523", 0.02952321594993795)
+
+
+def _expansion_bits(constant, n: int) -> str:
+    """The first n binary digits of an mpmath constant in [2, 4), integer
+    part first: floor(constant * 2**(n - 2)) in binary."""
+    with mpmath.workprec(n + 64):
+        return bin(int(mpmath.floor(mpmath.ldexp(constant, n - 2))))[2:]
+
+
+def test_pi_worked_examples():
+    # the section 2.x.8 examples on the first 100 binary digits of pi
+    pi = _expansion_bits(mpmath.pi, 100)
+    assert len(pi) == 100 and pi.startswith("1100100100")
+    assert_fixture(frequency_test(pi, fixture_mode=True).p_value,
+                   "0.109599", 0.109598583399116)
+    assert_fixture(block_frequency_test(pi, block_size=10, fixture_mode=True).p_value,
+                   "0.706438", 0.7064384496412808)
+    assert_fixture(runs_test(pi, fixture_mode=True).p_value,
+                   "0.500798", 0.5007979178870903)
+    assert_fixture(cumulative_sums_test(pi, "forward", fixture_mode=True).p_value,
+                   "0.219194", 0.21919399348562668)
+    assert_fixture(cumulative_sums_test(pi, "backward", fixture_mode=True).p_value,
+                   "0.114866", 0.11486621530252171)
+
+
+def test_e_rank_worked_example():
+    # the rank test's section 2.5.8 example on the first 100 000 binary
+    # digits of e
+    e = _expansion_bits(mpmath.e, 100_000)
+    assert len(e) == 100_000 and e.startswith("1010110111")
+    assert_fixture(rank_test(e, fixture_mode=True).p_value,
+                   "0.532069", 0.5320686208924519)
 
 
 # -- degenerate and ideal inputs -----------------------------------------------------

@@ -10,7 +10,6 @@ import struct
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from pufsim.entropy import EnvironmentCondition, NoiseCalibration
 from pufsim.errors import EmptySignatureError, InvalidArgumentError
@@ -31,6 +30,7 @@ from pufsim.signature import (
     noise_stream,
     read_signatures,
 )
+from pufsim.special import ndtr
 
 REF = EnvironmentCondition(25.0, 1.0)
 
